@@ -20,6 +20,7 @@ any dispersion common to both photons before the interferometers.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,7 +60,14 @@ class MZIConfig:
 
 @dataclass(frozen=True)
 class FransonConfig:
-    """Full experiment: two arms, the shared spectrum, folded constants."""
+    """Full experiment: two arms, the shared spectrum, folded constants.
+
+    The summed dispersion phase on the spectrum grid (``summed_phase``) is
+    computed once per config, on first use, and every coincidence rate and
+    fringe amplitude reads it. It cannot go stale: the config and its arms
+    are frozen, the spectrum's arrays are read-only, and
+    ``dataclasses.replace`` builds a new instance with an empty cache.
+    """
 
     signal_arm: MZIConfig
     idler_arm: MZIConfig
@@ -83,6 +91,13 @@ class FransonConfig:
 
     def phi_tilde(self) -> float:
         return self.signal_arm.phase_rad + self.idler_arm.phase_rad
+
+    @cached_property
+    def summed_phase(self) -> np.ndarray:
+        """Read-only total_phase over spectrum.omega."""
+        phi = total_phase(self, self.spectrum.omega)
+        phi.setflags(write=False)
+        return phi
 
 
 @dataclass(frozen=True)
@@ -129,7 +144,7 @@ def coincidence_rate(cfg: FransonConfig, phi_tilde: float | None = None) -> floa
     if not math.isfinite(phi_tilde):
         raise DomainError(f"phi_tilde must be finite, got {phi_tilde}")
     s = cfg.spectrum
-    theta = phi_tilde + cfg.pump_phase_offset_rad - total_phase(cfg, s.omega)
+    theta = phi_tilde + cfg.pump_phase_offset_rad - cfg.summed_phase
     rate = float(s.weights @ (s.density * np.cos(theta / 2.0) ** 2))
     return min(1.0, max(0.0, rate))
 
@@ -142,7 +157,7 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     """
     _check_spectrum(cfg)
     s = cfg.spectrum
-    return complex(s.weights @ (s.density * np.exp(-1j * total_phase(cfg, s.omega))))
+    return complex(s.weights @ (s.density * np.exp(-1j * cfg.summed_phase)))
 
 
 def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> VisibilityResult:
@@ -150,7 +165,9 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
 
     "integral": modulus of the complex fringe amplitude (one quadrature).
     "sweep": scan phi_tilde over [0, 2pi) on a 720-point grid and refine the
-    extrema by golden-section search, mimicking a fringe measurement.
+    extrema by golden-section search, mimicking a fringe measurement. Every
+    point is still a cos^2 quadrature over the config's summed phase, not the
+    closed form from Z, so the sweep stays an independent check on it.
     The two methods agree to better than 1e-6 and serve as mutual checks.
     """
     if method == COMPLEX_INTEGRAL:

@@ -162,9 +162,9 @@ def _detector_events(rng, photon_gates, n_gates, det):
     return _merge_gates(base, ap)
 
 
-def _simulate_stream(cfg, noise, det, n_gates, rng, phi_tilde=None):
+def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
+    """One acquisition; c_rate is the coincidence rate at the stream's phase."""
     m = gate_offset(cfg, det)
-    c_rate = coincidence_rate(cfg, phi_tilde)
     eta = det.efficiency
 
     pair_g = np.flatnonzero(rng.random(n_gates) < noise.alpha).astype(np.int64)
@@ -210,7 +210,8 @@ def simulate_run(
     """
     if n_gates < 1:
         raise DomainError(f"n_gates must be >= 1, got {n_gates}")
-    return _simulate_stream(cfg, noise, det, int(n_gates), np.random.default_rng(seed), phi_tilde)
+    rng = np.random.default_rng(seed)
+    return _simulate_stream(cfg, noise, det, int(n_gates), rng, coincidence_rate(cfg, phi_tilde))
 
 
 def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
@@ -324,12 +325,13 @@ def estimate_visibility(
     offsets = np.arange(-k, k + 1)
     hist_acc = np.zeros((len(phases), 2 * k + 1), dtype=np.int64)
     batch_vs = np.empty(batches)
+    rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
 
     for b in range(batches):
         counts0 = np.empty(len(phases))
-        for j, phi in enumerate(phases):
+        for j, c_rate in enumerate(rates):
             rng = np.random.default_rng([int(seed), b, j])
-            stream = _simulate_stream(cfg, noise, det, per_phase, rng, phi_tilde=float(phi))
+            stream = _simulate_stream(cfg, noise, det, per_phase, rng, c_rate)
             hist = count_coincidences(stream, window_offsets=k)
             counts0[j] = hist.count(0)
             hist_acc[j] += hist.counts

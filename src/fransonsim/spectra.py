@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DataError, DomainError
 from .numerics import measure_fwhm, simpson_weights, symmetric_grid
@@ -27,8 +26,9 @@ SPEED_OF_LIGHT_NM_PER_PS = 299792.458
 # FWHM of a unit-sigma Gaussian: 2*sqrt(2*ln 2)
 GAUSSIAN_FWHM_PER_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
-# positive root of sinc^2(x) = 1/2, i.e. the intensity half-max point
-SINC2_HALF_MAX_X = brentq(lambda x: (np.sin(x) / x) ** 2 - 0.5, 1e-9, np.pi - 1e-9)
+# positive root of sinc^2(x) = 1/2, i.e. the intensity half-max point; the
+# double a bracketing root finder converges to (sinc^2 - 1/2 = -1.1e-16)
+SINC2_HALF_MAX_X = 1.3915573782515103
 
 SINC2 = "sinc2"
 GAUSSIAN = "gaussian"

@@ -1,5 +1,9 @@
 """Shared construction helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+
 from fransonsim import FiberSpec, MZIConfig, PathStack, stack
 
 DELTA_T_NS = 4.77
@@ -22,3 +26,24 @@ def arm_with_dispersion(d_beta2_ps2=0.0, d_beta3_ps3=0.0, delta_t_ns=DELTA_T_NS,
         delta_t_ns=delta_t_ns,
         phase_rad=phase_rad,
     )
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter and return its standard output.
+
+    The child imports fransonsim from this process's path. BLAS is pinned to
+    one thread: OpenBLAS splits long dot products across threads, which moves
+    the last bit of the fringe amplitude and hence the printed c_min.
+    """
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

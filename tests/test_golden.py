@@ -1,0 +1,61 @@
+"""Byte-identity of the CLI's analytic reports, fringe CSVs and a seeded Monte Carlo.
+
+The digests pin the output of the code before the summed dispersion phase
+was cached per config. A change that keeps the physics and the arithmetic
+keeps every digest; a change that alters a printed digit must say so and
+re-capture them. The commands run in one fresh interpreter with BLAS pinned
+to one thread (see ``tests.helpers.run_python``).
+"""
+
+import json
+
+import pytest
+
+from tests.helpers import run_python
+
+DRIVER = r"""
+import contextlib, hashlib, io, json, os, sys, tempfile
+from fransonsim.cli import main
+
+def stdout_of(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    if rc != 0:
+        sys.exit(f"{argv} exited {rc}")
+    return buf.getvalue().encode()
+
+digests = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for p in ("fig4a", "fig4b", "fig4c", "fig4d"):
+        digests["visibility " + p] = hashlib.sha256(stdout_of(["visibility", "--preset", p])).hexdigest()
+        path = os.path.join(tmp, p + ".csv")
+        stdout_of(["fringe", "--preset", p, "--points", "256", "--out", path])
+        with open(path, "rb") as fh:
+            digests["fringe " + p] = hashlib.sha256(fh.read()).hexdigest()
+mc = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2", "--seed", "7"]
+digests["montecarlo fig4a"] = hashlib.sha256(stdout_of(mc)).hexdigest()
+print(json.dumps(digests))
+"""
+
+DIGESTS = {
+    "fringe fig4a": "3c795c0e7fad8ff02304bfe51d1ca9ad2238f61f129f528a44264b2cfbee6956",
+    "fringe fig4b": "1f6f1cbc0c2a8424b742e42f4933a24c19b67be34317edaabba07b98b9f894e8",
+    "fringe fig4c": "063a77259d660dbb400ccbb0d4b68ab2fdf8ea721b30b03c10fcc5075202b4f1",
+    "fringe fig4d": "183bb1d4ec9bfc3022e73aaf830a547fc036136cc2257a943c669da70be120c5",
+    "montecarlo fig4a": "cc230831e9c5c85499c7e3b60b9a0424a272886ac5c7bce0dedec5ea776a8f32",
+    "visibility fig4a": "4399e2471b2b30677bdf39357f211c81916d7e6a19ee04935c3c26fceec076da",
+    "visibility fig4b": "568f325cd3c1c5e852c84738b99a79568b019b8c1d8331b8aa376e13b33357d9",
+    "visibility fig4c": "63c5d8d36417dd2c19efd6bc0e061289015db22d8c0558666c1d09a22578bc45",
+    "visibility fig4d": "7f8f63aee6e2fb74f82833c74a98bb76893210e1106867799f5c6fcaf9df92f5",
+}
+
+
+@pytest.fixture(scope="module")
+def digests():
+    return json.loads(run_python(DRIVER))
+
+
+@pytest.mark.parametrize("output", sorted(DIGESTS))
+def test_output_digest(digests, output):
+    assert digests[output] == DIGESTS[output]

@@ -1,10 +1,12 @@
 """Coincidence rate, visibility methods, and the nonlocality invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fransonsim.interference
 from fransonsim import (
     COMPLEX_INTEGRAL,
     ConfigurationError,
@@ -15,10 +17,13 @@ from fransonsim import (
     JointSpectrum,
     MZIConfig,
     PHASE_SWEEP,
+    PRESET_NAMES,
     PathStack,
     SINC2,
     coincidence_rate,
+    fringe_amplitude,
     make_spectrum,
+    preset_experiment,
     total_phase,
     visibility,
     width_nm_to_radps,
@@ -211,6 +216,52 @@ class TestNonlocalityInvariants:
     def test_nonlocal_cancellation_restores_unity(self):
         cfg = franson(-2.2018e-2, +2.2018e-2, spectrum=sinc2_pedestal())
         assert visibility(cfg).visibility == pytest.approx(1.0, abs=1e-9)
+
+
+class TestSummedPhaseCache:
+    def test_differential_phase_evaluated_once_per_arm(self, monkeypatch):
+        calls = []
+        original = fransonsim.interference.differential_phase
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fransonsim.interference, "differential_phase", counting)
+        cfg = franson(-2.2018e-2, -1e-2, spectrum=sinc2_pedestal())
+        visibility(cfg, COMPLEX_INTEGRAL)
+        visibility(cfg, PHASE_SWEEP)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False):
+            coincidence_rate(cfg, phi)
+        assert len(calls) == 2
+
+    def test_cached_phase_is_read_only(self):
+        cfg = franson(-2.2018e-2, -1e-2, spectrum=sinc2_pedestal())
+        phi = cfg.summed_phase
+        assert cfg.summed_phase is phi
+        assert np.array_equal(phi, total_phase(cfg, cfg.spectrum.omega))
+        assert not phi.flags.writeable
+        with pytest.raises(ValueError):
+            phi[0] = 0.0
+
+    def test_replace_starts_with_empty_cache(self):
+        cfg = franson(-2.2018e-2, -1e-2, spectrum=sinc2_pedestal())
+        cfg.summed_phase
+        moved = replace(cfg, idler_arm=arm_with_dispersion(2.2018e-2))
+        assert np.all(moved.summed_phase == 0.0)
+        assert not np.all(cfg.summed_phase == 0.0)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_uncached_expressions(self, name):
+        cfg = preset_experiment(name).franson
+        s = cfg.spectrum
+        phase = total_phase(cfg, s.omega)
+        for phi in (0.0, 1.0, math.pi, 4.5, 2.0 * math.pi - 1e-3):
+            theta = phi + cfg.pump_phase_offset_rad - phase
+            rate = float(s.weights @ (s.density * np.cos(theta / 2.0) ** 2))
+            assert coincidence_rate(cfg, phi) == min(1.0, max(0.0, rate))
+        z = complex(s.weights @ (s.density * np.exp(-1j * phase)))
+        assert fringe_amplitude(cfg) == z
 
 
 class TestQuadrature:

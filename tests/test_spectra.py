@@ -19,7 +19,13 @@ from fransonsim import (
     wavelength_to_detuning,
     width_nm_to_radps,
 )
-from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA, SPEED_OF_LIGHT_NM_PER_PS
+from fransonsim.spectra import (
+    GAUSSIAN_FWHM_PER_SIGMA,
+    SINC2_HALF_MAX_X,
+    SPEED_OF_LIGHT_NM_PER_PS,
+)
+
+from tests.helpers import run_python
 
 C = SPEED_OF_LIGHT_NM_PER_PS
 
@@ -66,6 +72,13 @@ class TestMakeSpectrum:
         assert s.density[s.omega == 0.0][0] == s.density.max()
         # half-max crossing found by bisection on the grid
         assert s.fwhm_radps() / 2.0 == pytest.approx(0.619, rel=0.01)
+        x = SINC2_HALF_MAX_X
+        assert x == 1.3915573782515103
+        assert abs((np.sin(x) / x) ** 2 - 0.5) <= 1e-15
+
+    def test_import_leaves_scipy_unloaded(self):
+        out = run_python("import sys, fransonsim; print('scipy' in sys.modules)")
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("model", [SINC2, GAUSSIAN])
     def test_unit_integral(self, model):
