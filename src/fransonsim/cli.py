@@ -4,7 +4,10 @@ and fiber-length design, with CSV output suitable for plotting elsewhere.
 Exit codes: 0 success, 2 usage/parse errors, 3 physics or configuration
 contract violations, 4 infeasible design problems, 5 statistics failures.
 All numeric output uses 9 significant digits in scientific notation, and
-identical inputs (config plus seed) produce byte-identical output.
+identical inputs (config plus seed) produce byte-identical output at a fixed
+BLAS thread count: the 16,385-point dot product in
+interference.fringe_amplitude is split across BLAS threads, which can move
+the last printed digit.
 """
 
 import argparse

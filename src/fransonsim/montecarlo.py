@@ -23,7 +23,6 @@ the 1.59 ns gate period it cannot.
 Streams are reproducible: a run is a pure function of (config, seed).
 """
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,36 +76,35 @@ class EventRecord:
 
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """Detection gates per detector, sorted and deduplicated."""
+    """Detection gates per detector, strictly increasing within [0, n_gates)."""
 
     signal_gates: np.ndarray
     idler_gates: np.ndarray
     n_gates: int
 
     def __post_init__(self):
-        self.signal_gates.setflags(write=False)
-        self.idler_gates.setflags(write=False)
+        for name, gates in (("signal", self.signal_gates), ("idler", self.idler_gates)):
+            if len(gates) and not (
+                np.all(np.diff(gates) > 0) and gates[0] >= 0 and gates[-1] < self.n_gates
+            ):
+                raise ContractViolationError(
+                    f"{name} gates must be strictly increasing within [0, {self.n_gates})"
+                )
+            gates.setflags(write=False)
 
     def __len__(self):
         return len(self.signal_gates) + len(self.idler_gates)
 
-    def records(self):
-        """Merged record iterator, sorted by gate (signal before idler on ties)."""
-        i = j = 0
-        s, d = self.signal_gates, self.idler_gates
-        while i < len(s) or j < len(d):
-            if j >= len(d) or (i < len(s) and s[i] <= d[j]):
-                yield EventRecord(Detector.SIGNAL, int(s[i]))
-                i += 1
-            else:
-                yield EventRecord(Detector.IDLER, int(d[j]))
-                j += 1
-
     def to_csv(self, path):
+        """One row per detection, sorted by gate (signal before idler on ties)."""
+        gates = np.concatenate([self.signal_gates, self.idler_gates])
+        order = np.argsort(gates, kind="stable")
+        names = np.where(
+            order < len(self.signal_gates), Detector.SIGNAL.value, Detector.IDLER.value
+        )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("detector,gate_index\n")
-            for rec in self.records():
-                fh.write(f"{rec.detector.value},{rec.gate_index}\n")
+            fh.writelines(f"{d},{g}\n" for d, g in zip(names.tolist(), gates[order].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,47 +212,43 @@ def simulate_run(
     return _simulate_stream(cfg, noise, det, int(n_gates), rng, coincidence_rate(cfg, phi_tilde))
 
 
+def _record_gates(records):
+    """Split EventRecords sorted by gate into signal and idler gate arrays."""
+    records = list(records)
+    gates = np.array([r.gate_index for r in records], dtype=np.int64)
+    unsorted = np.flatnonzero(np.diff(gates) < 0)
+    if len(unsorted):
+        g, last = gates[unsorted[0] + 1], gates[unsorted[0]]
+        raise ContractViolationError(f"events not sorted by gate_index ({g} after {last})")
+    is_signal = np.array([Detector(r.detector) is Detector.SIGNAL for r in records], dtype=bool)
+    n_gates = int(gates[-1]) + 1 if len(gates) else 0
+    return gates[is_signal], gates[~is_signal], n_gates
+
+
 def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
     """Histogram signal-idler gate offsets d = idler - signal, |d| <= window.
 
     Accepts an EventStream or any iterable of EventRecord sorted by gate
-    index; unsorted input raises. Single pass; the working set is one window
-    of recent gates per detector.
+    index; unsorted records raise. Every signal-idler pair within the window
+    counts once, so a repeated record gate counts once per copy: the count
+    at d is the number of sorted idler gates equal to a signal gate + d, found
+    by two binary searches per (signal gate, d). total_gates is the stream's
+    n_gates, or else the last record's gate + 1 (0 without records).
     """
     k = int(window_offsets)
     if k < 3:
         raise DomainError(f"window_offsets must be >= 3, got {k}")
 
-    n_gates = 0
     if isinstance(events, EventStream):
-        n_gates = events.n_gates
-        events = events.records()
+        sig, idl, n_gates = events.signal_gates, events.idler_gates, events.n_gates
+    else:
+        sig, idl, n_gates = _record_gates(events)
 
-    counts = np.zeros(2 * k + 1, dtype=np.int64)
-    recent = {Detector.SIGNAL: deque(), Detector.IDLER: deque()}
-    last_gate = None
-    for rec in events:
-        g = rec.gate_index
-        if last_gate is not None and g < last_gate:
-            raise ContractViolationError(
-                f"events not sorted by gate_index ({g} after {last_gate})"
-            )
-        last_gate = g
-        for q in recent.values():
-            while q and q[0] < g - k:
-                q.popleft()
-        opposite = recent[
-            Detector.IDLER if rec.detector == Detector.SIGNAL else Detector.SIGNAL
-        ]
-        for other_gate in opposite:
-            d = g - other_gate if rec.detector == Detector.IDLER else other_gate - g
-            counts[d + k] += 1
-        recent[rec.detector].append(g)
-        if g >= n_gates:
-            n_gates = g + 1
-
+    offsets = np.arange(-k, k + 1)
+    targets = sig[:, None] + offsets
+    hits = np.searchsorted(idl, targets, side="right") - np.searchsorted(idl, targets, side="left")
     return CoincidenceHistogram(
-        offsets=np.arange(-k, k + 1), counts=counts, total_gates=n_gates, window=k
+        offsets=offsets, counts=hits.sum(axis=0), total_gates=n_gates, window=k
     )
 
 

@@ -1,9 +1,13 @@
-"""Byte-identity of the CLI's analytic reports, fringe CSVs and a seeded Monte Carlo.
+"""Byte-identity of the CLI's analytic reports, fringe CSVs and seeded Monte Carlo runs.
 
-The digests pin the output of the code before the summed dispersion phase
-was cached per config. A change that keeps the physics and the arithmetic
-keeps every digest; a change that alters a printed digit must say so and
-re-capture them. The commands run in one fresh interpreter with BLAS pinned
+The analytic and ``montecarlo fig4a`` stdout digests pin the output of the
+code before the summed dispersion phase was cached per config. The
+``montecarlo --out/--events/--histogram`` files and the ``alpha-sweep
+--montecarlo`` stdout were pinned from the code that still counted
+coincidences with a per-event loop and wrote the events CSV from a record
+merge. A change that keeps the physics, the arithmetic and the RNG draw
+order keeps every digest; a change that alters a printed digit must say so
+and re-capture them. The commands run in one fresh interpreter with BLAS pinned
 to one thread (see ``tests.helpers.run_python``).
 """
 
@@ -33,17 +37,32 @@ with tempfile.TemporaryDirectory() as tmp:
         stdout_of(["fringe", "--preset", p, "--points", "256", "--out", path])
         with open(path, "rb") as fh:
             digests["fringe " + p] = hashlib.sha256(fh.read()).hexdigest()
+    export = ["montecarlo", "--preset", "fig4a", "--gates", "2000000", "--batches", "2", "--seed", "5"]
+    exports = {name: os.path.join(tmp, name + ".csv") for name in ("out", "events", "histogram")}
+    for name, path in exports.items():
+        export += ["--" + name, path]
+    stdout_of(export)
+    for name, path in exports.items():
+        with open(path, "rb") as fh:
+            digests["montecarlo fig4a --" + name] = hashlib.sha256(fh.read()).hexdigest()
 mc = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2", "--seed", "7"]
 digests["montecarlo fig4a"] = hashlib.sha256(stdout_of(mc)).hexdigest()
+sweep = ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
+         "--gates", "200000", "--batches", "3", "--seed", "4"]
+digests["alpha-sweep fig4c --montecarlo"] = hashlib.sha256(stdout_of(sweep)).hexdigest()
 print(json.dumps(digests))
 """
 
 DIGESTS = {
+    "alpha-sweep fig4c --montecarlo": "909cc1cab00bfbe33c650229b411e8ecae8a79b05700f49dbb3e5532909c5486",
     "fringe fig4a": "3c795c0e7fad8ff02304bfe51d1ca9ad2238f61f129f528a44264b2cfbee6956",
     "fringe fig4b": "1f6f1cbc0c2a8424b742e42f4933a24c19b67be34317edaabba07b98b9f894e8",
     "fringe fig4c": "063a77259d660dbb400ccbb0d4b68ab2fdf8ea721b30b03c10fcc5075202b4f1",
     "fringe fig4d": "183bb1d4ec9bfc3022e73aaf830a547fc036136cc2257a943c669da70be120c5",
     "montecarlo fig4a": "cc230831e9c5c85499c7e3b60b9a0424a272886ac5c7bce0dedec5ea776a8f32",
+    "montecarlo fig4a --events": "d8dd76a4db20211628f050713b342c9637deb1c6f85c70659b4c9fc47cf5152b",
+    "montecarlo fig4a --histogram": "ad37236c05f8c515f69cb2fdd37f97dd8f85f15cc69f4a20d05e7309b41f84f0",
+    "montecarlo fig4a --out": "18af313fcc5991b42541fe873fdd36f57036a724b292b23d38cc7089273cc1d6",
     "visibility fig4a": "4399e2471b2b30677bdf39357f211c81916d7e6a19ee04935c3c26fceec076da",
     "visibility fig4b": "568f325cd3c1c5e852c84738b99a79568b019b8c1d8331b8aa376e13b33357d9",
     "visibility fig4c": "63c5d8d36417dd2c19efd6bc0e061289015db22d8c0558666c1d09a22578bc45",

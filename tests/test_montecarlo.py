@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fransonsim import (
     ConfigurationError,
@@ -12,6 +14,7 @@ from fransonsim import (
     DetectorModel,
     DomainError,
     EventRecord,
+    EventStream,
     FransonConfig,
     GAUSSIAN,
     NoiseModel,
@@ -180,25 +183,67 @@ class TestCountCoincidences:
         # expected n * p^2 = 4e-5 per bin: essentially always zero
         assert hist.counts.sum() <= 3
 
-    def test_matches_brute_force(self):
-        # oracle: O(n^2) pairing over a small random stream
-        rng = np.random.default_rng(17)
-        sig = np.unique(rng.integers(0, 60, 25))
-        idl = np.unique(rng.integers(0, 60, 25))
-        events = sorted(
-            [EventRecord(Detector.SIGNAL, int(g)) for g in sig]
-            + [EventRecord(Detector.IDLER, int(g)) for g in idl],
-            key=lambda r: r.gate_index,
-        )
-        k = 4
-        expected = np.zeros(2 * k + 1, dtype=int)
-        for s in sig:
-            for i in idl:
-                d = int(i) - int(s)
-                if abs(d) <= k:
-                    expected[d + k] += 1
+    @settings(deadline=None)
+    @given(
+        draws=st.lists(
+            st.tuples(st.sampled_from(list(Detector)), st.integers(0, 40)), max_size=40
+        ),
+        k=st.integers(3, 8),
+        spare_gates=st.integers(0, 5),
+    )
+    @example(draws=[], k=3, spare_gates=0)
+    @example(draws=[(Detector.SIGNAL, 4), (Detector.SIGNAL, 4)], k=3, spare_gates=0)
+    @example(
+        draws=[(Detector.IDLER, 4), (Detector.SIGNAL, 4), (Detector.IDLER, 4)], k=3, spare_gates=0
+    )
+    def test_matches_brute_force(self, draws, k, spare_gates):
+        # oracle: O(n^2) pairing; repeated gates pair once per copy
+        events = sorted((EventRecord(d, g) for d, g in draws), key=lambda r: r.gate_index)
+        sig = [r.gate_index for r in events if r.detector is Detector.SIGNAL]
+        idl = [r.gate_index for r in events if r.detector is Detector.IDLER]
+
+        def brute_force(sig, idl):
+            expected = np.zeros(2 * k + 1, dtype=int)
+            for s in sig:
+                for i in idl:
+                    if abs(i - s) <= k:
+                        expected[i - s + k] += 1
+            return expected
+
         hist = count_coincidences(events, window_offsets=k)
-        assert np.array_equal(hist.counts, expected)
+        assert np.array_equal(hist.counts, brute_force(sig, idl))
+        assert hist.total_gates == (events[-1].gate_index + 1 if events else 0)
+
+        sig_u, idl_u = np.unique(sig).astype(np.int64), np.unique(idl).astype(np.int64)
+        n_gates = max(sig + idl, default=0) + 1 + spare_gates
+        stream = EventStream(signal_gates=sig_u, idler_gates=idl_u, n_gates=n_gates)
+        hist = count_coincidences(stream, window_offsets=k)
+        assert np.array_equal(hist.counts, brute_force(sig_u.tolist(), idl_u.tolist()))
+        assert hist.total_gates == stream.n_gates
+
+
+class TestEventStream:
+    @pytest.mark.parametrize(
+        "signal, idler",
+        [([3, 1, 7], [2]), ([2], [4, 4, 9]), ([-1, 2], []), ([], [5, 10])],
+        ids=["unsorted", "duplicated", "negative", "beyond-n-gates"],
+    )
+    def test_invalid_gates_rejected(self, signal, idler):
+        with pytest.raises(ContractViolationError):
+            EventStream(
+                signal_gates=np.array(signal, dtype=np.int64),
+                idler_gates=np.array(idler, dtype=np.int64),
+                n_gates=10,
+            )
+
+    def test_valid_gates_read_only(self):
+        stream = EventStream(
+            signal_gates=np.array([0, 9], dtype=np.int64),
+            idler_gates=np.array([], dtype=np.int64),
+            n_gates=10,
+        )
+        assert len(stream) == 2
+        assert not stream.signal_gates.flags.writeable
 
 
 class TestEstimateVisibility:
@@ -253,6 +298,18 @@ class TestExports:
         assert len(lines) == 1 + len(stream)
         gates = [int(l.split(",")[1]) for l in lines[1:]]
         assert gates == sorted(gates)
+
+    def test_event_csv_signal_first_on_tied_gate(self, tmp_path):
+        stream = EventStream(
+            signal_gates=np.array([2, 5], dtype=np.int64),
+            idler_gates=np.array([1, 5], dtype=np.int64),
+            n_gates=6,
+        )
+        p = tmp_path / "events.csv"
+        stream.to_csv(p)
+        assert p.read_text().splitlines()[1:] == [
+            "idler,1", "signal,2", "signal,5", "idler,5"
+        ]
 
     def test_histogram_csv(self, tmp_path):
         stream = simulate_run(
