@@ -7,7 +7,9 @@ All numeric output uses 9 significant digits in scientific notation, and
 identical inputs (config plus seed) produce byte-identical output at a fixed
 BLAS thread count: the 16,385-point dot product in
 interference.fringe_amplitude is split across BLAS threads, which can move
-the last printed digit.
+the last printed digit. The Monte Carlo output does not depend on the number
+of cores it runs on. Warnings, such as a Monte Carlo visibility above 1,
+go to stderr.
 """
 
 import argparse
@@ -61,6 +63,19 @@ def _apply_run_overrides(args, run):
     batches = args.batches if args.batches is not None else run.batches
     phases = getattr(args, "phases", None) or run.phases
     return seed, gates, batches, phases
+
+
+def _warn_if_unphysical(est, label=""):
+    """One stderr line when a fringe fit reads V > 1, which too few offset-0 counts produce."""
+    if est.v > 1.0:
+        zero = int(est.per_phase_histogram[:, est.offsets == 0].sum())
+        bins = len(est.batch_visibilities) * len(est.phases)
+        print(
+            f"warning: {label}V_montecarlo {_sci(est.v)} exceeds 1: only {zero} offset-0 "
+            f"coincidences in {bins} (batch, phase) bins ({zero / bins:.2g} per bin) are too "
+            "few to fit a fringe; raise the gate count",
+            file=sys.stderr,
+        )
 
 
 def _write_fringe_csv(path, cfg, points):
@@ -143,6 +158,7 @@ def cmd_alpha_sweep(args) -> int:
                 batches=batches,
                 seed=seed,
             )
+            _warn_if_unphysical(est, f"alpha {_sci(a)}: ")
             mc_rows[a] = (est.v, est.sigma_v)
 
     lines = ["alpha,V_analytic,V_montecarlo,sigma_mc"]
@@ -186,6 +202,7 @@ def cmd_montecarlo(args) -> int:
         batches=batches,
         seed=seed,
     )
+    _warn_if_unphysical(est)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     v_pipeline = observed_visibility(v0, exp.noise)
 

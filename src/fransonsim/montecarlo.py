@@ -20,9 +20,17 @@ any detection (no cascades). Detector timing jitter is carried in the model
 for reference but does not move events between gates; at 100 ps rms against
 the 1.59 ns gate period it cannot.
 
-Streams are reproducible: a run is a pure function of (config, seed).
+Streams are reproducible: a run is a pure function of (config, seed). The
+per-gate Bernoulli draws (pair births, dark counts) are made in chunks of
+BERNOULLI_CHUNK uniforms, so a stream holds O(chunk + events) memory rather
+than O(gates). estimate_visibility runs its independent (batch, phase)
+streams on one thread per available core; NumPy's bulk draws, comparisons
+and searches release the GIL, and each stream owns its generator and its
+histogram row, so the output does not depend on the core count.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +41,7 @@ from .interference import FransonConfig, coincidence_rate
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
+BERNOULLI_CHUNK = 65_536  # uniforms per fill in _bernoulli_gates (512 KiB of doubles)
 
 
 class Detector(str, Enum):
@@ -151,9 +160,25 @@ def _merge_gates(*arrays):
     return np.unique(np.concatenate(parts))
 
 
+def _bernoulli_gates(rng, n, p):
+    """Sorted int64 indices i in [0, n) whose uniform draw u_i falls below p.
+
+    Consumes exactly the draws of ``rng.random(n) < p``, in the same order,
+    but through one reused buffer of BERNOULLI_CHUNK doubles, so memory is
+    O(chunk + hits) instead of O(n).
+    """
+    buf = np.empty(min(n, BERNOULLI_CHUNK))
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(0, n, BERNOULLI_CHUNK):
+        u = buf[: min(BERNOULLI_CHUNK, n - start)]
+        rng.random(out=u)
+        hits.append(np.flatnonzero(u < p) + start)
+    return np.concatenate(hits)
+
+
 def _detector_events(rng, photon_gates, n_gates, det):
     """Dark counts, merge, afterpulses for one detector. Fixed draw order."""
-    dark = np.flatnonzero(rng.random(n_gates) < det.dark_prob).astype(np.int64)
+    dark = _bernoulli_gates(rng, n_gates, det.dark_prob)
     base = _merge_gates(photon_gates, dark)
     ap = base[rng.random(len(base)) < det.afterpulse_prob] + 1
     ap = ap[ap < n_gates]
@@ -165,7 +190,7 @@ def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
     m = gate_offset(cfg, det)
     eta = det.efficiency
 
-    pair_g = np.flatnonzero(rng.random(n_gates) < noise.alpha).astype(np.int64)
+    pair_g = _bernoulli_gates(rng, n_gates, noise.alpha)
     n_pairs = len(pair_g)
 
     u = rng.random(n_pairs)      # outcome class
@@ -287,6 +312,54 @@ def _fit_fringe(phases, counts):
     return float(np.hypot(a1, a2) / a0)
 
 
+def _worker_count() -> int:
+    """Threads an estimate runs on: the cores this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_tasks(n_tasks, task):
+    """Call task(i) for i in range(n_tasks) on _worker_count() threads.
+
+    The calling thread is one of the workers. Tasks are handed out in index
+    order; after a failure no new task starts, every thread is joined, and
+    the error of the lowest failed index is raised, which is the error a
+    single thread would have raised.
+    """
+    lock = threading.Lock()
+    todo = list(range(n_tasks - 1, -1, -1))  # popped from the end: index order
+    errors = []  # (task index, exception)
+
+    def work():
+        while True:
+            with lock:
+                if errors or not todo:
+                    return
+                i = todo.pop()
+            try:
+                task(i)
+            except BaseException as exc:  # re-raised in the calling thread
+                with lock:
+                    errors.append((i, exc))
+
+    threads = []
+    try:
+        for _ in range(min(_worker_count(), n_tasks) - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            threads.append(t)
+        work()
+    finally:
+        with lock:
+            todo.clear()  # a failed start or an interrupt: start nothing new
+        for t in threads:
+            t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+
+
 def estimate_visibility(
     cfg: FransonConfig,
     noise: NoiseModel,
@@ -300,9 +373,11 @@ def estimate_visibility(
 
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
-    and fits the sinusoidal fringe. Batches use independent substreams
-    derived from (seed, batch, phase), so results are reproducible and
-    batches could be evaluated in any order.
+    and fits the sinusoidal fringe. Every (batch, phase) stream draws from
+    its own substream derived from (seed, batch, phase) and runs on one of
+    the available cores, in any order; the fits read the histograms in
+    (batch, phase) order, so the result does not depend on the core count.
+    A stream holds O(BERNOULLI_CHUNK + events) memory.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -317,26 +392,25 @@ def estimate_visibility(
 
     k = max(3, gate_offset(cfg, det))
     offsets = np.arange(-k, k + 1)
-    hist_acc = np.zeros((len(phases), 2 * k + 1), dtype=np.int64)
-    batch_vs = np.empty(batches)
     rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
+    hists = np.empty((batches * len(phases), 2 * k + 1), dtype=np.int64)
 
-    for b in range(batches):
-        counts0 = np.empty(len(phases))
-        for j, c_rate in enumerate(rates):
-            rng = np.random.default_rng([int(seed), b, j])
-            stream = _simulate_stream(cfg, noise, det, per_phase, rng, c_rate)
-            hist = count_coincidences(stream, window_offsets=k)
-            counts0[j] = hist.count(0)
-            hist_acc[j] += hist.counts
-        batch_vs[b] = _fit_fringe(phases, counts0)
+    def simulate(i):
+        b, j = divmod(i, len(phases))
+        rng = np.random.default_rng([int(seed), b, j])
+        stream = _simulate_stream(cfg, noise, det, per_phase, rng, rates[j])
+        hists[i] = count_coincidences(stream, window_offsets=k).counts
+
+    _run_tasks(len(hists), simulate)
+    hists = hists.reshape(batches, len(phases), 2 * k + 1)
+    batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(
         v=float(batch_vs.mean()),
         sigma_v=float(batch_vs.std(ddof=1)),
         batch_visibilities=batch_vs,
         phases=phases,
-        per_phase_histogram=hist_acc,
+        per_phase_histogram=hists.sum(axis=0),
         offsets=offsets,
         n_gates_per_phase=per_phase,
     )

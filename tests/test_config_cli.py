@@ -281,6 +281,24 @@ class TestCli:
         assert hist.read_text().startswith("offset,counts")
         assert fringe.read_text().startswith("phi_rad,offset_-3")
 
+    def test_montecarlo_warns_on_unphysical_visibility(self, capsys):
+        # about 0.3 offset-0 coincidences per (batch, phase) bin
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2",
+                "--seed", "7"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert self._value(captured.out, "V_montecarlo") > 1
+        (line,) = captured.err.splitlines()
+        assert line.startswith("warning: V_montecarlo 1.28256925e+00 exceeds 1")
+        assert "only 21 offset-0 coincidences in 64 (batch, phase) bins" in line
+
+    def test_alpha_sweep_warns_only_for_unphysical_estimates(self, capsys):
+        argv = ["alpha-sweep", "--preset", "fig4a", "--montecarlo", "--alphas", "0.0024,0.2",
+                "--gates", "320000", "--batches", "2", "--seed", "7"]
+        assert main(argv) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: alpha 2.40000000e-03: V_montecarlo 1.28256925e+00")
+
     def test_montecarlo_statistics_error(self, tmp_path, capsys):
         cfg = tmp_path / "quiet.ini"
         cfg.write_text(FULL_CONFIG.replace("alpha = 0.0024", "alpha = 0.0"))

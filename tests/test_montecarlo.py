@@ -1,6 +1,10 @@
 """Event-level detection streams, coincidence counting, fringe estimation."""
 
 import math
+import sys
+import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +28,13 @@ from fransonsim import (
     gate_offset,
     make_spectrum,
     observed_visibility,
+    preset_experiment,
     simulate_run,
     visibility,
 )
+from fransonsim import montecarlo
+from fransonsim.cli import main
+from fransonsim.montecarlo import BERNOULLI_CHUNK, _bernoulli_gates, _run_tasks
 
 from tests.helpers import arm_with_dispersion
 
@@ -322,3 +330,150 @@ class TestExports:
         assert lines[0] == "offset,counts"
         assert len(lines) == 1 + 7
         assert lines[1].startswith("-3,")
+
+
+class TestBernoulliGates:
+    @pytest.mark.parametrize("p", [0.0, 2e-6, 0.0024, 0.5, 1.0])
+    @pytest.mark.parametrize(
+        "n",
+        [1, BERNOULLI_CHUNK - 1, BERNOULLI_CHUNK, BERNOULLI_CHUNK + 1, 3 * BERNOULLI_CHUNK + 7],
+    )
+    def test_same_draws_as_one_dense_mask(self, n, p):
+        chunked, dense = np.random.default_rng(17), np.random.default_rng(17)
+        gates = _bernoulli_gates(chunked, n, p)
+        expected = np.flatnonzero(dense.random(n) < p).astype(np.int64)
+        assert gates.dtype == np.int64
+        assert np.array_equal(gates, expected)
+        assert chunked.bit_generator.state == dense.bit_generator.state
+
+    def test_stream_memory_scales_with_events_not_gates(self):
+        # a dense mask over 4M gates alone would need 32 MB of uniforms
+        exp = preset_experiment("fig4a")
+        # the warm-up imports numpy's lazily loaded modules and fills the
+        # config's phase cache, so the peak below is the stream's own
+        simulate_run(exp.franson, exp.noise, exp.detector, 100_000, seed=1)
+        tracemalloc.start()
+        try:
+            stream = simulate_run(exp.franson, exp.noise, exp.detector, 4_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(stream) > 0
+        assert peak < 4_000_000
+
+
+def fig4c_at(alpha):
+    exp = preset_experiment("fig4c")
+    return exp.franson, replace(exp.noise, alpha=alpha), exp.detector
+
+
+class TestParallelStreams:
+    def test_output_independent_of_worker_count(self, monkeypatch):
+        cfg, noise, det = fig4c_at(0.2)
+        results = {}
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda w=workers: w)
+            results[workers] = estimate_visibility(
+                cfg, noise, det, n_gates=320_000, batches=3, seed=4
+            )
+        ref = results[1]
+        for est in results.values():
+            assert est.v == ref.v
+            assert est.sigma_v == ref.sigma_v
+            assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
+            assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
+
+    def test_tasks_run_concurrently(self, monkeypatch):
+        # every task waits for all three: it passes only if three threads,
+        # the caller among them, run at once
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        barrier = threading.Barrier(3, timeout=30)
+        ran = []
+        _run_tasks(3, lambda i: ran.append((i, barrier.wait())))
+        assert sorted(i for i, _ in ran) == [0, 1, 2]
+
+    def test_every_task_runs_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ran = []
+            _run_tasks(2_000, ran.append)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(2_000))
+
+
+def inject_failure(task):
+    raise ContractViolationError(f"injected failure in task {task}")
+
+
+def check_streams(monkeypatch, seed, batches, check):
+    """Call check((batch, phase)) before every stream; a check that raises fails the task.
+
+    A task is recognised by its generator's initial state, which the
+    (seed, batch, phase) substream fixes.
+    """
+    tasks = {
+        np.random.default_rng([seed, b, j]).bit_generator.state["state"]["state"]: (b, j)
+        for b in range(batches)
+        for j in range(32)
+    }
+    real = montecarlo._simulate_stream
+
+    def simulate(cfg, noise, det, n_gates, rng, c_rate):
+        check(tasks[rng.bit_generator.state["state"]["state"]])
+        return real(cfg, noise, det, n_gates, rng, c_rate)
+
+    monkeypatch.setattr(montecarlo, "_simulate_stream", simulate)
+
+
+class TestParallelErrors:
+    ARGS = dict(n_gates=320_000, batches=2, seed=7)
+
+    @pytest.mark.parametrize("workers", [1, 3, 7])
+    def test_lowest_failed_task_reaches_caller(self, monkeypatch, workers):
+        # task (1, 6) fails first whenever another thread can run it, yet
+        # the caller sees (1, 5), the failure a single thread meets first
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
+        later_failed = threading.Event()
+
+        def check(task):
+            if task == (1, 6):
+                later_failed.set()
+                inject_failure(task)
+            if task == (1, 5):
+                assert workers == 1 or later_failed.wait(timeout=30)
+                inject_failure(task)
+
+        check_streams(monkeypatch, 7, 2, check)
+        threads_before = threading.active_count()
+        with pytest.raises(ContractViolationError, match=r"task \(1, 5\)"):
+            estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
+        assert threading.active_count() == threads_before
+
+    def test_calling_thread_failure_joins_workers(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+
+        def check(task):
+            if threading.current_thread() is threading.main_thread():
+                inject_failure(task)
+
+        check_streams(monkeypatch, 7, 2, check)
+        threads_before = threading.active_count()
+        with pytest.raises(ContractViolationError, match="injected"):
+            estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
+        assert threading.active_count() == threads_before
+
+    def test_cli_exits_with_contract_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+
+        def check(task):
+            if task == (1, 5):
+                inject_failure(task)
+
+        check_streams(monkeypatch, 7, 2, check)
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2",
+                "--seed", "7"]
+        assert main(argv) == 3
+        assert "injected failure in task (1, 5)" in capsys.readouterr().err
