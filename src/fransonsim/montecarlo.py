@@ -21,16 +21,23 @@ for reference but does not move events between gates; at 100 ps rms against
 the 1.59 ns gate period it cannot.
 
 Streams are reproducible: a run is a pure function of (config, seed). The
-per-gate Bernoulli draws (pair births, dark counts) are made in chunks of
-BERNOULLI_CHUNK uniforms, so a stream holds O(chunk + events) memory rather
-than O(gates). estimate_visibility runs its independent (batch, phase)
-streams on one thread per available core; NumPy's bulk draws, comparisons
-and searches release the GIL, and each stream owns its generator and its
-histogram row, so the output does not depend on the core count.
+draw order is pinned, since every seeded output depends on it: per stream,
+one uniform per gate for pair births; five per pair (outcome class,
+interference survival, placement, signal and idler detection); then per
+detector, signal first, one uniform per gate for dark counts and one per
+click for afterpulses. tests/test_montecarlo.py holds a frozen copy of the
+stream code to check it against. The per-gate Bernoulli draws are made in
+chunks of BERNOULLI_CHUNK uniforms, so a stream holds O(chunk + events)
+memory rather than O(gates). estimate_visibility runs its independent
+(batch, phase) streams on one thread per available core; NumPy's bulk
+draws, comparisons and searches release the GIL, and each stream owns its
+generator and its histogram row, so the output does not depend on the core
+count.
 """
 
 import os
 import threading
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -85,7 +92,7 @@ class EventRecord:
 
 @dataclass(frozen=True, eq=False)
 class EventStream:
-    """Detection gates per detector, strictly increasing within [0, n_gates)."""
+    """Detection gates per detector: integers strictly increasing within [0, n_gates)."""
 
     signal_gates: np.ndarray
     idler_gates: np.ndarray
@@ -93,8 +100,12 @@ class EventStream:
 
     def __post_init__(self):
         for name, gates in (("signal", self.signal_gates), ("idler", self.idler_gates)):
+            if not np.issubdtype(gates.dtype, np.integer):
+                raise ContractViolationError(
+                    f"{name} gates must have an integer dtype, got {gates.dtype}"
+                )
             if len(gates) and not (
-                np.all(np.diff(gates) > 0) and gates[0] >= 0 and gates[-1] < self.n_gates
+                (gates[1:] > gates[:-1]).all() and gates[0] >= 0 and gates[-1] < self.n_gates
             ):
                 raise ContractViolationError(
                     f"{name} gates must be strictly increasing within [0, {self.n_gates})"
@@ -154,10 +165,16 @@ def gate_offset(cfg: FransonConfig, det: DetectorModel) -> int:
 
 
 def _merge_gates(*arrays):
-    parts = [a for a in arrays if len(a)]
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    """Sorted distinct gates of the int64 arrays, as np.unique of their union.
+
+    A sort plus a drop of adjacent repeats: np.unique hashes integers first,
+    which costs about ten times as much at stream sizes.
+    """
+    gates = np.sort(np.concatenate(arrays))
+    first = np.empty(len(gates), dtype=bool)
+    first[:1] = True
+    np.not_equal(gates[1:], gates[:-1], out=first[1:])
+    return gates[first]
 
 
 def _bernoulli_gates(rng, n, p):
@@ -193,23 +210,18 @@ def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
     pair_g = _bernoulli_gates(rng, n_gates, noise.alpha)
     n_pairs = len(pair_g)
 
-    u = rng.random(n_pairs)      # outcome class
-    v = rng.random(n_pairs)      # interference survival
-    w = rng.random(n_pairs)      # short-short vs long-long gate placement
-    det_s = rng.random(n_pairs) < eta
-    det_i = rng.random(n_pairs) < eta
+    # one fill; in C order its rows are the draws of five successive
+    # rng.random(n_pairs) calls: outcome class, interference survival,
+    # short-short vs long-long placement, signal and idler detection
+    u, v, w, ds, di = rng.random((5, n_pairs))
 
     sl = u < 0.25
     ls = (u >= 0.25) & (u < 0.5)
-    interf = (u >= 0.5) & (v < c_rate)
-    late = w < 0.5  # interfering pair lands long-long
+    late = (u >= 0.5) & (v < c_rate) & (w < 0.5)  # interfering pair lands long-long
+    emitted = (u < 0.5) | (v < c_rate)  # split paths, or same path and not lost
 
-    sig_gate = np.where(sl, pair_g, np.where(ls | (interf & late), pair_g + m, pair_g))
-    idl_gate = np.where(ls, pair_g, np.where(sl | (interf & late), pair_g + m, pair_g))
-    emitted = sl | ls | interf
-
-    sig_photons = sig_gate[emitted & det_s]
-    idl_photons = idl_gate[emitted & det_i]
+    sig_photons = (pair_g + m * (ls | late))[emitted & (ds < eta)]
+    idl_photons = (pair_g + m * (sl | late))[emitted & (di < eta)]
     sig_photons = sig_photons[sig_photons < n_gates]
     idl_photons = idl_photons[idl_photons < n_gates]
 
@@ -255,10 +267,11 @@ def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
 
     Accepts an EventStream or any iterable of EventRecord sorted by gate
     index; unsorted records raise. Every signal-idler pair within the window
-    counts once, so a repeated record gate counts once per copy: the count
-    at d is the number of sorted idler gates equal to a signal gate + d, found
-    by two binary searches per (signal gate, d). total_gates is the stream's
-    n_gates, or else the last record's gate + 1 (0 without records).
+    counts once, so a repeated record gate counts once per copy. Two binary
+    searches per signal gate find its window of sorted idler gates; the
+    windows are expanded into one array of pairs and their offsets binned.
+    total_gates is the stream's n_gates, or else the last record's gate + 1
+    (0 without records).
     """
     k = int(window_offsets)
     if k < 3:
@@ -269,11 +282,15 @@ def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
     else:
         sig, idl, n_gates = _record_gates(events)
 
-    offsets = np.arange(-k, k + 1)
-    targets = sig[:, None] + offsets
-    hits = np.searchsorted(idl, targets, side="right") - np.searchsorted(idl, targets, side="left")
+    # signed, so that sig - k cannot wrap below gate 0
+    sig, idl = sig.astype(np.int64, copy=False), idl.astype(np.int64, copy=False)
+    lo = np.searchsorted(idl, sig - k, side="left")
+    n = np.searchsorted(idl, sig + k, side="right") - lo
+    # idl[idx] runs through every signal gate's window in turn
+    idx = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    counts = np.bincount(idl[idx] - np.repeat(sig, n) + k, minlength=2 * k + 1)
     return CoincidenceHistogram(
-        offsets=offsets, counts=hits.sum(axis=0), total_gates=n_gates, window=k
+        offsets=np.arange(-k, k + 1), counts=counts, total_gates=n_gates, window=k
     )
 
 
@@ -360,6 +377,27 @@ def _run_tasks(n_tasks, task):
         raise min(errors, key=lambda e: e[0])[1]
 
 
+_last_rates = None  # (weak reference to cfg, phases, rates) of the latest _phase_rates call
+
+
+def _phase_rates(cfg, phases):
+    """Coincidence rate at each phase, reused while cfg and phases repeat.
+
+    alpha-sweep estimates one config on one phase grid per alpha, so its
+    rates are computed once per sweep. Keying on the config's identity is
+    safe for the reason its summed-phase cache is: the config is frozen and
+    its spectrum read-only. The reference is weak, so the cache does not
+    keep a finished run's spectrum alive.
+    """
+    global _last_rates
+    last = _last_rates
+    if last is not None and last[0]() is cfg and np.array_equal(last[1], phases):
+        return last[2]
+    rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
+    _last_rates = (weakref.ref(cfg), phases.copy(), rates)
+    return rates
+
+
 def estimate_visibility(
     cfg: FransonConfig,
     noise: NoiseModel,
@@ -392,7 +430,7 @@ def estimate_visibility(
 
     k = max(3, gate_offset(cfg, det))
     offsets = np.arange(-k, k + 1)
-    rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
+    rates = _phase_rates(cfg, phases)
     hists = np.empty((batches * len(phases), 2 * k + 1), dtype=np.int64)
 
     def simulate(i):

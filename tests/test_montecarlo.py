@@ -4,7 +4,9 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from fransonsim import (
 )
 from fransonsim import montecarlo
 from fransonsim.cli import main
-from fransonsim.montecarlo import BERNOULLI_CHUNK, _bernoulli_gates, _run_tasks
+from fransonsim.montecarlo import BERNOULLI_CHUNK, _bernoulli_gates, _merge_gates, _run_tasks
 
 from tests.helpers import arm_with_dispersion
 
@@ -176,6 +178,13 @@ class TestCountCoincidences:
         hist = count_coincidences(events, window_offsets=3)
         assert hist.counts.sum() == 0
 
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int32])
+    def test_gate_dtype_does_not_change_counts(self, dtype):
+        sig, idl = np.array([0, 1, 6]), np.array([0, 3, 4, 9])
+        expected = count_coincidences(EventStream(sig, idl, 10), window_offsets=3).counts
+        stream = EventStream(sig.astype(dtype), idl.astype(dtype), 10)
+        assert np.array_equal(count_coincidences(stream, window_offsets=3).counts, expected)
+
     def test_unsorted_rejected(self):
         events = [
             EventRecord(Detector.SIGNAL, 10),
@@ -203,6 +212,13 @@ class TestCountCoincidences:
     @example(draws=[(Detector.SIGNAL, 4), (Detector.SIGNAL, 4)], k=3, spare_gates=0)
     @example(
         draws=[(Detector.IDLER, 4), (Detector.SIGNAL, 4), (Detector.IDLER, 4)], k=3, spare_gates=0
+    )
+    @example(
+        draws=[(Detector.IDLER, 2), (Detector.IDLER, 2), (Detector.SIGNAL, 10),
+               (Detector.SIGNAL, 10), (Detector.IDLER, 18), (Detector.IDLER, 18),
+               (Detector.IDLER, 19)],
+        k=8,
+        spare_gates=0,
     )
     def test_matches_brute_force(self, draws, k, spare_gates):
         # oracle: O(n^2) pairing; repeated gates pair once per copy
@@ -233,16 +249,16 @@ class TestCountCoincidences:
 class TestEventStream:
     @pytest.mark.parametrize(
         "signal, idler",
-        [([3, 1, 7], [2]), ([2], [4, 4, 9]), ([-1, 2], []), ([], [5, 10])],
-        ids=["unsorted", "duplicated", "negative", "beyond-n-gates"],
+        [([3, 1, 7], [2]), ([2], [4, 4, 9]), ([-1, 2], []), ([], [5, 10]),
+         (np.array([1.0, 4.0]), [2]), ([1], np.array([False, True]))],
+        ids=["unsorted", "duplicated", "negative", "beyond-n-gates", "float", "bool"],
     )
     def test_invalid_gates_rejected(self, signal, idler):
+        def gates(g):  # lists are int64 gates; arrays keep their dtype
+            return g if isinstance(g, np.ndarray) else np.array(g, dtype=np.int64)
+
         with pytest.raises(ContractViolationError):
-            EventStream(
-                signal_gates=np.array(signal, dtype=np.int64),
-                idler_gates=np.array(idler, dtype=np.int64),
-                n_gates=10,
-            )
+            EventStream(signal_gates=gates(signal), idler_gates=gates(idler), n_gates=10)
 
     def test_valid_gates_read_only(self):
         stream = EventStream(
@@ -286,6 +302,39 @@ class TestEstimateVisibility:
         assert a.v == b.v
         assert a.sigma_v == b.sigma_v
         assert np.array_equal(a.per_phase_histogram, b.per_phase_histogram)
+
+    def test_alpha_sweep_computes_rates_once(self, monkeypatch, capsys):
+        phis = []
+        real = montecarlo.coincidence_rate
+        monkeypatch.setattr(
+            montecarlo, "coincidence_rate", lambda cfg, phi: phis.append(phi) or real(cfg, phi)
+        )
+        argv = ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
+                "--gates", "64000", "--batches", "2", "--seed", "4"]
+        assert main(argv) == 0
+        assert len(phis) == len(set(phis)) == 32
+
+    def test_rates_recomputed_for_new_config_or_phases(self, monkeypatch):
+        calls = []
+        real = montecarlo.coincidence_rate
+        monkeypatch.setattr(
+            montecarlo, "coincidence_rate", lambda cfg, phi: calls.append(phi) or real(cfg, phi)
+        )
+        cfg, noise, det = fig4c_at(0.1)
+        phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+        args = dict(n_gates=16_000, batches=2, seed=3)
+        first = estimate_visibility(cfg, noise, det, phases=phases, **args)
+        phases += 0.5  # the caller's array changes in place
+        shifted = estimate_visibility(cfg, noise, det, phases=phases, **args)
+        assert len(calls) == 16
+        assert calls[-8:] == phases.tolist()
+        assert not np.array_equal(shifted.per_phase_histogram, first.per_phase_histogram)
+        other = replace(cfg)
+        estimate_visibility(other, noise, det, phases=phases, **args)
+        assert len(calls) == 24
+        held = weakref.ref(other)
+        del other
+        assert held() is None  # the cached rates do not keep a config alive
 
     def test_too_few_batches(self):
         with pytest.raises(DomainError):
@@ -360,6 +409,93 @@ class TestBernoulliGates:
             tracemalloc.stop()
         assert len(stream) > 0
         assert peak < 4_000_000
+
+
+def reference_merge_gates(*arrays):
+    parts = [a for a in arrays if len(a)]
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(parts))
+
+
+def reference_detector_events(rng, photon_gates, n_gates, det):
+    dark = np.flatnonzero(rng.random(n_gates) < det.dark_prob)
+    base = reference_merge_gates(photon_gates, dark)
+    ap = base[rng.random(len(base)) < det.afterpulse_prob] + 1
+    ap = ap[ap < n_gates]
+    return reference_merge_gates(base, ap)
+
+
+def reference_stream(m, alpha, det, n_gates, rng, c_rate):
+    """Signal and idler gates as the stream was first drawn, one mask per gate.
+
+    A frozen copy of the earlier stream code: every later rewrite of
+    _simulate_stream must make the same draws in the same order.
+    """
+    eta = det.efficiency
+    pair_g = np.flatnonzero(rng.random(n_gates) < alpha)
+    n_pairs = len(pair_g)
+
+    u = rng.random(n_pairs)
+    v = rng.random(n_pairs)
+    w = rng.random(n_pairs)
+    det_s = rng.random(n_pairs) < eta
+    det_i = rng.random(n_pairs) < eta
+
+    sl = u < 0.25
+    ls = (u >= 0.25) & (u < 0.5)
+    interf = (u >= 0.5) & (v < c_rate)
+    late = w < 0.5
+
+    sig_gate = np.where(sl, pair_g, np.where(ls | (interf & late), pair_g + m, pair_g))
+    idl_gate = np.where(ls, pair_g, np.where(sl | (interf & late), pair_g + m, pair_g))
+    emitted = sl | ls | interf
+
+    sig_photons = sig_gate[emitted & det_s]
+    idl_photons = idl_gate[emitted & det_i]
+    sig_photons = sig_photons[sig_photons < n_gates]
+    idl_photons = idl_photons[idl_photons < n_gates]
+
+    signal = reference_detector_events(rng, sig_photons, n_gates, det)
+    idler = reference_detector_events(rng, idl_photons, n_gates, det)
+    return signal, idler
+
+
+class TestDrawOrder:
+    # alpha 1 lies outside NoiseModel's range; the stream reads only .alpha
+    @pytest.mark.parametrize("alpha", [0.0, 2e-6, 0.0024, 0.1, 0.2, 1.0])
+    @pytest.mark.parametrize("n_gates", [1, 2, 31_250, BERNOULLI_CHUNK + 1])
+    def test_stream_matches_frozen_reference(self, alpha, n_gates):
+        cfg = preset_experiment("fig4c").franson
+        m = gate_offset(cfg, DetectorModel())
+        noise = SimpleNamespace(alpha=alpha)
+        combos = [(c, e) for c in (0.0, 0.37, 1.0) for e in (0.0, 0.2, 1.0)]
+        for i, (c_rate, eta) in enumerate(combos):
+            # darks at 1e-3 make photon/dark and afterpulse/detection
+            # collisions common enough for the merges to see repeats
+            det = DetectorModel(efficiency=eta, dark_prob=1e-3, afterpulse_prob=0.06)
+            seed = [round(alpha * 1e6), n_gates, i]
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stream = montecarlo._simulate_stream(cfg, noise, det, n_gates, rng, c_rate)
+            signal, idler = reference_stream(m, alpha, det, n_gates, ref_rng, c_rate)
+            assert stream.signal_gates.dtype == stream.idler_gates.dtype == np.int64
+            assert np.array_equal(stream.signal_gates, signal)
+            assert np.array_equal(stream.idler_gates, idler)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        parts=st.lists(
+            st.lists(st.integers(0, 30), max_size=25).map(lambda g: np.array(g, dtype=np.int64)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example(parts=[np.empty(0, dtype=np.int64)] * 3)
+    @example(parts=[np.array([5, 5, 2], dtype=np.int64), np.empty(0, dtype=np.int64)])
+    def test_merge_gates_matches_unique(self, parts):
+        merged = _merge_gates(*parts)
+        assert merged.dtype == np.int64
+        assert np.array_equal(merged, reference_merge_gates(*parts))
 
 
 def fig4c_at(alpha):
