@@ -303,7 +303,7 @@ class TestEstimateVisibility:
         assert a.sigma_v == b.sigma_v
         assert np.array_equal(a.per_phase_histogram, b.per_phase_histogram)
 
-    def test_alpha_sweep_computes_rates_once(self, monkeypatch, capsys):
+    def test_alpha_sweep_computes_rates_once(self, monkeypatch):
         phis = []
         real = montecarlo.coincidence_rate
         monkeypatch.setattr(
