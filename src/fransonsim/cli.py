@@ -79,11 +79,15 @@ def _warn_if_unphysical(est, label=""):
 
 
 def _write_fringe_csv(path, cfg, points):
-    phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+    """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
+    lines = ["phi_rad,coincidence_rate\n"]
+    for phi in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False):
+        lines.append(f"{_sci(phi)},{_sci(coincidence_rate(cfg, phi))}\n")
+    if not path:
+        sys.stdout.writelines(lines)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("phi_rad,coincidence_rate\n")
-        for phi in phis:
-            fh.write(f"{_sci(phi)},{_sci(coincidence_rate(cfg, phi))}\n")
+        fh.writelines(lines)
 
 
 def cmd_visibility(args) -> int:
@@ -121,13 +125,7 @@ def cmd_visibility(args) -> int:
 
 def cmd_fringe(args) -> int:
     exp = _load_experiment(args)
-    if args.out:
-        _write_fringe_csv(args.out, exp.franson, args.points)
-    else:
-        phis = np.linspace(0.0, 2.0 * np.pi, args.points, endpoint=False)
-        print("phi_rad,coincidence_rate")
-        for phi in phis:
-            print(f"{_sci(phi)},{_sci(coincidence_rate(exp.franson, phi))}")
+    _write_fringe_csv(args.out, exp.franson, args.points)
     return EXIT_OK
 
 

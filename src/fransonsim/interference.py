@@ -126,19 +126,11 @@ def total_phase(cfg: FransonConfig, omega):
     return phi if np.ndim(phi) else float(phi)
 
 
-def _check_spectrum(cfg):
-    if not cfg.spectrum.is_normalized():
-        raise ContractViolationError(
-            f"spectrum is not normalized (integral {cfg.spectrum.integral()!r})"
-        )
-
-
 def coincidence_rate(cfg: FransonConfig, phi_tilde: float | None = None) -> float:
     """Post-selected coincidence rate at a summed phase setting, in [0, 1].
 
     When phi_tilde is omitted the arms' configured phases are summed.
     """
-    _check_spectrum(cfg)
     if phi_tilde is None:
         phi_tilde = cfg.phi_tilde()
     if not math.isfinite(phi_tilde):
@@ -155,20 +147,64 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     C(phi_tilde) = 1/2 + Re[e^{i(phi_tilde + offset)} Z] / 2, so |Z| is the
     visibility and -arg(Z) - offset locates the fringe maximum.
     """
-    _check_spectrum(cfg)
     s = cfg.spectrum
     return complex(s.weights @ (s.density * np.exp(-1j * cfg.summed_phase)))
+
+
+def _rate_bounds(cfg: FransonConfig, phis: np.ndarray):
+    """Bounds (lo, hi) on coincidence_rate(cfg, phi) at every phi, from Z.
+
+    C(phi) = (I + Re[e^{i(phi + offset)} Z]) / 2 holds exactly for the sums
+    over the grid, with I the spectrum's quadrature. The computed rate and
+    the computed prediction differ from it only by rounding: at most
+    (n + 8) eps per unit of quadrature mass M = sum |w| S in each sum, plus
+    eps |theta| M / 4 from rounding theta before its cosine. The margin takes
+    64 times the first term and the whole of max |theta| for the second, and
+    the bounds are clipped to [0, 1] as coincidence_rate clips.
+    """
+    s = cfg.spectrum
+    z = fringe_amplitude(cfg)
+    arg = phis + cfg.pump_phase_offset_rad  # the sum coincidence_rate forms
+    pred = (s.integral() + z.real * np.cos(arg) - z.imag * np.sin(arg)) / 2.0
+    mass = float(np.abs(s.weights) @ s.density)
+    max_theta = np.abs(arg).max() + np.abs(cfg.summed_phase).max()
+    margin = np.finfo(float).eps * mass * (64.0 * (s.weights.size + 8) + max_theta)
+    return np.clip(pred - margin, 0.0, 1.0), np.clip(pred + margin, 0.0, 1.0)
+
+
+def _first_extremum(cfg: FransonConfig, phis, bounds, sign: float) -> int:
+    """Index np.argmax(sign * rates) would give over all of phis.
+
+    A point is skipped only when its upper bound is strictly below the best
+    lower bound, so its rate is strictly below the extremum and it can be
+    neither the extremum nor tied with it. The survivors are evaluated by
+    quadrature and searched in index order, so ties, including those the
+    clip to [0, 1] makes, resolve to the first index as in a full scan. A
+    NaN bound skips nothing.
+    """
+    lo, hi = bounds if sign > 0 else (-bounds[1], -bounds[0])
+    keep = np.flatnonzero(~(hi < lo.max()))
+    rates = [sign * coincidence_rate(cfg, phis[j]) for j in keep]
+    return int(keep[np.argmax(rates)])
 
 
 def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> VisibilityResult:
     """Fringe visibility of the coincidence rate as phi_tilde is scanned.
 
     "integral": modulus of the complex fringe amplitude (one quadrature).
-    "sweep": scan phi_tilde over [0, 2pi) on a 720-point grid and refine the
-    extrema by golden-section search, mimicking a fringe measurement. Every
-    point is still a cos^2 quadrature over the config's summed phase, not the
-    closed form from Z, so the sweep stays an independent check on it.
-    The two methods agree to better than 1e-6 and serve as mutual checks.
+    "sweep": mimics a fringe measurement. It locates the largest and
+    smallest rate on a 720-point grid of phi_tilde over [0, 2pi) and refines
+    each by golden-section search on the cos^2 quadrature. The grid extrema
+    are bracketed with Z: only grid points whose rate Z cannot rule out are
+    evaluated by quadrature, and the result is the index a quadrature at
+    every point would pick, ties included. With V near 0 nothing can be
+    ruled out and every point is evaluated.
+
+    The sweep is therefore not independent of Z: each cos^2 quadrature is
+    Z in another form. That the two methods agree to better than 1e-6 checks
+    the golden-section refinement, the placement of the extrema on the grid
+    and the closed form (1 +- |Z|)/2 against the quadrature of the rate, not
+    the quadrature of Z itself.
     """
     if method == COMPLEX_INTEGRAL:
         z = fringe_amplitude(cfg)
@@ -182,7 +218,7 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
 
     if method == PHASE_SWEEP:
         phis = np.linspace(0.0, 2.0 * np.pi, _SWEEP_POINTS, endpoint=False)
-        rates = np.array([coincidence_rate(cfg, p) for p in phis])
+        bounds = _rate_bounds(cfg, phis)
         step = phis[1] - phis[0]
 
         def refine(idx, sign):
@@ -192,8 +228,8 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
             )
             return x, sign * fx
 
-        p_max, c_max = refine(int(np.argmax(rates)), +1.0)
-        p_min, c_min = refine(int(np.argmin(rates)), -1.0)
+        p_max, c_max = refine(_first_extremum(cfg, phis, bounds, +1.0), +1.0)
+        p_min, c_min = refine(_first_extremum(cfg, phis, bounds, -1.0), -1.0)
         if c_max + c_min <= 0:
             raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
         v = (c_max - c_min) / (c_max + c_min)

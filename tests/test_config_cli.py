@@ -224,6 +224,17 @@ class TestCli:
         assert lines[0] == "phi_rad,coincidence_rate"
         assert len(lines) == 65
 
+    @pytest.mark.parametrize("preset", ["fig4a", "fig4c"])
+    def test_fringe_stdout_equals_out_file(self, tmp_path, capsys, preset):
+        out = tmp_path / "fringe.csv"
+        capsys.readouterr()
+        assert main(["fringe", "--preset", preset, "--points", "48"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["fringe", "--preset", preset, "--points", "48", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert printed.encode() == out.read_bytes()
+        assert printed.count("\n") == 49
+
     def test_alpha_sweep_csv_and_fit(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(["alpha-sweep", "--preset", "fig4c", "--out", str(out)])

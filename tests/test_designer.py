@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fransonsim import (
     ConfigurationError,
@@ -65,6 +67,35 @@ class TestSolveLengths:
             assert abs(d.d_beta2_l_ps2 - target) <= 1e-5
             delay = long.group_delay_ns() - short.group_delay_ns()
             assert abs(delay - dt) <= 1e-3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        short_mm=st.floats(0.0, 5000.0),
+        surplus_mm=st.floats(50.0, 5000.0),
+        share=st.floats(0.0, 1.0),
+        fibers=st.sampled_from([(LEAF, SMF), (SMF, LEAF)]),
+        short_fiber=st.sampled_from([SMF, LEAF]),
+    )
+    def test_round_trip_property(self, short_mm, surplus_mm, share, fibers, short_fiber):
+        # lengths -> (delay, dispersion) through the forward model -> lengths
+        total = short_mm + surplus_mm
+        lengths = (share * total, (1.0 - share) * total)
+        long = stack(*zip(fibers, lengths))
+        short = stack((short_fiber, short_mm))
+        prob = DesignProblem(
+            target_d_beta2_l_ps2=stack_moments(long, short).d_beta2_l_ps2,
+            delta_t_ns=long.group_delay_ns() - short.group_delay_ns(),
+            short_fiber=short_fiber,
+            long_fibers=fibers,
+            short_length_mm=short_mm,
+        )
+        sol = solve_lengths(prob)
+        assert sol.fibers == (fibers[0].name, fibers[1].name)
+        assert sol.lengths_mm == pytest.approx(lengths, rel=1e-9, abs=1e-6)
+        assert abs(sol.achieved_d_beta2_l_ps2 - prob.target_d_beta2_l_ps2) <= 1e-5
+        assert abs(sol.achieved_delay_ns - prob.delta_t_ns) <= 1e-3
+        rebuilt = stack_moments(sol.long_stack(prob), short)
+        assert rebuilt.d_beta2_l_ps2 == sol.achieved_d_beta2_l_ps2
 
     def test_scaling_linearity(self):
         base = DesignProblem(

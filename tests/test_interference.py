@@ -1,10 +1,12 @@
 """Coincidence rate, visibility methods, and the nonlocality invariants."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fransonsim.interference
 from fransonsim import (
@@ -20,6 +22,8 @@ from fransonsim import (
     PRESET_NAMES,
     PathStack,
     SINC2,
+    TABULATED,
+    apply_bandpass,
     coincidence_rate,
     fringe_amplitude,
     make_spectrum,
@@ -28,6 +32,8 @@ from fransonsim import (
     visibility,
     width_nm_to_radps,
 )
+from fransonsim.interference import VisibilityResult
+from fransonsim.numerics import golden_section_max, simpson_weights, symmetric_grid
 from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA
 
 from tests.helpers import arm_with_dispersion
@@ -167,6 +173,171 @@ class TestVisibility:
             visibility(franson(), "quadrature")
 
 
+def full_scan_sweep(cfg):
+    """The phase sweep with a quadrature at every one of its 720 grid points.
+
+    This is the sweep as it was before Z bracketed the grid, kept verbatim as
+    the reference that visibility(cfg, PHASE_SWEEP) must reproduce bit for bit.
+    """
+    phis = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+    rates = np.array([coincidence_rate(cfg, p) for p in phis])
+    step = phis[1] - phis[0]
+
+    def refine(idx, sign):
+        lo, hi = phis[idx] - step, phis[idx] + step
+        x, fx = golden_section_max(
+            lambda p: sign * coincidence_rate(cfg, p), lo, hi
+        )
+        return x, sign * fx
+
+    p_max, c_max = refine(int(np.argmax(rates)), +1.0)
+    p_min, c_min = refine(int(np.argmin(rates)), -1.0)
+    if c_max + c_min <= 0:
+        raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
+    v = (c_max - c_min) / (c_max + c_min)
+    return VisibilityResult(
+        v, c_max, c_min, float(np.mod(p_max, 2.0 * np.pi)), PHASE_SWEEP
+    )
+
+
+def count_rate_calls(monkeypatch):
+    calls = []
+    original = fransonsim.interference.coincidence_rate
+
+    def counting(cfg, phi_tilde=None):
+        calls.append(phi_tilde)
+        return original(cfg, phi_tilde)
+
+    monkeypatch.setattr(fransonsim.interference, "coincidence_rate", counting)
+    return calls
+
+
+# grid phases of the sweep and the midpoints between them: an offset from
+# here puts a compensated fringe's extrema on a grid point or exactly
+# between two, where the two neighbours tie
+GRID_OFFSETS = st.integers(-1440, 1439).map(lambda k: k * math.pi / 720.0)
+
+
+@st.composite
+def analytic_configs(draw):
+    """Small-grid Gaussian and sinc^2 configs, filtered or not, from
+    compensated to fully dephased arms, with any pump offset."""
+    model = draw(st.sampled_from([GAUSSIAN, SINC2]))
+    fwhm_nm = draw(st.floats(0.4, 3.0))
+    lobes = draw(st.floats(2.0, 12.0) if model == SINC2 else st.floats(1.2, 4.0))
+    spectrum = make_spectrum(
+        model,
+        fwhm_nm,
+        span_radps=width_nm_to_radps(lobes * fwhm_nm, 1560.0),
+        n_points=draw(st.integers(16, 1024)),
+    )
+    shape = draw(st.sampled_from([None, "flattop", GAUSSIAN]))
+    if shape is not None:
+        spectrum = apply_bandpass(spectrum, draw(st.floats(0.1, 2.0)), shape)
+    d_signal = draw(st.floats(-0.1, 0.1))
+    d_sum = draw(
+        st.one_of(st.just(0.0), st.floats(-0.05, 0.05), st.floats(-5.0, 5.0))
+    )
+    b3_signal = draw(st.one_of(st.just(0.0), st.floats(-0.01, 0.01)))
+    b3_idler = draw(st.one_of(st.just(b3_signal), st.floats(-0.01, 0.01)))
+    offset = draw(st.one_of(GRID_OFFSETS, st.floats(-10.0, 10.0)))
+    return franson(
+        d_signal,
+        d_sum - d_signal,
+        spectrum=spectrum,
+        b3_signal=b3_signal,
+        b3_idler=b3_idler,
+        pump_phase_offset_rad=offset,
+    )
+
+
+def near_zero_visibility_config():
+    """Two mirror-image spectral lines whose cubic phases cancel Z to rounding.
+
+    A cubic summed phase is odd in omega, so on this even density Z is real,
+    and the secant search on beta3 drives it to a few ulp: every grid rate is
+    0.5 up to rounding and Z can rule out no grid point.
+    """
+    omega = symmetric_grid(4.0, 2049)
+    weights = simpson_weights(omega)
+    density = np.exp(-(((omega - 2.0) / 0.2) ** 2) / 2) + np.exp(
+        -(((omega + 2.0) / 0.2) ** 2) / 2
+    )
+    spectrum = JointSpectrum(
+        model=TABULATED,
+        center_wavelength_nm=1560.0,
+        fwhm_nm=None,
+        span_radps=4.0,
+        omega=omega,
+        density=density / (weights @ density),
+        weights=weights,
+    )
+
+    def real_z(b3):
+        return fringe_amplitude(franson(b3_signal=b3, spectrum=spectrum)).real
+
+    a, b = 1.0, 1.4
+    fa, fb = real_z(a), real_z(b)
+    while fb != 0.0 and fa != fb and abs(fb) > 1e-17:
+        a, fa, b = b, fb, b - fb * (b - a) / (fb - fa)
+        fb = real_z(b)
+    return franson(b3_signal=b, spectrum=spectrum)
+
+
+class TestSweepMatchesFullScan:
+    """The Z-bracketed sweep returns what the 720-quadrature scan returned."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, monkeypatch):
+        cfg = preset_experiment(name).franson
+        expected = full_scan_sweep(cfg)
+        calls = count_rate_calls(monkeypatch)
+        got = visibility(cfg, PHASE_SWEEP)
+        assert astuple(got) == astuple(expected)
+        # 826 with a quadrature at every grid point
+        assert len(calls) <= 130
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=analytic_configs())
+    def test_random_configs(self, cfg):
+        assert astuple(visibility(cfg, PHASE_SWEEP)) == astuple(full_scan_sweep(cfg))
+
+    def test_near_zero_visibility_evaluates_every_point(self, monkeypatch):
+        cfg = near_zero_visibility_config()
+        assert abs(fringe_amplitude(cfg)) < 1e-15
+        expected = full_scan_sweep(cfg)
+        # rounding alone decides the full scan's picks
+        phis = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        rates = [coincidence_rate(cfg, p) for p in phis]
+        assert max(rates) - min(rates) < 1e-15
+        calls = count_rate_calls(monkeypatch)
+        got = visibility(cfg, PHASE_SWEEP)
+        assert astuple(got) == astuple(expected)
+        assert len(calls) >= 2 * 720
+
+    def test_clipped_ties_resolve_to_first_index(self):
+        # A nonnegative density under positive weights keeps every rate in
+        # [0, 1] up to rounding. A rule with a negative weight, as high-order
+        # Newton-Cotes rules have, gives |Z| = 2 > I = 1 here: the rate runs
+        # from -0.5 to 1.5, and the clip turns a third of the grid into ties
+        # at 1 and another third into ties at 0. The offset puts the
+        # unclipped extrema far from the first tied index.
+        spectrum = JointSpectrum(
+            model=TABULATED,
+            center_wavelength_nm=1560.0,
+            fwhm_nm=None,
+            span_radps=1.0,
+            omega=np.array([-1.0, 0.0, 1.0]),
+            density=np.ones(3),
+            weights=np.array([-0.25, 1.5, -0.25]),
+        )
+        cfg = franson(2.0 * math.pi, spectrum=spectrum, pump_phase_offset_rad=1.0)
+        assert abs(fringe_amplitude(cfg)) == pytest.approx(2.0)
+        expected = full_scan_sweep(cfg)
+        assert (expected.c_max, expected.c_min) == (1.0, 0.0)
+        assert astuple(visibility(cfg, PHASE_SWEEP)) == astuple(expected)
+
+
 class TestNonlocalityInvariants:
     def test_exchange_symmetry(self):
         # moving quadratic dispersion between arms at fixed sum leaves V alone
@@ -216,6 +387,77 @@ class TestNonlocalityInvariants:
     def test_nonlocal_cancellation_restores_unity(self):
         cfg = franson(-2.2018e-2, +2.2018e-2, spectrum=sinc2_pedestal())
         assert visibility(cfg).visibility == pytest.approx(1.0, abs=1e-9)
+
+
+class TestPhysicsProperties:
+    """The invariants above, over drawn configs."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        phases=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        shift=st.floats(-10.0, 10.0),
+    )
+    def test_only_summed_arm_phase_matters(self, cfg, phases, shift):
+        def with_phases(a, b):
+            return replace(
+                cfg,
+                signal_arm=replace(cfg.signal_arm, phase_rad=a),
+                idler_arm=replace(cfg.idler_arm, phase_rad=b),
+            )
+
+        a, b = phases
+        shifted = with_phases(a + shift, b - shift)
+        # the two sums differ by rounding only: a few ulp of 20 rad
+        assert coincidence_rate(with_phases(a, b)) == pytest.approx(
+            coincidence_rate(shifted), abs=1e-13
+        )
+        for method in (COMPLEX_INTEGRAL, PHASE_SWEEP):
+            assert visibility(shifted, method) == visibility(cfg, method)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        d2_shift=st.floats(-0.1, 0.1),
+        b3_shift=st.floats(-0.01, 0.01),
+    )
+    def test_only_summed_dispersion_phase_matters(self, cfg, d2_shift, b3_shift):
+        # beta2 enters the summed phase as signal + idler and beta3 as
+        # signal - idler (the idler sees -omega)
+        s, i = cfg.signal_arm.differential(), cfg.idler_arm.differential()
+        moved = replace(
+            cfg,
+            signal_arm=arm_with_dispersion(
+                s.d_beta2_l_ps2 + d2_shift, s.d_beta3_l_ps3 + b3_shift
+            ),
+            idler_arm=arm_with_dispersion(
+                i.d_beta2_l_ps2 - d2_shift, i.d_beta3_l_ps3 + b3_shift
+            ),
+        )
+        for method in (COMPLEX_INTEGRAL, PHASE_SWEEP):
+            a, b = visibility(cfg, method), visibility(moved, method)
+            assert a.visibility == pytest.approx(b.visibility, abs=1e-9)
+            assert a.c_min == pytest.approx(b.c_min, abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        d2=st.floats(-100.0, 100.0),
+        d3=st.floats(-100.0, 100.0),
+    )
+    def test_source_dispersion_has_no_effect(self, cfg, d2, d3):
+        moved = replace(cfg, source_common_dispersion=DifferentialDispersion(d2, d3))
+        assert np.array_equal(moved.summed_phase, cfg.summed_phase)
+        for method in (COMPLEX_INTEGRAL, PHASE_SWEEP):
+            assert visibility(moved, method) == visibility(cfg, method)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=analytic_configs())
+    def test_visibility_in_unit_interval(self, cfg):
+        for method in (COMPLEX_INTEGRAL, PHASE_SWEEP):
+            res = visibility(cfg, method)
+            assert 0.0 <= res.visibility <= 1.0
+            assert 0.0 <= res.c_min <= res.c_max <= 1.0
 
 
 class TestSummedPhaseCache:
