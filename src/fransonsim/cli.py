@@ -41,6 +41,9 @@ EXIT_PHYSICS = 3
 EXIT_INFEASIBLE = 4
 EXIT_STATISTICS = 5
 
+# each fringe point is one rate quadrature and one CSV line held until written
+MAX_FRINGE_POINTS = 2**16
+
 
 def _sci(x: float) -> str:
     """Fixed scientific notation, 9 significant digits."""
@@ -58,6 +61,10 @@ def _load_experiment(args):
 
 
 def _apply_run_overrides(args, run):
+    if args.gates is not None and args.gates > montecarlo.MAX_GATES:
+        raise ConfigurationError(
+            f"--gates {args.gates} exceeds the cap of {montecarlo.MAX_GATES}"
+        )
     seed = args.seed if args.seed is not None else run.seed
     gates = args.gates if args.gates is not None else run.gates
     batches = args.batches if args.batches is not None else run.batches
@@ -78,6 +85,11 @@ def _warn_if_unphysical(est, label=""):
         )
 
 
+def _check_fringe_points(points):
+    if not 0 <= points <= MAX_FRINGE_POINTS:
+        raise ConfigurationError(f"--points {points} is outside [0, {MAX_FRINGE_POINTS}]")
+
+
 def _write_fringe_csv(path, cfg, points):
     """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
     lines = ["phi_rad,coincidence_rate\n"]
@@ -91,6 +103,7 @@ def _write_fringe_csv(path, cfg, points):
 
 
 def cmd_visibility(args) -> int:
+    _check_fringe_points(args.points)
     exp = _load_experiment(args)
     cfg = exp.franson
     res_int = visibility(cfg, COMPLEX_INTEGRAL)
@@ -124,6 +137,7 @@ def cmd_visibility(args) -> int:
 
 
 def cmd_fringe(args) -> int:
+    _check_fringe_points(args.points)
     exp = _load_experiment(args)
     _write_fringe_csv(args.out, exp.franson, args.points)
     return EXIT_OK

@@ -113,10 +113,25 @@ def stack_moments(long: PathStack, short: PathStack) -> DifferentialDispersion:
     )
 
 
+# omega**3 stays finite below cbrt(DBL_MAX), about 5.6e102
+_CUBE_FINITE_BELOW = 5e102
+
+
 def differential_phase(d: DifferentialDispersion, omega):
-    """Spectral phase (rad) at detuning omega (rad/ps); vectorized."""
+    """Spectral phase (rad) at detuning omega (rad/ps); vectorized.
+
+    With d(beta3 L) = +-0.0 the cubic term omega**3 / 6 * d(beta3 L) is a
+    signed zero, and omega * d(beta3 L) is the same signed zero without the
+    cube, a libm pow per point. Where omega**3 would overflow (or omega is
+    NaN) the term is NaN, so the cube is kept there.
+    """
     omega = np.asarray(omega, dtype=float)
-    out = omega**2 / 2.0 * d.d_beta2_l_ps2 + omega**3 / 6.0 * d.d_beta3_l_ps3
+    d3 = d.d_beta3_l_ps3
+    if d3 == 0.0 and np.abs(omega).max(initial=0.0) < _CUBE_FINITE_BELOW:
+        cubic = omega * d3
+    else:
+        cubic = omega**3 / 6.0 * d3
+    out = omega**2 / 2.0 * d.d_beta2_l_ps2 + cubic
     return out if out.ndim else float(out)
 
 

@@ -18,14 +18,15 @@ from .dispersion import (
     load_fiber_catalog,
     stack,
 )
-from .errors import ConfigParseError
+from .errors import ConfigParseError, ConfigurationError
 from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, FransonConfig, MZIConfig
-from .montecarlo import DetectorModel
+from .montecarlo import MAX_GATES, DetectorModel
 from .noise import NoiseModel
 from .spectra import (
     DEFAULT_GRID_POINTS,
     FLATTOP,
     GAUSSIAN,
+    MAX_GRID_POINTS,
     SINC2,
     TABULATED,
     apply_bandpass,
@@ -137,6 +138,12 @@ def _getint(sec, key, default, *, text="", section=""):
         )
 
 
+def _check_cap(value: int, cap: int, key: str) -> int:
+    if value > cap:
+        raise ConfigurationError(f"{key} = {value} exceeds the cap of {cap}")
+    return value
+
+
 def _parse_stack(value: str, catalog: dict, *, text: str, section: str, key: str) -> PathStack:
     value = value.strip()
     if not value:
@@ -209,7 +216,11 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
     sec = cp["spectrum"]
     model = sec.get("model", SINC2).strip().lower()
     center = _getfloat(sec, "center_wavelength_nm", 1560.0, text=text, section="spectrum")
-    points = _getint(sec, "points", DEFAULT_GRID_POINTS, text=text, section="spectrum")
+    points = _check_cap(
+        _getint(sec, "points", DEFAULT_GRID_POINTS, text=text, section="spectrum"),
+        MAX_GRID_POINTS,
+        "[spectrum] points",
+    )
     span = (
         _getfloat(sec, "span_radps", text=text, section="spectrum")
         if "span_radps" in sec
@@ -281,7 +292,11 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
         )
     run = RunSettings(
         seed=_getint(run_sec, "seed", 12345, text=text, section="run"),
-        gates=_getint(run_sec, "gates", 1_000_000, text=text, section="run"),
+        gates=_check_cap(
+            _getint(run_sec, "gates", 1_000_000, text=text, section="run"),
+            MAX_GATES,
+            "[run] gates",
+        ),
         batches=_getint(run_sec, "batches", 20, text=text, section="run"),
         phases=_getint(run_sec, "phases", 32, text=text, section="run"),
         method=method,

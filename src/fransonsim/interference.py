@@ -62,11 +62,22 @@ class MZIConfig:
 class FransonConfig:
     """Full experiment: two arms, the shared spectrum, folded constants.
 
-    The summed dispersion phase on the spectrum grid (``summed_phase``) is
-    computed once per config, on first use, and every coincidence rate and
-    fringe amplitude reads it. It cannot go stale: the config and its arms
-    are frozen, the spectrum's arrays are read-only, and
-    ``dataclasses.replace`` builds a new instance with an empty cache.
+    The summed dispersion phase on the spectrum grid (``summed_phase``), the
+    number of its leading points that determine it (``distinct_points``) and
+    the fringe amplitude Z (``amplitude``) are computed once per config, on
+    first use, and every coincidence rate and visibility reads them. They
+    cannot go stale: the config and its arms are frozen, the spectrum's
+    arrays are read-only, and ``dataclasses.replace`` builds a new instance
+    with an empty cache.
+
+    The spectrum grid mirrors omega bit for bit, so a summed phase with only
+    even dispersion orders (no beta3 difference between the arms, as with
+    the built-in fibers) is a bitwise palindrome, and its first
+    (n + 1) // 2 points determine it. The rate and Z quadratures then take
+    their cosine or exponential on those points only and mirror the result;
+    otherwise distinct_points is n and nothing is folded. The test compares
+    bits, not values: -0.0 == +0.0, but exp(-1j * phi) at phi = -0.0 and
+    +0.0 differ in the sign of their imaginary parts.
     """
 
     signal_arm: MZIConfig
@@ -78,6 +89,10 @@ class FransonConfig:
     )
 
     def __post_init__(self):
+        if not math.isfinite(self.pump_phase_offset_rad):
+            raise ConfigurationError(
+                f"pump_phase_offset_rad must be finite, got {self.pump_phase_offset_rad}"
+            )
         mismatch = abs(self.signal_arm.delta_t_ns - self.idler_arm.delta_t_ns)
         if mismatch > DELAY_MATCH_TOL_NS:
             raise ConfigurationError(
@@ -98,6 +113,18 @@ class FransonConfig:
         phi = total_phase(self, self.spectrum.omega)
         phi.setflags(write=False)
         return phi
+
+    @cached_property
+    def distinct_points(self) -> int:
+        """Leading points of summed_phase that determine it by mirroring."""
+        bits = self.summed_phase.view(np.int64)
+        n = bits.size
+        return (n + 1) // 2 if np.array_equal(bits, bits[::-1]) else n
+
+    @cached_property
+    def amplitude(self) -> complex:
+        """fringe_amplitude of this config."""
+        return fringe_amplitude(self)
 
 
 @dataclass(frozen=True)
@@ -126,18 +153,36 @@ def total_phase(cfg: FransonConfig, omega):
     return phi if np.ndim(phi) else float(phi)
 
 
+def _folded(f, cfg: FransonConfig) -> np.ndarray:
+    """f(summed_phase) at every grid point, evaluating f on distinct_points only.
+
+    f must act elementwise. The values past distinct_points are the leading
+    ones in reverse; with distinct_points = n there are none.
+    """
+    phase = cfg.summed_phase
+    head = f(phase[: cfg.distinct_points])
+    out = np.empty(phase.size, dtype=head.dtype)
+    out[: head.size] = head
+    out[head.size :] = head[: phase.size - head.size][::-1]
+    return out
+
+
 def coincidence_rate(cfg: FransonConfig, phi_tilde: float | None = None) -> float:
     """Post-selected coincidence rate at a summed phase setting, in [0, 1].
 
-    When phi_tilde is omitted the arms' configured phases are summed.
+    When phi_tilde is omitted the arms' configured phases are summed. The
+    cos^2 factor is evaluated on the distinct half of a palindromic summed
+    phase and mirrored (see FransonConfig); the quadrature itself always
+    runs over the full grid, in grid order.
     """
     if phi_tilde is None:
         phi_tilde = cfg.phi_tilde()
     if not math.isfinite(phi_tilde):
         raise DomainError(f"phi_tilde must be finite, got {phi_tilde}")
     s = cfg.spectrum
-    theta = phi_tilde + cfg.pump_phase_offset_rad - cfg.summed_phase
-    rate = float(s.weights @ (s.density * np.cos(theta / 2.0) ** 2))
+    shift = phi_tilde + cfg.pump_phase_offset_rad
+    fringe = _folded(lambda phase: np.cos((shift - phase) / 2.0) ** 2, cfg)
+    rate = float(s.weights @ (s.density * fringe))
     return min(1.0, max(0.0, rate))
 
 
@@ -145,10 +190,11 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     """Complex fringe amplitude Z = integral S(omega) e^{-i total_phase}.
 
     C(phi_tilde) = 1/2 + Re[e^{i(phi_tilde + offset)} Z] / 2, so |Z| is the
-    visibility and -arg(Z) - offset locates the fringe maximum.
+    visibility and -arg(Z) - offset locates the fringe maximum. Each call
+    runs the quadrature; cfg.amplitude holds its result per config.
     """
     s = cfg.spectrum
-    return complex(s.weights @ (s.density * np.exp(-1j * cfg.summed_phase)))
+    return complex(s.weights @ (s.density * _folded(lambda phase: np.exp(-1j * phase), cfg)))
 
 
 def _rate_bounds(cfg: FransonConfig, phis: np.ndarray):
@@ -163,7 +209,7 @@ def _rate_bounds(cfg: FransonConfig, phis: np.ndarray):
     the bounds are clipped to [0, 1] as coincidence_rate clips.
     """
     s = cfg.spectrum
-    z = fringe_amplitude(cfg)
+    z = cfg.amplitude
     arg = phis + cfg.pump_phase_offset_rad  # the sum coincidence_rate forms
     pred = (s.integral() + z.real * np.cos(arg) - z.imag * np.sin(arg)) / 2.0
     mass = float(np.abs(s.weights) @ s.density)
@@ -207,7 +253,7 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
     the quadrature of Z itself.
     """
     if method == COMPLEX_INTEGRAL:
-        z = fringe_amplitude(cfg)
+        z = cfg.amplitude
         v = min(abs(z), 1.0)  # quadrature rounding can land a few ulp above 1
         c_max = (1.0 + v) / 2.0
         c_min = (1.0 - v) / 2.0

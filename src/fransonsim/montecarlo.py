@@ -49,6 +49,10 @@ from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
 BERNOULLI_CHUNK = 65_536  # uniforms per fill in _bernoulli_gates (512 KiB of doubles)
+# largest gate count a run may ask for: with a click at every gate on both
+# detectors, an exported stream's two int64 gate arrays take 16 B per gate,
+# 1 GiB at the cap
+MAX_GATES = 2**26
 
 
 class Detector(str, Enum):

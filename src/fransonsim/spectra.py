@@ -35,6 +35,10 @@ GAUSSIAN = "gaussian"
 TABULATED = "tabulated"
 
 DEFAULT_GRID_POINTS = 2**14 + 1
+# largest grid an experiment file may ask for: 64 times the default, so
+# 65,537-point convergence checks fit with room to spare, and a few arrays
+# of 8 MiB each per config
+MAX_GRID_POINTS = 2**20 + 1
 # default sinc^2 truncation, per side, in nm equivalent
 DEFAULT_SINC2_SPAN_NM = 5.0
 # default Gaussian truncation in units of sigma, per side

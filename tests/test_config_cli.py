@@ -355,3 +355,47 @@ class TestCli:
         cfg = tmp_path / "mismatch.ini"
         cfg.write_text(FULL_CONFIG.replace("delta_t_ns = 4.77\nphase_rad = 0.0\nlong = SMF:2875.0", "delta_t_ns = 4.80\nphase_rad = 0.0\nlong = SMF:2875.0"))
         assert main(["visibility", "--config", str(cfg)]) == 3
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("command", ["fringe", "visibility"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_pump_offset_rejected(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "offset.ini"
+        cfg.write_text(FULL_CONFIG + f"pump_phase_offset_rad = {value}\n")
+        assert main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "pump_phase_offset_rad" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("span_radps = 11.6", "span_radps = 11.6\npoints = 1048578", "[spectrum] points"),
+            ("gates = 100000", "gates = 67108865", "[run] gates"),
+        ],
+    )
+    def test_config_caps(self, tmp_path, capsys, old, new, key):
+        cfg = tmp_path / "big.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        assert main(["visibility", "--config", str(cfg)]) == 3
+        assert key in capsys.readouterr().err
+
+    def test_gates_cap_is_inclusive(self):
+        exp = parse_experiment(FULL_CONFIG.replace("gates = 100000", "gates = 67108864"))
+        assert exp.run.gates == 2**26
+
+    @pytest.mark.parametrize("command", [["montecarlo"], ["alpha-sweep", "--montecarlo"]])
+    def test_gates_override_cap(self, capsys, command):
+        assert main(command + ["--preset", "fig4a", "--gates", "67108865"]) == 3
+        assert "--gates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fringe", "visibility"])
+    @pytest.mark.parametrize("points", ["65537", "-1"])
+    def test_fringe_points_cap(self, tmp_path, capsys, command, points):
+        out = tmp_path / "fringe.csv"
+        assert main([command, "--preset", "fig4a", "--points", points, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "--points" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

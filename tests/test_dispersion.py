@@ -101,6 +101,24 @@ class TestDifferentialPhase:
         om = np.array([0.0, 1.0, 2.0])
         assert np.allclose(differential_phase(d, om), [0.0, 5e-3, 2e-2])
 
+    @pytest.mark.parametrize("d3", [0.0, -0.0, 6e-3, -1e-300])
+    @pytest.mark.parametrize("d2", [0.0, -0.0, -2.2018e-2, 1.7e-2])
+    def test_bits_match_cubic_expression(self, d2, d3):
+        # signed zeros, the grid's magnitudes, and values past cbrt(DBL_MAX)
+        # where omega**3 overflows and inf * 0 is NaN
+        om = np.array(
+            [0.0, -0.0, 1e-300, -1e-300, 0.7, -3.5, 11.6, -11.6,
+             4e102, 6e102, -1e103, 1e160, np.inf, -np.inf, np.nan]
+        )
+        d = DifferentialDispersion(d2, d3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # om[:8] stays below the overflow, where a zero d3 skips the cube
+            for omega in (om, om[:8], *om):
+                omega = np.asarray(omega, dtype=float)
+                want = np.asarray(omega**2 / 2.0 * d2 + omega**3 / 6.0 * d3)
+                got = np.asarray(differential_phase(d, omega))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestTemporalSpread:
     def test_zero(self):

@@ -14,6 +14,7 @@ from fransonsim import (
     ConfigurationError,
     ContractViolationError,
     DifferentialDispersion,
+    FiberSpec,
     FransonConfig,
     GAUSSIAN,
     JointSpectrum,
@@ -28,10 +29,12 @@ from fransonsim import (
     fringe_amplitude,
     make_spectrum,
     preset_experiment,
+    stack,
     total_phase,
     visibility,
     width_nm_to_radps,
 )
+from fransonsim.cli import main as cli_main
 from fransonsim.interference import VisibilityResult
 from fransonsim.numerics import golden_section_max, simpson_weights, symmetric_grid
 from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA
@@ -504,6 +507,141 @@ class TestSummedPhaseCache:
             assert coincidence_rate(cfg, phi) == min(1.0, max(0.0, rate))
         z = complex(s.weights @ (s.density * np.exp(-1j * phase)))
         assert fringe_amplitude(cfg) == z
+
+
+def frozen_differential_phase(d, omega):
+    """differential_phase as it was before the zero cubic term was skipped."""
+    return omega**2 / 2.0 * d.d_beta2_l_ps2 + omega**3 / 6.0 * d.d_beta3_l_ps3
+
+
+def frozen_summed_phase(cfg):
+    omega = cfg.spectrum.omega
+    return frozen_differential_phase(
+        cfg.signal_arm.differential(), omega
+    ) + frozen_differential_phase(cfg.idler_arm.differential(), -omega)
+
+
+def frozen_rate(cfg, phi, phase):
+    """coincidence_rate as it was before the fold, at a given summed phase."""
+    s = cfg.spectrum
+    theta = phi + cfg.pump_phase_offset_rad - phase
+    rate = float(s.weights @ (s.density * np.cos(theta / 2.0) ** 2))
+    return min(1.0, max(0.0, rate))
+
+
+def frozen_amplitude(cfg, phase):
+    """fringe_amplitude as it was before the fold, at a given summed phase."""
+    s = cfg.spectrum
+    return complex(s.weights @ (s.density * np.exp(-1j * phase)))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def assert_matches_frozen(cfg, phis):
+    phase = frozen_summed_phase(cfg)
+    assert np.array_equal(bits(cfg.summed_phase), bits(phase))
+    for phi in phis:
+        assert coincidence_rate(cfg, phi) == frozen_rate(cfg, phi, phase)
+    assert fringe_amplitude(cfg) == frozen_amplitude(cfg, phase)
+
+
+def with_cached_phase(cfg, phase):
+    """cfg with its summed_phase cache set to ``phase`` (read-only)."""
+    phase = np.array(phase, dtype=float)
+    phase.setflags(write=False)
+    cfg = replace(cfg)
+    cfg.__dict__["summed_phase"] = phase
+    return cfg
+
+
+# beta3 of the fiber carrying an arm's dispersion: a zero of either sign
+# leaves a palindromic summed phase, a nonzero one folds nothing unless
+# both arms carry the same value
+CATALOG_BETA3_FS3_PER_MM = st.one_of(
+    st.sampled_from([0.0, -0.0]), st.floats(-1e7, 1e7)
+)
+
+
+@st.composite
+def catalog_fiber_configs(draw):
+    """analytic_configs whose arms each sit on one catalog fiber."""
+    cfg = draw(analytic_configs())
+
+    def arm(mzi):
+        fiber = FiberSpec(
+            "catalog",
+            beta2_fs2_per_mm=mzi.differential().d_beta2_l_ps2 * 1e6,
+            beta3_fs3_per_mm=draw(CATALOG_BETA3_FS3_PER_MM),
+        )
+        return replace(mzi, long=stack((fiber, 1.0)))
+
+    return replace(cfg, signal_arm=arm(cfg.signal_arm), idler_arm=arm(cfg.idler_arm))
+
+
+class TestFoldedQuadratures:
+    """The folded rate and Z equal the unfolded expressions bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name):
+        cfg = preset_experiment(name).franson
+        assert cfg.summed_phase.size == 16_385
+        assert cfg.distinct_points == 8_193
+        assert_matches_frozen(cfg, (0.0, 1.0, math.pi, 4.5, 2.0 * math.pi - 1e-3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=catalog_fiber_configs(), phi=st.floats(-10.0, 10.0))
+    def test_random_configs(self, cfg, phi):
+        phase = cfg.summed_phase
+        palindrome = np.array_equal(bits(phase), bits(phase[::-1]))
+        assert cfg.distinct_points == ((phase.size + 1) // 2 if palindrome else phase.size)
+        assert_matches_frozen(cfg, (phi, 0.0, math.pi))
+
+    def test_cubic_difference_folds_nothing(self):
+        cfg = franson(-2.2018e-2, -1e-2, b3_signal=2e-3, spectrum=sinc2_pedestal())
+        assert cfg.distinct_points == cfg.summed_phase.size == 16_385
+        assert_matches_frozen(cfg, (0.0, 1.0, 4.5))
+
+    def test_negative_zero_centre_folds(self):
+        cfg = franson(spectrum=make_spectrum(GAUSSIAN, 1.6, n_points=33))
+        half = np.linspace(1.5, 0.0, 17)
+        half[-1] = -0.0
+        cfg = with_cached_phase(cfg, np.concatenate([half, half[-2::-1]]))
+        assert cfg.distinct_points == 17
+        for phi in (0.0, 1.0, -0.0):
+            assert coincidence_rate(cfg, phi) == frozen_rate(cfg, phi, cfg.summed_phase)
+        assert fringe_amplitude(cfg) == frozen_amplitude(cfg, cfg.summed_phase)
+
+    def test_palindrome_is_tested_on_bits(self):
+        # equal under ==, but exp(-1j * phi) differs in the sign of its
+        # imaginary part between the two ends
+        cfg = franson(spectrum=make_spectrum(GAUSSIAN, 1.6, n_points=33))
+        phase = np.zeros(33)
+        phase[-1] = -0.0
+        cfg = with_cached_phase(cfg, phase)
+        assert cfg.distinct_points == 33
+        assert fringe_amplitude(cfg) == frozen_amplitude(cfg, cfg.summed_phase)
+
+
+class TestAmplitudeCache:
+    def test_one_quadrature_per_config(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        original = fransonsim.interference.fringe_amplitude
+
+        def counting(cfg):
+            calls.append(cfg)
+            return original(cfg)
+
+        monkeypatch.setattr(fransonsim.interference, "fringe_amplitude", counting)
+        # the integral method, the sweep and a fringe CSV on one config
+        out = tmp_path / "fringe.csv"
+        argv = ["visibility", "--preset", "fig4b", "--out", str(out), "--points", "16"]
+        assert cli_main(argv) == 0
+        assert len(calls) == 1
+        cfg = calls[0]
+        assert cfg.amplitude is cfg.amplitude
+        assert cfg.amplitude == original(cfg)
 
 
 class TestQuadrature:
