@@ -556,9 +556,9 @@ def with_cached_phase(cfg, phase):
     return cfg
 
 
-# beta3 of the fiber carrying an arm's dispersion: a zero of either sign
-# leaves a palindromic summed phase, a nonzero one folds nothing unless
-# both arms carry the same value
+# beta3 of the fiber carrying an arm's dispersion: with zeros of either
+# sign in both arms the summed phase is a bitwise palindrome and folds;
+# a nonzero value usually leaves it unfolded
 CATALOG_BETA3_FS3_PER_MM = st.one_of(
     st.sampled_from([0.0, -0.0]), st.floats(-1e7, 1e7)
 )
