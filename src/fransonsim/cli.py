@@ -13,6 +13,7 @@ go to stderr.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -31,7 +32,7 @@ from .errors import (
     StatisticsError,
 )
 from .expconfig import parse_experiment_file
-from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, coincidence_rate, visibility
+from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, formatted_rates, visibility
 from .noise import alpha_sweep, bell_significance, observed_visibility
 from .presets import PRESET_NAMES, preset_experiment, preset_summary
 
@@ -41,7 +42,8 @@ EXIT_PHYSICS = 3
 EXIT_INFEASIBLE = 4
 EXIT_STATISTICS = 5
 
-# each fringe point is one rate quadrature and one CSV line held until written
+# each fringe point is one CSV line held until written, and one rate
+# quadrature unless the fringe amplitude's error bound fixes its printed rate
 MAX_FRINGE_POINTS = 2**16
 
 
@@ -92,9 +94,9 @@ def _check_fringe_points(points):
 
 def _write_fringe_csv(path, cfg, points):
     """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
+    phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
     lines = ["phi_rad,coincidence_rate\n"]
-    for phi in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False):
-        lines.append(f"{_sci(phi)},{_sci(coincidence_rate(cfg, phi))}\n")
+    lines += [f"{_sci(phi)},{rate}\n" for phi, rate in zip(phis, formatted_rates(cfg, phis, _sci))]
     if not path:
         sys.stdout.writelines(lines)
         return
@@ -397,10 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first main() call and reused: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -200,22 +200,76 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
 def _rate_bounds(cfg: FransonConfig, phis: np.ndarray):
     """Bounds (lo, hi) on coincidence_rate(cfg, phi) at every phi, from Z.
 
-    C(phi) = (I + Re[e^{i(phi + offset)} Z]) / 2 holds exactly for the sums
-    over the grid, with I the spectrum's quadrature. The computed rate and
-    the computed prediction differ from it only by rounding: at most
-    (n + 8) eps per unit of quadrature mass M = sum |w| S in each sum, plus
-    eps |theta| M / 4 from rounding theta before its cosine. The margin takes
-    64 times the first term and the whole of max |theta| for the second, and
-    the bounds are clipped to [0, 1] as coincidence_rate clips.
+    With a = phi + offset (the double coincidence_rate forms), theta_k =
+    a - phase_k and the stored phase_k, the exact sums over the grid obey
+
+        sum_k w_k S_k cos^2(theta_k / 2) = (I + Re[e^{ia} Z]) / 2,
+
+    I = sum_k w_k S_k and Z = sum_k w_k S_k e^{-i phase_k}, so the computed
+    rate and the computed prediction pred differ only by rounding. In units
+    of eps M, with eps = 2^-52, u = eps / 2 the unit roundoff, n grid points,
+    M = sum |w| S the quadrature mass and T = max |a| + max |phase| >= |theta|:
+
+    - Simpson dot of the rate: gamma_n M, gamma_n = n u / (1 - n u), for any
+      summation order, with or without FMA, on any BLAS thread count. The
+      summands w_k fl(S_k f_k) have |f_k| <= 1 + 9 eps: n / 2.
+    - Its integrand f_k = cos(theta_k / 2)^2. Rounding theta_k moves it by
+      u |theta_k| times |d f / d theta| <= 1/2: T / 4. The cosine is assumed
+      within 4 ulp (relative 4 eps; libm and NumPy's SIMD kernels are within
+      this), squared and rounded: 2 * 4 + 1/2. The product S_k f_k: 1/2.
+      Together n / 2 + 9 + T / 4.
+    - The I dot: n / 2. The Z dot, per component: each component of
+      e^{-i phase} within 4 ulp (4), the product with S (1/2) and the dot
+      (n / 2; the zero imaginary parts of the real weights add exact zeros).
+    - Re[e^{ia} Z] = Re Z cos a - Im Z sin a with cos a and sin a within
+      4 ulp: sqrt(2) (n / 2 + 4.5) from Z and 4 sqrt(2) from the cosine and
+      sine, as |Re Z| + |Im Z| <= sqrt(2) |Z| <= sqrt(2) M.
+    - The final combination: two products and two sums of terms at most
+      sqrt(2), 2 and 1 + sqrt(2) times M, each rounded once: 3. The halving
+      is exact, so the prediction's error is half its numerator's,
+      (1.21 n + 15) / 2.
+
+    Rate and prediction therefore differ by at most eps M (1.11 n + 16.5 +
+    T / 4) <= eps M (1.25 (n + 16) + T / 4). Underflow adds at most 2^-1074
+    per operation, nothing next to eps M, as M >= I ~ 1 for a normalized
+    spectrum.
+    The margin eps M (3 (n + 16) + T) is 2.4 times the first term and 4
+    times the second. The bounds are clipped to [0, 1] as coincidence_rate
+    clips; a bound that is NaN or infinite before the clip is NaN, which
+    rules nothing out. An empty phis gives empty bounds.
     """
     s = cfg.spectrum
     z = cfg.amplitude
     arg = phis + cfg.pump_phase_offset_rad  # the sum coincidence_rate forms
     pred = (s.integral() + z.real * np.cos(arg) - z.imag * np.sin(arg)) / 2.0
     mass = float(np.abs(s.weights) @ s.density)
-    max_theta = np.abs(arg).max() + np.abs(cfg.summed_phase).max()
-    margin = np.finfo(float).eps * mass * (64.0 * (s.weights.size + 8) + max_theta)
-    return np.clip(pred - margin, 0.0, 1.0), np.clip(pred + margin, 0.0, 1.0)
+    max_theta = np.abs(arg).max(initial=0.0) + np.abs(cfg.summed_phase).max()
+    margin = np.finfo(float).eps * mass * (3.0 * (s.weights.size + 16) + max_theta)
+    lo, hi = pred - margin, pred + margin
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    lo, hi = np.where(finite, lo, np.nan), np.where(finite, hi, np.nan)
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
+def formatted_rates(cfg: FransonConfig, phis, fmt) -> list[str]:
+    """[fmt(coincidence_rate(cfg, phi)) for phi in phis], quadratures only where needed.
+
+    fmt must map every value between two that it prints alike to the same
+    string, as Python's correctly rounded fixed-precision formats do (they
+    are monotone in x). A row whose two rate bounds are finite and print
+    alike takes that string; every other row runs the quadrature. For any
+    such fmt the result equals the list above, and rows are evaluated in
+    order, so a phi that coincidence_rate rejects raises at the same row.
+    """
+    phis = np.asarray(phis, dtype=float)
+    lo, hi = _rate_bounds(cfg, phis)
+    out = []
+    for phi, a, b in zip(phis, lo.tolist(), hi.tolist()):
+        text = fmt(a)
+        if math.isnan(a) or text != fmt(b):
+            text = fmt(coincidence_rate(cfg, phi))
+        out.append(text)
+    return out
 
 
 def _first_extremum(cfg: FransonConfig, phis, bounds, sign: float) -> int:

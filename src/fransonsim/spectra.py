@@ -149,10 +149,21 @@ def make_spectrum(
 
     gaussian: S ~ exp(-omega^2/2 sigma^2), sigma = FWHM / (2 sqrt(2 ln 2)).
     Default span is 6 sigma per side.
+
+    A given span must be finite and below the carrier angular frequency
+    2 pi c / lambda0 (1,207 rad/ps at 1560 nm), past which photon
+    frequencies on the grid would be negative.
     """
     if fwhm_nm <= 0:
         raise DomainError(f"fwhm must be positive, got {fwhm_nm}")
     fwhm = width_nm_to_radps(fwhm_nm, center_nm)
+    if span_radps is not None:
+        carrier = 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / center_nm
+        if not (np.isfinite(span_radps) and span_radps < carrier):
+            raise ConfigurationError(
+                f"span_radps {span_radps!r} must be finite and below the carrier "
+                f"angular frequency 2 pi c / lambda0 = {carrier:.6g} rad/ps"
+            )
 
     if model == SINC2:
         b = 2.0 * SINC2_HALF_MAX_X / fwhm

@@ -4,7 +4,9 @@ import os
 import subprocess
 import sys
 
-from fransonsim import FiberSpec, MZIConfig, PathStack, stack
+import numpy as np
+
+from fransonsim import FiberSpec, MZIConfig, PathStack, coincidence_rate, stack
 
 DELTA_T_NS = 4.77
 
@@ -47,3 +49,12 @@ def run_python(code: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def loop_fringe_csv(cfg, points: int) -> str:
+    """The fringe CSV with one rate quadrature per row, as it was written
+    before rows were printed from the fringe amplitude; kept as the reference."""
+    lines = ["phi_rad,coincidence_rate\n"]
+    for phi in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False):
+        lines.append(f"{phi:.8e},{coincidence_rate(cfg, phi):.8e}\n")
+    return "".join(lines)

@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fransonsim import ConfigParseError, parse_experiment, preset_experiment
+import fransonsim.cli
+from fransonsim import PRESET_NAMES, ConfigParseError, parse_experiment, preset_experiment
 from fransonsim.cli import main
+
+from tests.helpers import loop_fringe_csv, run_python
 
 FULL_CONFIG = """\
 [spectrum]
@@ -357,7 +360,84 @@ class TestCli:
         assert main(["visibility", "--config", str(cfg)]) == 3
 
 
+class TestFringeCsv:
+    """Rows printed from the fringe amplitude equal the per-row quadrature loop."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_fringe_matches_loop(self, tmp_path, name):
+        cfg = preset_experiment(name).franson
+        for points in (0, 1, 2, 3, 7, 256, 1024):
+            out = tmp_path / f"fringe{points}.csv"
+            assert main(["fringe", "--preset", name, "--points", str(points), "--out", str(out)]) == 0
+            assert out.read_text(encoding="utf-8") == loop_fringe_csv(cfg, points)
+        assert (tmp_path / "fringe0.csv").read_text() == "phi_rad,coincidence_rate\n"
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_visibility_out_matches_loop(self, tmp_path, capsys, name):
+        out = tmp_path / "fringe.csv"
+        assert main(["visibility", "--preset", name, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == loop_fringe_csv(preset_experiment(name).franson, 256)
+
+
+class TestParserReuse:
+    # a valid command, a usage error, then commands that set or leave at
+    # their defaults options an earlier command gave
+    RUNS = [
+        ["visibility", "--preset", "fig4b", "--method", "sweep", "--sigma-v", "0.01"],
+        ["fringe", "--preset", "fig4a", "--points", "many"],
+        ["visibility", "--preset", "fig4b"],
+        ["fringe", "--preset", "fig4d", "--points", "5"],
+        ["fringe", "--preset", "fig4d"],
+        ["presets", "list"],
+    ]
+
+    def run_all(self, capsys, fresh):
+        results = []
+        for argv in self.RUNS:
+            if fresh:
+                fransonsim.cli._parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    def test_reused_parser_matches_fresh_parsers(self, capsys, monkeypatch):
+        built = []
+        original = fransonsim.cli.build_parser
+        monkeypatch.setattr(fransonsim.cli, "build_parser", lambda: built.append(1) or original())
+        fransonsim.cli._parser.cache_clear()
+        reused = self.run_all(capsys, fresh=False)
+        assert len(built) == 1
+        fresh = self.run_all(capsys, fresh=True)
+        assert len(built) == 1 + len(self.RUNS)
+        assert [r[0] for r in reused] == [0, 2, 0, 0, 0, 0]
+        assert "invalid int value" in reused[1][2]
+        assert reused == fresh
+
+    def test_built_on_first_call_not_at_import(self):
+        out = run_python(
+            "import fransonsim.cli as cli\n"
+            "print(cli._parser.cache_info().currsize)\n"
+            "cli.main(['presets', 'list'])\n"
+            "cli.main(['presets', 'list'])\n"
+            "print(cli._parser.cache_info().currsize, cli._parser.cache_info().misses)\n"
+        )
+        lines = out.splitlines()
+        assert lines[0] == "0"
+        assert lines[-1] == "1 1"
+
+
 class TestInputValidation:
+    @pytest.mark.parametrize("command", ["fringe", "visibility"])
+    @pytest.mark.parametrize("value", ["1e103", "inf", "nan", "1207.5"])
+    def test_unphysical_span_rejected(self, tmp_path, capsys, command, value):
+        cfg = tmp_path / "span.ini"
+        cfg.write_text(FULL_CONFIG.replace("span_radps = 11.6", f"span_radps = {value}"))
+        assert main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "span_radps" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["fringe", "visibility"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_nonfinite_pump_offset_rejected(self, tmp_path, capsys, command, value):

@@ -1,5 +1,7 @@
 """Coincidence rate, visibility methods, and the nonlocality invariants."""
 
+import contextlib
+import io
 import math
 from dataclasses import astuple, replace
 
@@ -14,6 +16,7 @@ from fransonsim import (
     ConfigurationError,
     ContractViolationError,
     DifferentialDispersion,
+    DomainError,
     FiberSpec,
     FransonConfig,
     GAUSSIAN,
@@ -34,12 +37,13 @@ from fransonsim import (
     visibility,
     width_nm_to_radps,
 )
+import fransonsim.cli
 from fransonsim.cli import main as cli_main
-from fransonsim.interference import VisibilityResult
+from fransonsim.interference import VisibilityResult, formatted_rates
 from fransonsim.numerics import golden_section_max, simpson_weights, symmetric_grid
 from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA
 
-from tests.helpers import arm_with_dispersion
+from tests.helpers import arm_with_dispersion, loop_fringe_csv
 
 PEDESTAL_SPAN = width_nm_to_radps(15.0, 1560.0)
 
@@ -339,6 +343,123 @@ class TestSweepMatchesFullScan:
         expected = full_scan_sweep(cfg)
         assert (expected.c_max, expected.c_min) == (1.0, 0.0)
         assert astuple(visibility(cfg, PHASE_SWEEP)) == astuple(expected)
+
+
+def sci(x):
+    return f"{x:.8e}"
+
+
+def loop_rates(cfg, phis, fmt=sci):
+    return [fmt(coincidence_rate(cfg, phi)) for phi in phis]
+
+
+def fringe_phis(points):
+    return np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
+
+
+def negative_weight_config():
+    """|Z| = 2 > I = 1 under a rule with negative weights (see
+    test_clipped_ties_resolve_to_first_index): the rate runs from -0.5 to
+    1.5 before coincidence_rate clips it to [0, 1]."""
+    spectrum = JointSpectrum(
+        model=TABULATED,
+        center_wavelength_nm=1560.0,
+        fwhm_nm=None,
+        span_radps=1.0,
+        omega=np.array([-1.0, 0.0, 1.0]),
+        density=np.ones(3),
+        weights=np.array([-0.25, 1.5, -0.25]),
+    )
+    return franson(2.0 * math.pi, spectrum=spectrum, pump_phase_offset_rad=1.0)
+
+
+class TestFormattedRates:
+    """formatted_rates prints what a quadrature per row prints."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, monkeypatch):
+        cfg = preset_experiment(name).franson
+        phis = fringe_phis(256)
+        expected = loop_rates(cfg, phis)
+        calls = count_rate_calls(monkeypatch)
+        assert formatted_rates(cfg, phis, sci) == expected
+        # 256 with a quadrature per row; 24-31 at the time of writing
+        assert len(calls) <= 48
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        points=st.integers(0, 64),
+        extra=st.lists(st.floats(-20.0, 20.0), max_size=4),
+    )
+    def test_random_configs(self, cfg, points, extra):
+        phis = np.concatenate([fringe_phis(points), extra])
+        assert formatted_rates(cfg, phis, sci) == loop_rates(cfg, phis)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=analytic_configs(), points=st.integers(0, 64))
+    def test_csv_matches_loop(self, cfg, points):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            fransonsim.cli._write_fringe_csv(None, cfg, points)
+        assert buf.getvalue() == loop_fringe_csv(cfg, points)
+
+    def test_full_precision_falls_back_on_every_row(self, monkeypatch):
+        # 17 digits tell any two doubles apart, so no bound interval of
+        # nonzero width decides a row; fig4a's rates stay inside (0, 1)
+        cfg = preset_experiment("fig4a").franson
+        fmt = "{:.16e}".format
+        phis = fringe_phis(64)
+        expected = loop_rates(cfg, phis, fmt)
+        calls = count_rate_calls(monkeypatch)
+        assert formatted_rates(cfg, phis, fmt) == expected
+        assert len(calls) == 64
+
+    def test_clipped_rates(self):
+        cfg = negative_weight_config()
+        phis = fringe_phis(64)
+        expected = loop_rates(cfg, phis)
+        assert "1.00000000e+00" in expected and "0.00000000e+00" in expected
+        assert formatted_rates(cfg, phis, sci) == expected
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_summed_phase(self, bad, monkeypatch):
+        cfg = franson(spectrum=make_spectrum(GAUSSIAN, 1.6, n_points=33))
+        phase = np.linspace(-1.0, 1.0, 33)
+        phase[5] = bad
+        cfg = with_cached_phase(cfg, phase)
+        phis = fringe_phis(16)
+        with np.errstate(invalid="ignore"):
+            expected = loop_rates(cfg, phis)
+            # a NaN quadrature is clipped to 0
+            assert set(expected) == {"0.00000000e+00"}
+            calls = count_rate_calls(monkeypatch)
+            assert formatted_rates(cfg, phis, sci) == expected
+        assert len(calls) == 16
+
+    def test_nonfinite_amplitude_falls_back(self, monkeypatch):
+        # an infinite Z predicts rates of +-inf, which the clip would turn
+        # into a confident 0 or 1
+        cfg = replace(preset_experiment("fig4c").franson)
+        cfg.__dict__["amplitude"] = complex(math.inf, 0.0)
+        phis = fringe_phis(16)
+        expected = loop_rates(cfg, phis)
+        calls = count_rate_calls(monkeypatch)
+        assert formatted_rates(cfg, phis, sci) == expected
+        assert len(calls) == 16
+
+    def test_empty(self):
+        cfg = preset_experiment("fig4a").franson
+        assert formatted_rates(cfg, np.array([]), sci) == []
+        assert formatted_rates(cfg, [], sci) == []
+
+    def test_rejected_phase_raises_at_its_row(self, monkeypatch):
+        cfg = preset_experiment("fig4a").franson
+        calls = count_rate_calls(monkeypatch)
+        with pytest.raises(DomainError):
+            formatted_rates(cfg, [0.0, 1.0, math.nan, 2.0], sci)
+        # a NaN phi leaves every bound NaN: rows run in order up to it
+        assert calls[:2] == [0.0, 1.0] and math.isnan(calls[2]) and len(calls) == 3
 
 
 class TestNonlocalityInvariants:

@@ -102,6 +102,23 @@ class TestMakeSpectrum:
         with pytest.raises(ConfigurationError):
             make_spectrum(GAUSSIAN, 1.6, span_radps=0.5)
 
+    @pytest.mark.parametrize("model", [SINC2, GAUSSIAN])
+    @pytest.mark.parametrize("span", [1e103, math.inf, -math.inf, math.nan])
+    def test_unphysical_span_rejected(self, model, span):
+        with pytest.raises(ConfigurationError, match="span_radps"):
+            make_spectrum(model, 1.6, span_radps=span, n_points=17)
+
+    @pytest.mark.parametrize("model", [SINC2, GAUSSIAN])
+    def test_span_capped_at_carrier_frequency(self, model):
+        carrier = 2.0 * math.pi * C / 1560.0  # 1,207 rad/ps
+        with pytest.raises(ConfigurationError, match="span_radps"):
+            make_spectrum(model, 1.6, span_radps=carrier, n_points=17)
+        # +-240 nm is 186 rad/ps; the largest span below the cap builds too
+        for span in (width_nm_to_radps(240.0, 1560.0), math.nextafter(carrier, 0.0)):
+            s = make_spectrum(model, 1.6, span_radps=span, n_points=17)
+            assert s.span_radps == span
+            assert s.is_normalized()
+
     def test_bad_fwhm(self):
         with pytest.raises(DomainError):
             make_spectrum(SINC2, -1.6)
