@@ -291,6 +291,22 @@ def near_zero_visibility_config():
     return franson(b3_signal=b, spectrum=spectrum)
 
 
+def negative_weight_config():
+    """A rule with a negative weight, as high-order Newton-Cotes rules have,
+    gives |Z| = 2 > I = 1: the rate runs from -0.5 to 1.5 before
+    coincidence_rate clips it to [0, 1]."""
+    spectrum = JointSpectrum(
+        model=TABULATED,
+        center_wavelength_nm=1560.0,
+        fwhm_nm=None,
+        span_radps=1.0,
+        omega=np.array([-1.0, 0.0, 1.0]),
+        density=np.ones(3),
+        weights=np.array([-0.25, 1.5, -0.25]),
+    )
+    return franson(2.0 * math.pi, spectrum=spectrum, pump_phase_offset_rad=1.0)
+
+
 class TestSweepMatchesFullScan:
     """The Z-bracketed sweep returns what the 720-quadrature scan returned."""
 
@@ -324,21 +340,11 @@ class TestSweepMatchesFullScan:
 
     def test_clipped_ties_resolve_to_first_index(self):
         # A nonnegative density under positive weights keeps every rate in
-        # [0, 1] up to rounding. A rule with a negative weight, as high-order
-        # Newton-Cotes rules have, gives |Z| = 2 > I = 1 here: the rate runs
-        # from -0.5 to 1.5, and the clip turns a third of the grid into ties
-        # at 1 and another third into ties at 0. The offset puts the
-        # unclipped extrema far from the first tied index.
-        spectrum = JointSpectrum(
-            model=TABULATED,
-            center_wavelength_nm=1560.0,
-            fwhm_nm=None,
-            span_radps=1.0,
-            omega=np.array([-1.0, 0.0, 1.0]),
-            density=np.ones(3),
-            weights=np.array([-0.25, 1.5, -0.25]),
-        )
-        cfg = franson(2.0 * math.pi, spectrum=spectrum, pump_phase_offset_rad=1.0)
+        # [0, 1] up to rounding. Under negative_weight_config's rule the
+        # clip turns a third of the grid into ties at 1 and another third
+        # into ties at 0. The offset puts the unclipped extrema far from the
+        # first tied index.
+        cfg = negative_weight_config()
         assert abs(fringe_amplitude(cfg)) == pytest.approx(2.0)
         expected = full_scan_sweep(cfg)
         assert (expected.c_max, expected.c_min) == (1.0, 0.0)
@@ -355,22 +361,6 @@ def loop_rates(cfg, phis, fmt=sci):
 
 def fringe_phis(points):
     return np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-
-
-def negative_weight_config():
-    """|Z| = 2 > I = 1 under a rule with negative weights (see
-    test_clipped_ties_resolve_to_first_index): the rate runs from -0.5 to
-    1.5 before coincidence_rate clips it to [0, 1]."""
-    spectrum = JointSpectrum(
-        model=TABULATED,
-        center_wavelength_nm=1560.0,
-        fwhm_nm=None,
-        span_radps=1.0,
-        omega=np.array([-1.0, 0.0, 1.0]),
-        density=np.ones(3),
-        weights=np.array([-0.25, 1.5, -0.25]),
-    )
-    return franson(2.0 * math.pi, spectrum=spectrum, pump_phase_offset_rad=1.0)
 
 
 class TestFormattedRates:
