@@ -32,7 +32,13 @@ from .errors import (
     StatisticsError,
 )
 from .expconfig import parse_experiment_file
-from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, formatted_rates, visibility
+from .interference import (
+    COMPLEX_INTEGRAL,
+    PHASE_SWEEP,
+    formatted_rates,
+    formatted_sweep_visibility,
+    visibility,
+)
 from .noise import alpha_sweep, bell_significance, observed_visibility
 from .presets import PRESET_NAMES, preset_experiment, preset_summary
 
@@ -109,8 +115,15 @@ def cmd_visibility(args) -> int:
     exp = _load_experiment(args)
     cfg = exp.franson
     res_int = visibility(cfg, COMPLEX_INTEGRAL)
-    res_swp = visibility(cfg, PHASE_SWEEP)
-    chosen = res_int if args.method == COMPLEX_INTEGRAL else res_swp
+    # --method overrides the file's [run] method, which defaults to integral
+    if (args.method or exp.run.method) == PHASE_SWEEP:
+        chosen = visibility(cfg, PHASE_SWEEP)
+        sweep_text = _sci(chosen.visibility)
+    else:
+        # only the sweep's visibility is printed: its digits fix long before
+        # the golden-section searches end
+        chosen = res_int
+        sweep_text = formatted_sweep_visibility(cfg, _sci)
     v_obs = observed_visibility(chosen.visibility, exp.noise)
     bell = bell_significance(min(v_obs, 1.0), args.sigma_v)
 
@@ -118,7 +131,7 @@ def cmd_visibility(args) -> int:
         ("preset", args.preset or args.config),
         ("method", chosen.method),
         ("intrinsic_visibility_integral", _sci(res_int.visibility)),
-        ("intrinsic_visibility_sweep", _sci(res_swp.visibility)),
+        ("intrinsic_visibility_sweep", sweep_text),
         ("c_max", _sci(chosen.c_max)),
         ("c_min", _sci(chosen.c_min)),
         ("phase_at_max_rad", _sci(chosen.phase_at_max_rad)),
@@ -359,7 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("visibility", help="analytic visibility report")
     _add_experiment_args(p)
-    p.add_argument("--method", choices=(PHASE_SWEEP, COMPLEX_INTEGRAL), default=COMPLEX_INTEGRAL)
+    p.add_argument(
+        "--method",
+        choices=(PHASE_SWEEP, COMPLEX_INTEGRAL),
+        default=None,
+        help="visibility method whose extrema are reported; overrides [run] method "
+        f"(default {COMPLEX_INTEGRAL})",
+    )
     p.add_argument("--sigma-v", type=float, default=0.002, help="visibility uncertainty for Bell significance")
     p.add_argument("--out", help="write per-phase fringe CSV here")
     p.add_argument("--points", type=int, default=256, help="fringe CSV phase points")

@@ -1,4 +1,4 @@
-"""Small numeric helpers: Simpson weights, FWHM measurement, golden-section search.
+"""Small numeric helpers: symmetric grids, Simpson weights, FWHM measurement.
 
 Everything here operates on plain numpy arrays; physics units live in the
 calling modules.
@@ -7,9 +7,6 @@ calling modules.
 import numpy as np
 
 from .errors import DomainError
-
-# golden ratio step for the 1D section search
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def symmetric_grid(half_span: float, n_points: int) -> np.ndarray:
@@ -71,26 +68,3 @@ def measure_fwhm(x: np.ndarray, y: np.ndarray) -> float:
     else:
         xl = x[j] + (x[j - 1] - x[j]) * (half - y[j]) / (y[j - 1] - y[j])
     return float(xr - xl)
-
-
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
-    """Locate the maximum of a smooth unimodal function on [lo, hi].
-
-    Returns (x, f(x)). Plain golden-section search; ~60 iterations for
-    tol=1e-12 on an O(1) interval.
-    """
-    a, b = float(lo), float(hi)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

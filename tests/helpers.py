@@ -58,3 +58,33 @@ def loop_fringe_csv(cfg, points: int) -> str:
     for phi in np.linspace(0.0, 2.0 * np.pi, points, endpoint=False):
         lines.append(f"{phi:.8e},{coincidence_rate(cfg, phi):.8e}\n")
     return "".join(lines)
+
+
+# golden ratio step for the 1D section search
+_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
+    """Locate the maximum of a smooth unimodal function on [lo, hi].
+
+    Returns (x, f(x)). Plain golden-section search; ~60 iterations for
+    tol=1e-12 on an O(1) interval.
+
+    A frozen copy of the search the phase sweep ran with a quadrature at
+    every step, kept as the reference for the bound-decided replay.
+    """
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)

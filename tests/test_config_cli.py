@@ -360,6 +360,36 @@ class TestCli:
         assert main(["visibility", "--config", str(cfg)]) == 3
 
 
+class TestRunMethod:
+    """[run] method chooses the reported extrema; --method overrides it."""
+
+    @pytest.mark.parametrize(
+        "in_file, flag, expected",
+        [
+            (None, None, "integral"),
+            ("sweep", None, "sweep"),
+            ("integral", None, "integral"),
+            (None, "sweep", "sweep"),
+            ("sweep", "integral", "integral"),
+            ("integral", "sweep", "sweep"),
+        ],
+    )
+    def test_file_and_flag(self, tmp_path, capsys, in_file, flag, expected):
+        text = FULL_CONFIG.replace("method = integral\n", f"method = {in_file}\n" if in_file else "")
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        argv = ["visibility", "--config", str(path)] + (["--method", flag] if flag else [])
+        assert main(argv) == 0
+        rows = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        res = fransonsim.cli.visibility(parse_experiment(text).franson, expected)
+        assert rows["method"] == expected
+        for key in ("c_max", "c_min", "phase_at_max_rad"):
+            assert rows[key] == f"{getattr(res, key):.8e}"
+        # both visibilities are printed whichever method is chosen
+        sweep = fransonsim.cli.visibility(parse_experiment(text).franson, "sweep")
+        assert rows["intrinsic_visibility_sweep"] == f"{sweep.visibility:.8e}"
+
+
 class TestFringeCsv:
     """Rows printed from the fringe amplitude equal the per-row quadrature loop."""
 

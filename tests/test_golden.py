@@ -2,6 +2,9 @@
 
 The analytic and ``montecarlo fig4a`` stdout digests pin the output of the
 code before the summed dispersion phase was cached per config. The
+``visibility --method sweep`` digests, which print the sweep's c_max, c_min
+and phase, were pinned from the code that still refined both extrema with a
+quadrature at every golden-section step. The
 ``montecarlo --out/--events/--histogram`` files and the ``alpha-sweep
 --montecarlo`` stdout were pinned from the code that still counted
 coincidences with a per-event loop and wrote the events CSV from a record
@@ -36,6 +39,8 @@ digests = {}
 with tempfile.TemporaryDirectory() as tmp:
     for p in ("fig4a", "fig4b", "fig4c", "fig4d"):
         digests["visibility " + p] = hashlib.sha256(stdout_of(["visibility", "--preset", p])).hexdigest()
+        sweep = stdout_of(["visibility", "--preset", p, "--method", "sweep"])
+        digests["visibility --method sweep " + p] = hashlib.sha256(sweep).hexdigest()
         path = os.path.join(tmp, p + ".csv")
         stdout_of(["fringe", "--preset", p, "--points", "256", "--out", path])
         with open(path, "rb") as fh:
@@ -81,6 +86,10 @@ DIGESTS = {
     "montecarlo fig4a --events": "d8dd76a4db20211628f050713b342c9637deb1c6f85c70659b4c9fc47cf5152b",
     "montecarlo fig4a --histogram": "ad37236c05f8c515f69cb2fdd37f97dd8f85f15cc69f4a20d05e7309b41f84f0",
     "montecarlo fig4a --out": "18af313fcc5991b42541fe873fdd36f57036a724b292b23d38cc7089273cc1d6",
+    "visibility --method sweep fig4a": "dc12b8a2033f9b1cb48d4d210ccc4dc0a6343464cb0637d72ebf831237e2808c",
+    "visibility --method sweep fig4b": "e0fe60b4174ce580da72ebca789f23dde9e07ea10f6ded84a27947e6b0d1fca9",
+    "visibility --method sweep fig4c": "f0e037ae5c1c3a14b0c9ec524944b5ac9ae00dae9f10e64928112f82246d70b3",
+    "visibility --method sweep fig4d": "3e6c28533ab5b3ff79c1633dae1217ff35b75dbee31d3df329f1b3a1b0362f41",
     "visibility fig4a": "4399e2471b2b30677bdf39357f211c81916d7e6a19ee04935c3c26fceec076da",
     "visibility fig4b": "568f325cd3c1c5e852c84738b99a79568b019b8c1d8331b8aa376e13b33357d9",
     "visibility fig4c": "63c5d8d36417dd2c19efd6bc0e061289015db22d8c0558666c1d09a22578bc45",

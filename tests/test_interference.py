@@ -39,11 +39,21 @@ from fransonsim import (
 )
 import fransonsim.cli
 from fransonsim.cli import main as cli_main
-from fransonsim.interference import VisibilityResult, formatted_rates
-from fransonsim.numerics import golden_section_max, simpson_weights, symmetric_grid
+from fransonsim.interference import (
+    VisibilityResult,
+    _bracket_bounds,
+    _finish,
+    _golden_section,
+    _rate_bounds,
+    _sweep_searches,
+    _visibility_bounds,
+    formatted_rates,
+    formatted_sweep_visibility,
+)
+from fransonsim.numerics import simpson_weights, symmetric_grid
 from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA
 
-from tests.helpers import arm_with_dispersion, loop_fringe_csv
+from tests.helpers import arm_with_dispersion, golden_section_max, loop_fringe_csv
 
 PEDESTAL_SPAN = width_nm_to_radps(15.0, 1560.0)
 
@@ -317,8 +327,9 @@ class TestSweepMatchesFullScan:
         calls = count_rate_calls(monkeypatch)
         got = visibility(cfg, PHASE_SWEEP)
         assert astuple(got) == astuple(expected)
-        # 826 with a quadrature at every grid point
-        assert len(calls) <= 130
+        # 826 with a quadrature at every grid point, 108-110 with one at
+        # every golden-section step; 78-87 at the time of writing
+        assert len(calls) <= 100
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=analytic_configs())
@@ -353,6 +364,216 @@ class TestSweepMatchesFullScan:
 
 def sci(x):
     return f"{x:.8e}"
+
+
+def frozen_search(cfg, lo, hi, sign):
+    return golden_section_max(lambda p: sign * coincidence_rate(cfg, p), lo, hi)
+
+
+class TestGoldenSectionReplay:
+    """The bound-decided search returns what a quadrature at every step returns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        lo=st.floats(-10.0, 10.0),
+        width=st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-9), st.just(0.0)),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_random_brackets(self, cfg, lo, width, sign):
+        hi = lo + width
+        assert _finish(_golden_section(cfg, lo, hi, sign)) == frozen_search(cfg, lo, hi, sign)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_one_quadrature_per_yield(self, name, sign, monkeypatch):
+        cfg = preset_experiment(name).franson
+        lo, hi = -0.01, 0.02
+        if sign < 0:
+            lo, hi = lo + math.pi, hi + math.pi
+        expected = frozen_search(cfg, lo, hi, sign)
+        calls = count_rate_calls(monkeypatch)
+        search = _golden_section(cfg, lo, hi, sign)
+        brackets, per_yield = [], []
+        while True:
+            before = len(calls)
+            try:
+                brackets.append(next(search))
+            except StopIteration as stop:
+                result = stop.value
+                break
+            per_yield.append(len(calls) - before)
+        assert result == expected
+        # the first advance runs no quadrature, and every later one exactly one
+        assert per_yield[0] == 0 and set(per_yield[1:]) <= {1}
+        assert len(calls) == len(brackets)
+        # brackets only shrink, and the final x lies in every one of them
+        x = result[0]
+        assert all(a0 <= a1 <= b1 <= b0 for (a0, b0), (a1, b1) in zip(brackets, brackets[1:]))
+        assert all(a <= x <= b for a, b in brackets)
+
+    def test_clipped_ties_decided_without_quadratures(self, monkeypatch):
+        # rates clipped to 1 near the maximum bound to [1, 1]: f(c) >= f(d)
+        # holds with equality, which the bounds decide alone
+        cfg = negative_weight_config()
+        phis = fringe_phis(720)
+        i = int(np.argmax([coincidence_rate(cfg, p) for p in phis]))
+        step = phis[1] - phis[0]
+        lo, hi = phis[i] - step, phis[i] + step
+        calls = count_rate_calls(monkeypatch)
+        assert _finish(_golden_section(cfg, lo, hi, 1.0)) == frozen_search(cfg, lo, hi, 1.0)
+        assert len(calls) == 1
+
+
+class TestRateBoundsOverBracket:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=analytic_configs(),
+        a=st.floats(-10.0, 10.0),
+        width=st.one_of(st.floats(0.0, 0.25), st.floats(0.0, 1e-6)),
+        where=st.lists(st.floats(0.0, 1.0), max_size=8),
+    )
+    def test_contains_rates_in_bracket(self, cfg, a, width, where):
+        b = a + width
+        lo, hi = _bracket_bounds(cfg, a, b)
+        for t in where + [0.0, 0.5, 1.0]:
+            phi = min(max(a + t * (b - a), a), b)
+            assert lo <= coincidence_rate(cfg, phi) <= hi
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_contains_final_rate_at_every_yield(self, name):
+        # the bound formatted_sweep_visibility takes for a paused search
+        cfg = preset_experiment(name).franson
+        for sign, search in zip((1.0, -1.0), _sweep_searches(cfg)):
+            brackets = []
+            while True:
+                try:
+                    brackets.append(next(search))
+                except StopIteration as stop:
+                    rate = sign * stop.value[1]
+                    break
+            for a, b in brackets:
+                lo, hi = _bracket_bounds(cfg, a, b)
+                assert lo <= rate <= hi
+
+    def test_reach_zero_is_the_point_bound(self):
+        cfg = preset_experiment("fig4a").franson
+        phis = fringe_phis(64)
+        lo, hi = _rate_bounds(cfg, phis)
+        lo0, hi0 = _rate_bounds(cfg, phis, 0.0)
+        assert np.array_equal(lo, lo0) and np.array_equal(hi, hi0)
+
+    def test_bound_terms_cached_per_config(self):
+        cfg = preset_experiment("fig4a").franson
+        s = cfg.spectrum
+        assert cfg.bound_terms is cfg.bound_terms
+        assert cfg.bound_terms == (
+            s.integral(),
+            float(np.abs(s.weights) @ s.density),
+            float(np.abs(cfg.summed_phase).max()),
+        )
+
+
+class TestVisibilityBounds:
+    def test_degenerate_box_decides_nothing(self):
+        # Cmax + Cmin <= 0 cannot be ruled out: the sweep must run to its
+        # end and raise as visibility does
+        for box in [(0.0, 0.5, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, 0.3, 0.0, 0.2)]:
+            assert all(math.isnan(v) for v in _visibility_bounds(*box))
+
+    def test_nan_bound_decides_nothing(self):
+        for k in range(4):
+            box = [0.9, 0.95, 0.01, 0.02]
+            box[k] = math.nan
+            lo_v, hi_v = _visibility_bounds(*box)
+            assert math.isnan(lo_v) or math.isnan(hi_v)
+
+    def test_contains_every_computed_visibility(self):
+        # boxes of 9 x 9 adjacent doubles; (x - y) / (x + y) rounds its two
+        # sums apart and is not monotone at the ulp level, so the computed
+        # corner values alone are not bounds, and some boxes show it
+        rng = np.random.default_rng(5)
+        unslacked_misses = 0
+        for _ in range(1500):
+            x = float(rng.uniform(0.5, 1.0))
+            y = float(rng.uniform(0.0, 0.5)) * 10.0 ** float(rng.integers(-8, 0))
+            xs, ys = [x], [y]
+            for _ in range(8):
+                xs.append(math.nextafter(xs[-1], 2.0))
+                ys.append(math.nextafter(ys[-1], 2.0))
+            values = [(a - b) / (a + b) for a in xs for b in ys]
+            lo_v, hi_v = _visibility_bounds(xs[0], xs[-1], ys[0], ys[-1])
+            assert lo_v <= min(values) and max(values) <= hi_v
+            corner_lo = (xs[0] - ys[-1]) / (xs[0] + ys[-1])
+            corner_hi = (xs[-1] - ys[0]) / (xs[-1] + ys[0])
+            unslacked_misses += min(values) < corner_lo or max(values) > corner_hi
+        assert unslacked_misses > 0
+
+
+class TestFormattedSweepVisibility:
+    """formatted_sweep_visibility prints what the full sweep's visibility prints."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, monkeypatch):
+        cfg = preset_experiment(name).franson
+        expected = sci(full_scan_sweep(cfg).visibility)
+        calls = count_rate_calls(monkeypatch)
+        assert formatted_sweep_visibility(cfg, sci) == expected
+        # 4-12 at the time of writing
+        assert len(calls) <= 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=analytic_configs(), digits=st.sampled_from([8, 8, 2, 5, 11, 13, 15]))
+    def test_random_configs(self, cfg, digits):
+        fmt = f"{{:.{digits}e}}".format
+        assert formatted_sweep_visibility(cfg, fmt) == fmt(full_scan_sweep(cfg).visibility)
+
+    @pytest.mark.parametrize("name", ["fig4a", "fig4d"])
+    def test_full_precision_runs_both_searches(self, name, monkeypatch):
+        # 17 digits tell any two doubles apart, so only the exact values of
+        # both finished searches decide the string
+        cfg = preset_experiment(name).franson
+        fmt = "{:.16e}".format
+        calls = count_rate_calls(monkeypatch)
+        expected = fmt(visibility(cfg, PHASE_SWEEP).visibility)
+        full = len(calls)
+        assert expected == fmt(full_scan_sweep(cfg).visibility)
+        del calls[:]
+        assert formatted_sweep_visibility(cfg, fmt) == expected
+        assert len(calls) == full
+
+    def test_near_zero_visibility(self):
+        cfg = near_zero_visibility_config()
+        assert formatted_sweep_visibility(cfg, sci) == sci(full_scan_sweep(cfg).visibility)
+
+    def test_clipped_rates(self):
+        cfg = negative_weight_config()
+        assert formatted_sweep_visibility(cfg, sci) == sci(full_scan_sweep(cfg).visibility)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_degenerate_fringe_raises_as_visibility(self, bad):
+        # every rate is a NaN quadrature clipped to 0, so Cmax + Cmin = 0,
+        # and every bound is NaN
+        cfg = franson(spectrum=make_spectrum(GAUSSIAN, 1.6, n_points=33))
+        phase = np.linspace(-1.0, 1.0, 33)
+        phase[5] = bad
+        cfg = with_cached_phase(cfg, phase)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="degenerate fringe") as expected:
+                visibility(cfg, PHASE_SWEEP)
+            with pytest.raises(ContractViolationError) as got:
+                formatted_sweep_visibility(cfg, sci)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_cli_visibility_quadratures(self, name, monkeypatch, capsys):
+        # 108-110 with a quadrature at every golden-section step
+        calls = count_rate_calls(monkeypatch)
+        assert cli_main(["visibility", "--preset", name]) == 0
+        assert len(calls) <= 20
+        out = capsys.readouterr().out
+        cfg = preset_experiment(name).franson
+        assert f"intrinsic_visibility_sweep       {sci(full_scan_sweep(cfg).visibility)}\n" in out
 
 
 def loop_rates(cfg, phis, fmt=sci):

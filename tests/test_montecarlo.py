@@ -590,10 +590,16 @@ class TestParallelErrors:
 
     def test_calling_thread_failure_joins_workers(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
+        caller_failed = threading.Event()
 
         def check(task):
             if threading.current_thread() is threading.main_thread():
+                caller_failed.set()
                 inject_failure(task)
+            # each started worker holds its first task until the calling
+            # thread has failed, so the two cannot drain every task before
+            # the calling thread takes one; a timeout fails that worker's task
+            assert caller_failed.wait(timeout=30)
 
         check_streams(monkeypatch, 7, 2, check)
         threads_before = threading.active_count()
