@@ -259,12 +259,13 @@ def _rate_bounds(cfg: FransonConfig, phis: np.ndarray, reach: float = 0.0):
 
         |P(a') - P(a)| <= |P'(a)| r + |Z| r^2 / 4 + (|Z| / 2) (1 + r) eps (|a| + r).
 
-    The first two terms are the spread added to both bounds; the rate at
-    phi' is within the error above of P(a'), and P(a) within it of pred.
-    The last term is at most 0.63 eps M T, which with the rate's T / 4
-    stays below the margin's T. Computing the spread and the two sums of
-    each bound rounds by at most 4 eps M, inside the margin's spare
-    (3 (n + 16) - 1.11 n - 16.5) eps M >= 31 eps M.
+    The first two terms are the spread added to both bounds. The rate at
+    phi' differs from P(a') by the rate's and the I and Z dots' share of
+    the error above, and P(a) from pred by the rest of it. The last term is
+    at most 0.63 eps M T, which with the rate's T / 4 stays below the
+    margin's T. Computing the spread and the two sums of each bound rounds
+    by at most 4 eps M, inside the margin's spare (3 (n + 16) - 1.11 n -
+    16.5) eps M >= 31 eps M.
 
     The bounds are clipped to [0, 1] as coincidence_rate clips; a bound that
     is NaN or infinite before the clip is NaN, which rules nothing out. An
