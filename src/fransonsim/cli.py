@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import montecarlo
-from .designer import DesignProblem, solve_lengths
-from .dispersion import BUILTIN_FIBERS, load_fiber_catalog
+from .designer import solve_lengths
 from .errors import (
     ConfigParseError,
     ContractViolationError,
@@ -31,7 +30,7 @@ from .errors import (
     InfeasibleDesignError,
     StatisticsError,
 )
-from .expconfig import parse_experiment_file
+from .expconfig import parse_experiment_file, parse_problem_file
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
@@ -73,10 +72,14 @@ def _apply_run_overrides(args, run):
         raise ConfigurationError(
             f"--gates {args.gates} exceeds the cap of {montecarlo.MAX_GATES}"
         )
+    if args.seed is not None and args.seed < 0:
+        raise ConfigurationError(f"--seed {args.seed} is below the minimum of 0")
+    if args.phases is not None and args.phases < 3:
+        raise ConfigurationError(f"--phases {args.phases} is below the minimum of 3")
     seed = args.seed if args.seed is not None else run.seed
     gates = args.gates if args.gates is not None else run.gates
     batches = args.batches if args.batches is not None else run.batches
-    phases = getattr(args, "phases", None) or run.phases
+    phases = args.phases if args.phases is not None else run.phases
     return seed, gates, batches, phases
 
 
@@ -270,58 +273,8 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def _parse_problem_file(path, catalog) -> DesignProblem:
-    import configparser
-
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
-    except configparser.ParsingError as exc:
-        line = exc.errors[0][0] if exc.errors else None
-        raise ConfigParseError(f"{path}: {exc}", line=line) from exc
-    if "problem" not in cp:
-        raise ConfigParseError(f"{path}: missing [problem] section")
-    sec = cp["problem"]
-    known = {
-        "target_d_beta2_l_ps2",
-        "delta_t_ns",
-        "short_fiber",
-        "short_length_mm",
-        "long_fibers",
-    }
-    unknown = set(sec.keys()) - known
-    if unknown:
-        raise ConfigParseError(f"{path}: [problem] unknown keys {sorted(unknown)}")
-
-    def fiber(name):
-        name = name.strip()
-        if name not in catalog:
-            raise ConfigParseError(
-                f"{path}: unknown fiber {name!r} (known: {sorted(catalog)})"
-            )
-        return catalog[name]
-
-    try:
-        long_fibers = tuple(fiber(n) for n in sec["long_fibers"].split(","))
-        return DesignProblem(
-            target_d_beta2_l_ps2=float(sec["target_d_beta2_l_ps2"]),
-            delta_t_ns=float(sec["delta_t_ns"]),
-            short_fiber=fiber(sec["short_fiber"]),
-            long_fibers=long_fibers,
-            short_length_mm=float(sec["short_length_mm"]),
-        )
-    except KeyError as exc:
-        raise ConfigParseError(f"{path}: [problem] missing key {exc}")
-    except ValueError as exc:
-        raise ConfigParseError(f"{path}: {exc}")
-
-
 def cmd_design(args) -> int:
-    catalog = dict(BUILTIN_FIBERS)
-    if args.catalog:
-        catalog.update(load_fiber_catalog(args.catalog))
-    problem = _parse_problem_file(args.problem, catalog)
+    problem = parse_problem_file(args.problem, args.catalog)
     sol = solve_lengths(problem)
 
     for name, length in zip(sol.fibers, sol.lengths_mm):

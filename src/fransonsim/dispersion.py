@@ -14,13 +14,12 @@ beta2 in fs^2/mm and beta3 in fs^3/mm per fiber, lengths in mm, stack
 moments in ps^2 and ps^3, detunings in rad/ps.
 """
 
-import configparser
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigParseError, ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError
 
 SPEED_OF_LIGHT_MM_PER_NS = 299.792458
 
@@ -152,40 +151,3 @@ SMF = FiberSpec("SMF", beta2_fs2_per_mm=-22.5)
 LEAF = FiberSpec("LEAF", beta2_fs2_per_mm=-6.19)
 
 BUILTIN_FIBERS = {"SMF": SMF, "LEAF": LEAF}
-
-
-def load_fiber_catalog(path) -> dict:
-    """Read a fiber catalog file (one INI section per fiber).
-
-    Required key: beta2_fs2_per_mm. Optional: beta3_fs3_per_mm, group_index.
-    Returns {name: FiberSpec}; the built-in fibers are not implied.
-    """
-    cp = configparser.ConfigParser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh, source=str(path))
-    except configparser.ParsingError as exc:
-        line = exc.errors[0][0] if exc.errors else None
-        raise ConfigParseError(f"{path}: {exc}", line=line) from exc
-
-    catalog = {}
-    for name in cp.sections():
-        sec = cp[name]
-        known = {"beta2_fs2_per_mm", "beta3_fs3_per_mm", "group_index"}
-        unknown = set(sec.keys()) - known
-        if unknown:
-            raise ConfigParseError(
-                f"{path}: fiber {name!r} has unknown keys {sorted(unknown)}"
-            )
-        if "beta2_fs2_per_mm" not in sec:
-            raise ConfigParseError(f"{path}: fiber {name!r} missing beta2_fs2_per_mm")
-        try:
-            catalog[name] = FiberSpec(
-                name=name,
-                beta2_fs2_per_mm=sec.getfloat("beta2_fs2_per_mm"),
-                beta3_fs3_per_mm=sec.getfloat("beta3_fs3_per_mm", 0.0),
-                group_index=sec.getfloat("group_index", 1.468),
-            )
-        except ValueError as exc:
-            raise ConfigParseError(f"{path}: fiber {name!r}: {exc}") from exc
-    return catalog

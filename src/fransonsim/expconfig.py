@@ -1,21 +1,23 @@
-"""Experiment description files: parse, validate, assemble simulation objects.
+"""Input files: experiments, fiber catalogs and design problems, in one INI dialect.
 
-An experiment file is INI-style structured text with the sections
-[spectrum], [signal_arm], [idler_arm], [noise], [detector], [run]. Unknown
-sections or keys are rejected, with the offending line number where it can
-be recovered. Fiber stacks are written as comma-separated `NAME:length_mm`
-segments resolved against the built-in fiber catalog plus an optional
-catalog file.
+This module is the one reader of all three kinds (`_read_ini`). An
+experiment file has the sections [spectrum], [signal_arm], [idler_arm],
+[noise], [detector] and [run]; a fiber catalog one section per fiber; a
+design problem one [problem] section. Fibers, in experiment stacks of
+comma-separated `NAME:length_mm` segments and in problems, are named from
+the built-in fibers plus an optional catalog file.
 """
 
 import configparser
+import re
 from dataclasses import dataclass, field
 
+from .designer import DesignProblem
 from .dispersion import (
     BUILTIN_FIBERS,
     DifferentialDispersion,
+    FiberSpec,
     PathStack,
-    load_fiber_catalog,
     stack,
 )
 from .errors import ConfigParseError, ConfigurationError
@@ -91,50 +93,98 @@ _KNOWN_KEYS = {
 
 _REQUIRED_SECTIONS = ("spectrum", "signal_arm", "idler_arm")
 
+_FIBER_KEYS = {"beta2_fs2_per_mm", "beta3_fs3_per_mm", "group_index"}
+
+_PROBLEM_KEYS = {
+    "target_d_beta2_l_ps2", "delta_t_ns", "short_fiber", "short_length_mm", "long_fibers"
+}
+
+_INLINE_COMMENT = re.compile(r"\s[#;]")
+
+
+class _Ini(configparser.ConfigParser):
+    """INI text parsed in the dialect of `_read_ini`; keeps the text so errors can name a line."""
+
+    def __init__(self, text: str):
+        # no header matches the default section "", so [DEFAULT] is an ordinary section
+        super().__init__(inline_comment_prefixes=("#", ";"), interpolation=None, default_section="")
+        self.text = text
+
+
+def _read_ini(text: str, source: str, keys_of) -> _Ini:
+    """Parse ``text`` in the one INI dialect of every fransonsim input file.
+
+    ``#`` and ``;`` start a comment, at the start of a line or after
+    whitespace, also after a value. Interpolation is off, so ``%`` is
+    literal. A repeated section, or a key repeated in a section, is an
+    error. Section names are case-sensitive; key names are not, and read in
+    lower case. ``keys_of(section)`` gives the keys a section may hold, or
+    None for a section the file kind does not have: any other section or
+    key is an error, and ``[DEFAULT]`` is an unknown section in every kind.
+    Each error is a ConfigParseError whose ``line`` is the offending line.
+    """
+    cp = _Ini(text)
+    try:
+        cp.read_string(text, source=source)
+    except configparser.Error as exc:
+        errors = getattr(exc, "errors", None)
+        line = errors[0][0] if errors else getattr(exc, "lineno", None)
+        raise ConfigParseError(f"{source}: {exc}", line=line) from exc
+    for section in cp.sections():
+        known = keys_of(section) if section != "DEFAULT" else None
+        if known is None:
+            raise ConfigParseError(f"unknown section [{section}]", line=_find_line(text, section))
+        unknown = sorted(set(cp[section]) - known)
+        if unknown:
+            raise ConfigParseError(
+                f"[{section}] has unknown key {unknown[0]!r}", line=_line(cp[section], unknown[0])
+            )
+    return cp
+
 
 def _find_line(text: str, section: str, key: str | None = None) -> int | None:
-    """Best-effort line number of a section header or a key inside it."""
-    in_section = False
+    """Line number of a section header, or of a key inside it, as `_read_ini` reads them."""
+    current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("["):
-            if key is None and line == f"[{section}]":
+        line = _INLINE_COMMENT.split(raw, maxsplit=1)[0].strip()
+        header = _Ini.SECTCRE.match(line)
+        if header:
+            current = header["header"]
+            if key is None and current == section:
                 return lineno
-            in_section = line == f"[{section}]"
-            continue
-        if key is not None and in_section:
-            stem = line.split("=", 1)[0].split(":", 1)[0].strip()
-            if stem == key:
+        elif key is not None and current == section:
+            option = _Ini.OPTCRE.match(line)
+            if option and option["option"].lower() == key:
                 return lineno
     return None
 
 
-def _getfloat(sec, key, default=None, *, text="", section=""):
+def _line(sec, key: str | None = None) -> int | None:
+    """Line of ``key`` in the parsed section ``sec``, or of its header."""
+    return _find_line(sec.parser.text, sec.name, key)
+
+
+def _getfloat(sec, key, default=None):
     if key not in sec:
         if default is None:
-            raise ConfigParseError(
-                f"[{section}] missing required key {key!r}",
-                line=_find_line(text, section),
-            )
+            raise ConfigParseError(f"[{sec.name}] missing required key {key!r}", line=_line(sec))
         return default
     try:
         return float(sec[key])
     except ValueError:
         raise ConfigParseError(
-            f"[{section}] {key} = {sec[key]!r} is not a number",
-            line=_find_line(text, section, key),
+            f"[{sec.name}] {key} = {sec[key]!r} is not a number", line=_line(sec, key)
         )
 
 
-def _getint(sec, key, default, *, text="", section=""):
+def _getint(sec, key, default):
     if key not in sec:
         return default
     try:
         return int(sec[key])
     except ValueError:
         raise ConfigParseError(
-            f"[{section}] {key} = {sec[key]!r} is not an integer",
-            line=_find_line(text, section, key),
+            f"[{sec.name}] {key} = {sec[key]!r} is not an integer", line=_line(sec, key)
         )
 
 
@@ -144,8 +194,52 @@ def _check_cap(value: int, cap: int, key: str) -> int:
     return value
 
 
-def _parse_stack(value: str, catalog: dict, *, text: str, section: str, key: str) -> PathStack:
-    value = value.strip()
+def _check_min(value: int, low: int, key: str) -> int:
+    if value < low:
+        raise ConfigurationError(f"{key} = {value} is below the minimum of {low}")
+    return value
+
+
+def _read_file(path) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def load_fiber_catalog(path) -> dict:
+    """Read a fiber catalog file: one section per fiber, named by its header.
+
+    Required key: beta2_fs2_per_mm. Optional: beta3_fs3_per_mm, group_index.
+    Returns {name: FiberSpec}; the built-in fibers are not implied.
+    """
+    cp = _read_ini(_read_file(path), str(path), lambda name: _FIBER_KEYS)
+    return {
+        name: FiberSpec(
+            name=name,
+            beta2_fs2_per_mm=_getfloat(cp[name], "beta2_fs2_per_mm"),
+            beta3_fs3_per_mm=_getfloat(cp[name], "beta3_fs3_per_mm", 0.0),
+            group_index=_getfloat(cp[name], "group_index", 1.468),
+        )
+        for name in cp.sections()
+    }
+
+
+def _catalog(path) -> dict:
+    """The built-in fibers, plus those of the catalog file at ``path`` unless it is None."""
+    return {**BUILTIN_FIBERS, **(load_fiber_catalog(path) if path is not None else {})}
+
+
+def _fiber(name: str, catalog: dict, sec, key: str) -> FiberSpec:
+    name = name.strip()
+    if name not in catalog:
+        raise ConfigParseError(
+            f"[{sec.name}] {key}: unknown fiber {name!r} (known: {sorted(catalog)})",
+            line=_line(sec, key),
+        )
+    return catalog[name]
+
+
+def _parse_stack(sec, key: str, catalog: dict) -> PathStack:
+    value = sec.get(key, "").strip()
     if not value:
         return PathStack(())
     segments = []
@@ -153,25 +247,18 @@ def _parse_stack(value: str, catalog: dict, *, text: str, section: str, key: str
         item = item.strip()
         if ":" not in item:
             raise ConfigParseError(
-                f"[{section}] {key}: segment {item!r} is not NAME:length_mm",
-                line=_find_line(text, section, key),
+                f"[{sec.name}] {key}: segment {item!r} is not NAME:length_mm",
+                line=_line(sec, key),
             )
         name, length = item.split(":", 1)
-        name = name.strip()
-        if name not in catalog:
-            raise ConfigParseError(
-                f"[{section}] {key}: unknown fiber {name!r} "
-                f"(known: {sorted(catalog)})",
-                line=_find_line(text, section, key),
-            )
+        fiber = _fiber(name, catalog, sec, key)
         try:
             length_mm = float(length)
         except ValueError:
             raise ConfigParseError(
-                f"[{section}] {key}: bad length {length!r}",
-                line=_find_line(text, section, key),
+                f"[{sec.name}] {key}: bad length {length!r}", line=_line(sec, key)
             )
-        segments.append((catalog[name], length_mm))
+        segments.append((fiber, length_mm))
     return stack(*segments)
 
 
@@ -182,123 +269,75 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
     and non-numeric values; physical validation errors propagate from the
     constructed objects.
     """
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        cp.read_string(text, source=source)
-    except configparser.ParsingError as exc:
-        line = exc.errors[0][0] if exc.errors else None
-        raise ConfigParseError(f"{source}: {exc}", line=line) from exc
-    except configparser.Error as exc:
-        raise ConfigParseError(f"{source}: {exc}") from exc
-
-    for section in cp.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigParseError(
-                f"unknown section [{section}]", line=_find_line(text, section)
-            )
-        unknown = set(cp[section].keys()) - _KNOWN_KEYS[section]
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigParseError(
-                f"[{section}] has unknown key {key!r}",
-                line=_find_line(text, section, key),
-            )
+    cp = _read_ini(text, source, _KNOWN_KEYS.get)
     for section in _REQUIRED_SECTIONS:
         if section not in cp:
             raise ConfigParseError(f"missing required section [{section}]")
 
     run_sec = cp["run"] if "run" in cp else {}
-    catalog = dict(BUILTIN_FIBERS)
-    if "fiber_catalog" in run_sec:
-        catalog.update(load_fiber_catalog(run_sec["fiber_catalog"]))
+    catalog = _catalog(run_sec.get("fiber_catalog"))
 
     # spectrum
     sec = cp["spectrum"]
     model = sec.get("model", SINC2).strip().lower()
-    center = _getfloat(sec, "center_wavelength_nm", 1560.0, text=text, section="spectrum")
+    center = _getfloat(sec, "center_wavelength_nm", 1560.0)
     points = _check_cap(
-        _getint(sec, "points", DEFAULT_GRID_POINTS, text=text, section="spectrum"),
-        MAX_GRID_POINTS,
-        "[spectrum] points",
+        _getint(sec, "points", DEFAULT_GRID_POINTS), MAX_GRID_POINTS, "[spectrum] points"
     )
-    span = (
-        _getfloat(sec, "span_radps", text=text, section="spectrum")
-        if "span_radps" in sec
-        else None
-    )
+    span = _getfloat(sec, "span_radps") if "span_radps" in sec else None
     if model == TABULATED:
         if "file" not in sec:
-            raise ConfigParseError(
-                "[spectrum] tabulated model needs a file",
-                line=_find_line(text, "spectrum"),
-            )
+            raise ConfigParseError("[spectrum] tabulated model needs a file", line=_line(sec))
         spectrum = load_tabulated(read_spectrum_csv(sec["file"]), center_nm=center, n_points=points)
     elif model in (SINC2, GAUSSIAN):
-        fwhm = _getfloat(sec, "fwhm_nm", text=text, section="spectrum")
+        fwhm = _getfloat(sec, "fwhm_nm")
         spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
     else:
-        raise ConfigParseError(
-            f"[spectrum] unknown model {model!r}",
-            line=_find_line(text, "spectrum", "model"),
-        )
+        raise ConfigParseError(f"[spectrum] unknown model {model!r}", line=_line(sec, "model"))
     if "filter_fwhm_nm" in sec:
         shape = sec.get("filter_shape", FLATTOP).strip().lower()
-        spectrum = apply_bandpass(
-            spectrum, _getfloat(sec, "filter_fwhm_nm", text=text, section="spectrum"), shape
-        )
+        spectrum = apply_bandpass(spectrum, _getfloat(sec, "filter_fwhm_nm"), shape)
 
     # arms
     def arm(section):
         s = cp[section]
         return MZIConfig(
-            long=_parse_stack(s.get("long", ""), catalog, text=text, section=section, key="long"),
-            short=_parse_stack(s.get("short", ""), catalog, text=text, section=section, key="short"),
-            delta_t_ns=_getfloat(s, "delta_t_ns", text=text, section=section),
-            phase_rad=_getfloat(s, "phase_rad", 0.0, text=text, section=section),
+            long=_parse_stack(s, "long", catalog),
+            short=_parse_stack(s, "short", catalog),
+            delta_t_ns=_getfloat(s, "delta_t_ns"),
+            phase_rad=_getfloat(s, "phase_rad", 0.0),
         )
 
     franson = FransonConfig(
         signal_arm=arm("signal_arm"),
         idler_arm=arm("idler_arm"),
         spectrum=spectrum,
-        pump_phase_offset_rad=_getfloat(
-            run_sec, "pump_phase_offset_rad", 0.0, text=text, section="run"
-        ),
+        pump_phase_offset_rad=_getfloat(run_sec, "pump_phase_offset_rad", 0.0),
         source_common_dispersion=DifferentialDispersion(
-            _getfloat(run_sec, "source_d_beta2_ps2", 0.0, text=text, section="run"),
-            _getfloat(run_sec, "source_d_beta3_ps3", 0.0, text=text, section="run"),
+            _getfloat(run_sec, "source_d_beta2_ps2", 0.0),
+            _getfloat(run_sec, "source_d_beta3_ps3", 0.0),
         ),
     )
 
-    noise = NoiseModel(
-        alpha=_getfloat(cp["noise"], "alpha", text=text, section="noise")
-        if "noise" in cp
-        else 0.0
-    )
+    noise = NoiseModel(alpha=_getfloat(cp["noise"], "alpha") if "noise" in cp else 0.0)
 
     det_sec = cp["detector"] if "detector" in cp else {}
     detector = DetectorModel(
-        efficiency=_getfloat(det_sec, "efficiency", 0.20, text=text, section="detector"),
-        gate_rate_mhz=_getfloat(det_sec, "gate_rate_mhz", 628.5, text=text, section="detector"),
-        dark_prob=_getfloat(det_sec, "dark_prob", 2e-6, text=text, section="detector"),
-        afterpulse_prob=_getfloat(det_sec, "afterpulse_prob", 0.06, text=text, section="detector"),
-        jitter_rms_ps=_getfloat(det_sec, "jitter_rms_ps", 100.0, text=text, section="detector"),
+        efficiency=_getfloat(det_sec, "efficiency", 0.20),
+        gate_rate_mhz=_getfloat(det_sec, "gate_rate_mhz", 628.5),
+        dark_prob=_getfloat(det_sec, "dark_prob", 2e-6),
+        afterpulse_prob=_getfloat(det_sec, "afterpulse_prob", 0.06),
+        jitter_rms_ps=_getfloat(det_sec, "jitter_rms_ps", 100.0),
     )
 
     method = run_sec.get("method", COMPLEX_INTEGRAL).strip().lower() if run_sec else COMPLEX_INTEGRAL
     if method not in (COMPLEX_INTEGRAL, PHASE_SWEEP):
-        raise ConfigParseError(
-            f"[run] unknown method {method!r}", line=_find_line(text, "run", "method")
-        )
+        raise ConfigParseError(f"[run] unknown method {method!r}", line=_line(run_sec, "method"))
     run = RunSettings(
-        seed=_getint(run_sec, "seed", 12345, text=text, section="run"),
-        gates=_check_cap(
-            _getint(run_sec, "gates", 1_000_000, text=text, section="run"),
-            MAX_GATES,
-            "[run] gates",
-        ),
-        batches=_getint(run_sec, "batches", 20, text=text, section="run"),
-        phases=_getint(run_sec, "phases", 32, text=text, section="run"),
+        seed=_check_min(_getint(run_sec, "seed", 12345), 0, "[run] seed"),
+        gates=_check_cap(_getint(run_sec, "gates", 1_000_000), MAX_GATES, "[run] gates"),
+        batches=_getint(run_sec, "batches", 20),
+        phases=_check_min(_getint(run_sec, "phases", 32), 3, "[run] phases"),
         method=method,
     )
 
@@ -306,5 +345,29 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
 
 
 def parse_experiment_file(path) -> Experiment:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_experiment(fh.read(), source=str(path))
+    return parse_experiment(_read_file(path), source=str(path))
+
+
+def parse_problem_file(path, catalog_path=None) -> DesignProblem:
+    """Read a design-problem file: one [problem] section, every key required.
+
+    Fiber names resolve against the built-in fibers plus the catalog file at
+    ``catalog_path``, if one is given.
+    """
+    catalog = _catalog(catalog_path)
+    cp = _read_ini(_read_file(path), str(path), {"problem": _PROBLEM_KEYS}.get)
+    if "problem" not in cp:
+        raise ConfigParseError(f"{path}: missing [problem] section")
+    sec = cp["problem"]
+    missing = sorted(_PROBLEM_KEYS - set(sec))
+    if missing:
+        raise ConfigParseError(f"[problem] missing required key {missing[0]!r}", line=_line(sec))
+    return DesignProblem(
+        target_d_beta2_l_ps2=_getfloat(sec, "target_d_beta2_l_ps2"),
+        delta_t_ns=_getfloat(sec, "delta_t_ns"),
+        short_fiber=_fiber(sec["short_fiber"], catalog, sec, "short_fiber"),
+        long_fibers=tuple(
+            _fiber(name, catalog, sec, "long_fibers") for name in sec["long_fibers"].split(",")
+        ),
+        short_length_mm=_getfloat(sec, "short_length_mm"),
+    )

@@ -1,13 +1,22 @@
-"""Experiment file parsing, preset fidelity, CLI behavior and exit codes."""
+"""Input file parsing, preset fidelity, CLI behavior and exit codes."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fransonsim.cli
-from fransonsim import PRESET_NAMES, ConfigParseError, parse_experiment, preset_experiment
+from fransonsim import (
+    PRESET_NAMES,
+    ConfigParseError,
+    load_fiber_catalog,
+    parse_experiment,
+    preset_experiment,
+)
 from fransonsim.cli import main
+from fransonsim.expconfig import parse_problem_file
 
 from tests.helpers import loop_fringe_csv, run_python
 
@@ -47,6 +56,28 @@ batches = 5
 phases = 16
 method = integral
 """
+
+
+PROBLEM = """\
+[problem]
+target_d_beta2_l_ps2 = 0.022018
+delta_t_ns = 4.77
+short_fiber = SMF
+short_length_mm = 1900.0
+long_fibers = LEAF, SMF
+"""
+
+CATALOG = """\
+[DSF]
+group_index = 1.47
+beta2_fs2_per_mm = -4.0
+"""
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
 
 
 class TestParseExperiment:
@@ -348,6 +379,22 @@ class TestCli:
         )
         assert main(["design", "--problem", str(prob)]) == 3
 
+    @pytest.mark.parametrize(
+        "problem, catalog",
+        [
+            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = -1"), None),
+            (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "0.5")),
+        ],
+        ids=["problem", "catalog"],
+    )
+    def test_design_input_validation_exit_code(self, tmp_path, capsys, problem, catalog):
+        # physical validation exits 3 for every input file kind, as for experiment files
+        argv = ["design", "--problem", str(_write(tmp_path, "problem.ini", problem))]
+        if catalog:
+            argv += ["--catalog", str(_write(tmp_path, "fibers.ini", catalog))]
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.ini"
         cfg.write_text(FULL_CONFIG.replace("alpha = 0.0024", "alpha = often"))
@@ -509,3 +556,109 @@ class TestInputValidation:
         assert "--points" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["montecarlo"], ["alpha-sweep", "--montecarlo"]], ids=["mc", "sweep"]
+    )
+    @pytest.mark.parametrize(
+        "old, new, flags, key",
+        [
+            ("", "", ["--phases", "0"], "--phases"),
+            ("", "", ["--phases", "-3"], "--phases"),
+            ("", "", ["--seed", "-1"], "--seed"),
+            ("phases = 16", "phases = -3", [], "[run] phases"),
+            ("seed = 7", "seed = -4", [], "[run] seed"),
+        ],
+        ids=["flag-phases-0", "flag-phases-neg", "flag-seed-neg", "file-phases-neg", "file-seed-neg"],
+    )
+    def test_run_settings_out_of_range(self, tmp_path, capsys, command, old, new, flags, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        assert main(command + ["--config", str(cfg), "--gates", "3200"] + flags) == 3
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
+
+# file kind -> (text, its last section, a numeric key in that section, a
+# parser returning that key's value from a file path, the CLI argv that
+# reads such a file)
+DIALECT_KINDS = {
+    "experiment": (
+        FULL_CONFIG, "run", "gates",
+        lambda path: parse_experiment(path.read_text()).run.gates,
+        lambda path, tmp_path: ["visibility", "--config", str(path)],
+    ),
+    "catalog": (
+        CATALOG, "DSF", "beta2_fs2_per_mm",
+        lambda path: load_fiber_catalog(path)["DSF"].beta2_fs2_per_mm,
+        lambda path, tmp_path: [
+            "design", "--problem", str(_write(tmp_path, "p.ini", PROBLEM)), "--catalog", str(path)
+        ],
+    ),
+    "problem": (
+        PROBLEM, "problem", "delta_t_ns",
+        lambda path: parse_problem_file(path).delta_t_ns,
+        lambda path, tmp_path: ["design", "--problem", str(path)],
+    ),
+}
+
+# case -> edit of (text, last section, line of the numeric key)
+DIALECT_CASES = {
+    "inline_comment": lambda text, sec, line: text.replace(line, line + "  ; a comment"),
+    "unknown_key": lambda text, sec, line: text + "colour = blue\n",
+    "duplicate_key": lambda text, sec, line: text + line + "\n",
+    "duplicate_section": lambda text, sec, line: text + f"[{sec}]\n",
+    "percent": lambda text, sec, line: text.replace(line, line + "%"),
+    "default_section": lambda text, sec, line: text + "[DEFAULT]\n",
+    "mixed_case_key": lambda text, sec, line: text.replace(line, line.title().split("=")[0] + "= abc"),
+}
+
+
+class TestOneDialect:
+    """Experiment, catalog and problem files follow one INI dialect."""
+
+    @pytest.mark.parametrize("case", sorted(DIALECT_CASES))
+    @pytest.mark.parametrize("kind", sorted(DIALECT_KINDS))
+    def test_case(self, tmp_path, capsys, kind, case):
+        text, section, key, parse, argv = DIALECT_KINDS[kind]
+        key_line = next(line for line in text.splitlines() if line.startswith(key + " ="))
+        edited = DIALECT_CASES[case](text, section, key_line)
+        path = _write(tmp_path, f"{kind}.ini", edited)
+        if case == "inline_comment":
+            assert parse(path) == float(key_line.split("=")[1])
+            assert main(argv(path, tmp_path)) == 0
+            return
+        # an edit in place errs on the key's line, an appended line on the last
+        in_place = case in ("percent", "mixed_case_key")
+        line = text.splitlines().index(key_line) + 1 if in_place else len(edited.splitlines())
+        with pytest.raises(ConfigParseError) as exc_info:
+            parse(path)
+        assert exc_info.value.line == line
+        assert main(argv(path, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ")
+        assert "Traceback" not in err
+
+
+def _readme_example(header):
+    """The README's one ```ini block that starts with ``header``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b for b in re.findall(r"```ini\n(.*?)```", readme, re.S) if b.startswith(header)]
+    assert len(blocks) == 1
+    return blocks[0]
+
+
+class TestReadmeExamples:
+    def test_experiment(self):
+        exp = parse_experiment(_readme_example("[spectrum]"))
+        assert [s.fiber.name for s in exp.franson.idler_arm.long.segments] == ["LEAF", "SMF"]
+        assert exp.run.method == "integral"
+
+    def test_problem(self, tmp_path):
+        problem = parse_problem_file(_write(tmp_path, "problem.ini", _readme_example("[problem]")))
+        assert [f.name for f in problem.long_fibers] == ["LEAF", "SMF"]
+
+    def test_catalog(self, tmp_path):
+        catalog = load_fiber_catalog(_write(tmp_path, "fibers.ini", _readme_example("[DSF]")))
+        assert catalog["DSF"].beta2_fs2_per_mm == -2.6
