@@ -67,7 +67,13 @@ def _load_experiment(args):
     raise ConfigParseError("one of --preset or --config is required")
 
 
-def _apply_run_overrides(args, run):
+def _apply_run_overrides(args, run, simulate=True):
+    """Seed, gates, batches and phases of a run: flags over the file's [run] values.
+
+    With ``simulate`` the Monte Carlo runs unless gates is 0, and every
+    phase must get at least one gate; this is checked before any phase
+    grid is built.
+    """
     if args.gates is not None and args.gates > montecarlo.MAX_GATES:
         raise ConfigurationError(
             f"--gates {args.gates} exceeds the cap of {montecarlo.MAX_GATES}"
@@ -76,10 +82,20 @@ def _apply_run_overrides(args, run):
         raise ConfigurationError(f"--seed {args.seed} is below the minimum of 0")
     if args.phases is not None and args.phases < 3:
         raise ConfigurationError(f"--phases {args.phases} is below the minimum of 3")
+    if args.phases is not None and args.phases > montecarlo.MAX_PHASES:
+        raise ConfigurationError(
+            f"--phases {args.phases} exceeds the cap of {montecarlo.MAX_PHASES}"
+        )
     seed = args.seed if args.seed is not None else run.seed
     gates = args.gates if args.gates is not None else run.gates
     batches = args.batches if args.batches is not None else run.batches
     phases = args.phases if args.phases is not None else run.phases
+    if simulate and gates and gates // phases < 1:
+        gates_key = "--gates" if args.gates is not None else "[run] gates ="
+        phases_key = "--phases" if args.phases is not None else "[run] phases ="
+        raise ConfigurationError(
+            f"{gates_key} {gates} gives no gate per phase at {phases_key} {phases}"
+        )
     return seed, gates, batches, phases
 
 
@@ -170,10 +186,10 @@ def cmd_alpha_sweep(args) -> int:
     if not alphas:
         raise ConfigParseError("alpha list is empty")
 
+    seed, gates, batches, phases = _apply_run_overrides(args, exp.run, args.montecarlo)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     analytic = alpha_sweep(v0, alphas)
 
-    seed, gates, batches, phases = _apply_run_overrides(args, exp.run)
     mc_rows = {}
     if gates and args.montecarlo:
         from dataclasses import replace

@@ -9,6 +9,7 @@ the built-in fibers plus an optional catalog file.
 """
 
 import configparser
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .dispersion import (
 )
 from .errors import ConfigParseError, ConfigurationError
 from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, FransonConfig, MZIConfig
-from .montecarlo import MAX_GATES, DetectorModel
+from .montecarlo import MAX_GATES, MAX_PHASES, DetectorModel
 from .noise import NoiseModel
 from .spectra import (
     DEFAULT_GRID_POINTS,
@@ -262,20 +263,26 @@ def _parse_stack(sec, key: str, catalog: dict) -> PathStack:
     return stack(*segments)
 
 
-def parse_experiment(text: str, source: str = "<config>") -> Experiment:
+def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Experiment:
     """Parse experiment text into simulation objects.
 
-    Raises ConfigParseError on syntax problems, unknown sections or keys,
-    and non-numeric values; physical validation errors propagate from the
-    constructed objects.
+    A relative path in the text ([run] fiber_catalog, [spectrum] file)
+    names a file in ``base_dir``, or in the working directory when
+    ``base_dir`` is None. Raises ConfigParseError on syntax problems, unknown
+    sections or keys, and non-numeric values; physical validation errors
+    propagate from the constructed objects.
     """
     cp = _read_ini(text, source, _KNOWN_KEYS.get)
     for section in _REQUIRED_SECTIONS:
         if section not in cp:
             raise ConfigParseError(f"missing required section [{section}]")
 
+    def path(value):
+        return value if base_dir is None else os.path.join(base_dir, value)
+
     run_sec = cp["run"] if "run" in cp else {}
-    catalog = _catalog(run_sec.get("fiber_catalog"))
+    catalog_path = run_sec.get("fiber_catalog")
+    catalog = _catalog(None if catalog_path is None else path(catalog_path))
 
     # spectrum
     sec = cp["spectrum"]
@@ -288,7 +295,8 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
     if model == TABULATED:
         if "file" not in sec:
             raise ConfigParseError("[spectrum] tabulated model needs a file", line=_line(sec))
-        spectrum = load_tabulated(read_spectrum_csv(sec["file"]), center_nm=center, n_points=points)
+        rows = read_spectrum_csv(path(sec["file"]))
+        spectrum = load_tabulated(rows, center_nm=center, n_points=points)
     elif model in (SINC2, GAUSSIAN):
         fwhm = _getfloat(sec, "fwhm_nm")
         spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
@@ -337,7 +345,11 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
         seed=_check_min(_getint(run_sec, "seed", 12345), 0, "[run] seed"),
         gates=_check_cap(_getint(run_sec, "gates", 1_000_000), MAX_GATES, "[run] gates"),
         batches=_getint(run_sec, "batches", 20),
-        phases=_check_min(_getint(run_sec, "phases", 32), 3, "[run] phases"),
+        phases=_check_cap(
+            _check_min(_getint(run_sec, "phases", 32), 3, "[run] phases"),
+            MAX_PHASES,
+            "[run] phases",
+        ),
         method=method,
     )
 
@@ -345,7 +357,8 @@ def parse_experiment(text: str, source: str = "<config>") -> Experiment:
 
 
 def parse_experiment_file(path) -> Experiment:
-    return parse_experiment(_read_file(path), source=str(path))
+    """Read an experiment file; relative paths in it name files next to it."""
+    return parse_experiment(_read_file(path), source=str(path), base_dir=os.path.dirname(path))
 
 
 def parse_problem_file(path, catalog_path=None) -> DesignProblem:

@@ -21,18 +21,26 @@ for reference but does not move events between gates; at 100 ps rms against
 the 1.59 ns gate period it cannot.
 
 Streams are reproducible: a run is a pure function of (config, seed). The
-draw order is pinned, since every seeded output depends on it: per stream,
-one uniform per gate for pair births; five per pair (outcome class,
-interference survival, placement, signal and idler detection); then per
-detector, signal first, one uniform per gate for dark counts and one per
-click for afterpulses. tests/test_montecarlo.py holds a frozen copy of the
-stream code to check it against. The per-gate Bernoulli draws are made in
-chunks of BERNOULLI_CHUNK uniforms, so a stream holds O(chunk + events)
-memory rather than O(gates). estimate_visibility runs its independent
-(batch, phase) streams on one thread per available core; NumPy's bulk
-draws, comparisons and searches release the GIL, and each stream owns its
-generator and its histogram row, so the output does not depend on the core
-count.
+draw order is pinned, since every seeded output depends on it. Each stream
+has its own generator and draws, in this order: one uniform per gate for
+pair births; five per pair (outcome class, interference survival,
+placement, signal and idler detection); then per detector, signal first,
+one uniform per gate for dark counts and one per click for afterpulses.
+tests/test_montecarlo.py holds a frozen copy of the stream code to check it
+against. The per-gate Bernoulli draws are made in chunks of BERNOULLI_CHUNK
+uniforms, so they hold O(chunk + hits) memory rather than O(gates).
+
+One engine, _simulate_segments, simulates several streams at once as
+segments of shared gate arrays, one segment per stream. The draws stay per
+generator, in the order above; the merges, the afterpulse selection and the
+coincidence count run once over all segments. simulate_run is the
+one-segment case. estimate_visibility hands out one task per (batch, group
+of _PHASE_GROUP consecutive phases) and runs the tasks on one thread per
+available core; NumPy's bulk draws, comparisons and searches release the
+GIL, and each task owns its generators and its histogram rows, so the
+output does not depend on the core count. A task holds one stream's pair
+uniforms and Bernoulli buffer at a time plus its group's clicks, so its
+memory grows with the group's events, not with its gates.
 """
 
 import os
@@ -49,10 +57,17 @@ from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
 BERNOULLI_CHUNK = 65_536  # uniforms per fill in _bernoulli_gates (512 KiB of doubles)
+# phases per estimate_visibility task. A task holds its group's clicks at
+# once: on the dense alpha-sweep, 8 ran as fast as 32 (a whole batch) at the
+# peak RSS of one stream per task, while 32 raised it by 3 MB on 2 threads
+_PHASE_GROUP = 8
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
 # 1 GiB at the cap
 MAX_GATES = 2**26
+# largest phase grid a run may ask for, as for a fringe's points: the grid and
+# its (phase, offset) histogram rows are built before any stream runs
+MAX_PHASES = 2**16
 
 
 class Detector(str, Enum):
@@ -94,6 +109,27 @@ class EventRecord:
     gate_index: int
 
 
+def _check_gates(name, gates, n_gates, stride=None, n_segments=1):
+    """Raise unless gates are integers, strictly increasing, every local gate in [0, n_gates).
+
+    Gate g lies at local gate g - j * stride of segment j < n_segments;
+    without a stride there is one segment and the local gate is g.
+    """
+    if not np.issubdtype(gates.dtype, np.integer):
+        raise ContractViolationError(f"{name} gates must have an integer dtype, got {gates.dtype}")
+    if not len(gates):
+        return
+    last = n_gates if stride is None else (n_segments - 1) * stride + n_gates
+    valid = (gates[1:] > gates[:-1]).all() and gates[0] >= 0 and gates[-1] < last
+    if valid and stride is not None:
+        valid = (gates % stride < n_gates).all()
+    if not valid:
+        where = "" if stride is None else f" in each of {n_segments} segments"
+        raise ContractViolationError(
+            f"{name} gates must be strictly increasing within [0, {n_gates}){where}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class EventStream:
     """Detection gates per detector: integers strictly increasing within [0, n_gates)."""
@@ -104,16 +140,7 @@ class EventStream:
 
     def __post_init__(self):
         for name, gates in (("signal", self.signal_gates), ("idler", self.idler_gates)):
-            if not np.issubdtype(gates.dtype, np.integer):
-                raise ContractViolationError(
-                    f"{name} gates must have an integer dtype, got {gates.dtype}"
-                )
-            if len(gates) and not (
-                (gates[1:] > gates[:-1]).all() and gates[0] >= 0 and gates[-1] < self.n_gates
-            ):
-                raise ContractViolationError(
-                    f"{name} gates must be strictly increasing within [0, {self.n_gates})"
-                )
+            _check_gates(name, gates, self.n_gates)
             gates.setflags(write=False)
 
     def __len__(self):
@@ -197,40 +224,62 @@ def _bernoulli_gates(rng, n, p):
     return np.concatenate(hits)
 
 
-def _detector_events(rng, photon_gates, n_gates, det):
-    """Dark counts, merge, afterpulses for one detector. Fixed draw order."""
-    dark = _bernoulli_gates(rng, n_gates, det.dark_prob)
-    base = _merge_gates(photon_gates, dark)
-    ap = base[rng.random(len(base)) < det.afterpulse_prob] + 1
-    ap = ap[ap < n_gates]
-    return _merge_gates(base, ap)
+def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
+    """Simulate len(rngs) acquisitions of n_gates each as segments of shared arrays.
+
+    Stream j draws from rngs[j] at coincidence rate rates[j], in the pinned
+    order of the module docstring; only the array work between two kinds of
+    draws is shared. Its gates are offset by j * stride, with stride =
+    n_gates + k + 1 for the counting window k = max(3, m): a photon (at most
+    m gates late) or an afterpulse (1 gate late) that would fall past the
+    stream's last gate is dropped, and no window of +-k gates reaches from
+    one segment into the next. Returns the sorted signal and idler gates and
+    the stride.
+    """
+    m = gate_offset(cfg, det)
+    stride = n_gates + max(3, m) + 1
+    starts = range(0, len(rngs) * stride, stride)
+    eta = det.efficiency
+
+    def per_gate(p):  # each stream's gates whose uniform falls below p
+        return np.concatenate(
+            [_bernoulli_gates(rng, n_gates, p) + s for rng, s in zip(rngs, starts)]
+        )
+
+    def inside(gates):  # drop what fell past the last gate of its segment
+        return gates[gates % stride < n_gates]
+
+    def photons(rng, start, c_rate):  # one stream's pairs: births, then one fill
+        pair_g = _bernoulli_gates(rng, n_gates, noise.alpha) + start
+        # in C order the fill's rows are the draws of five successive
+        # rng.random(n_pairs) calls: outcome class, interference survival,
+        # short-short vs long-long placement, signal and idler detection
+        u, v, w, ds, di = rng.random((5, len(pair_g)))
+        sl = u < 0.25
+        ls = (u >= 0.25) & (u < 0.5)
+        late = (u >= 0.5) & (v < c_rate) & (w < 0.5)  # interfering pair lands long-long
+        emitted = (u < 0.5) | (v < c_rate)  # split paths, or same path and not lost
+        return (
+            (pair_g + m * (ls | late))[emitted & (ds < eta)],
+            (pair_g + m * (sl | late))[emitted & (di < eta)],
+        )
+
+    # a stream's pair masks are built stream by stream, so that a task holds
+    # the uniforms of one stream's pairs, not of its group's
+    sig, idl = zip(*map(photons, rngs, starts, rates))
+    edges = np.arange(len(rngs) + 1) * stride
+    detectors = []
+    for gates in (sig, idl):  # signal first: dark counts, then afterpulses
+        base = _merge_gates(inside(np.concatenate(gates)), per_gate(det.dark_prob))
+        per_stream = np.diff(np.searchsorted(base, edges)).tolist()
+        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, per_stream)])
+        detectors.append(_merge_gates(base, inside(base[u < det.afterpulse_prob] + 1)))
+    return detectors[0], detectors[1], stride
 
 
 def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
-    """One acquisition; c_rate is the coincidence rate at the stream's phase."""
-    m = gate_offset(cfg, det)
-    eta = det.efficiency
-
-    pair_g = _bernoulli_gates(rng, n_gates, noise.alpha)
-    n_pairs = len(pair_g)
-
-    # one fill; in C order its rows are the draws of five successive
-    # rng.random(n_pairs) calls: outcome class, interference survival,
-    # short-short vs long-long placement, signal and idler detection
-    u, v, w, ds, di = rng.random((5, n_pairs))
-
-    sl = u < 0.25
-    ls = (u >= 0.25) & (u < 0.5)
-    late = (u >= 0.5) & (v < c_rate) & (w < 0.5)  # interfering pair lands long-long
-    emitted = (u < 0.5) | (v < c_rate)  # split paths, or same path and not lost
-
-    sig_photons = (pair_g + m * (ls | late))[emitted & (ds < eta)]
-    idl_photons = (pair_g + m * (sl | late))[emitted & (di < eta)]
-    sig_photons = sig_photons[sig_photons < n_gates]
-    idl_photons = idl_photons[idl_photons < n_gates]
-
-    signal = _detector_events(rng, sig_photons, n_gates, det)
-    idler = _detector_events(rng, idl_photons, n_gates, det)
+    """One acquisition at coincidence rate c_rate: the one-segment case of the engine."""
+    signal, idler, _ = _simulate_segments(cfg, noise, det, n_gates, [rng], [c_rate])
     return EventStream(signal_gates=signal, idler_gates=idler, n_gates=n_gates)
 
 
@@ -266,14 +315,34 @@ def _record_gates(records):
     return gates[is_signal], gates[~is_signal], n_gates
 
 
+def _count_segments(sig, idl, k, stride=None, n_segments=1):
+    """Offset histogram (n_segments, 2k + 1) of sorted signal and idler gates.
+
+    Every signal-idler pair with |idler - signal| <= k counts once, in the
+    row of the signal gate's segment (gate // stride); segments must lie
+    more than k gates apart. Two binary searches per signal gate find its
+    window of idler gates; the windows are expanded into one array of pairs,
+    binned once by segment * (2k + 1) + offset + k.
+    """
+    # signed, so that sig - k cannot wrap below gate 0
+    sig, idl = sig.astype(np.int64, copy=False), idl.astype(np.int64, copy=False)
+    lo = np.searchsorted(idl, sig - k, side="left")
+    n = np.searchsorted(idl, sig + k, side="right") - lo
+    # idl[idx] runs through every signal gate's window in turn
+    idx = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+    key = k - sig
+    if n_segments > 1:
+        key += sig // stride * (2 * k + 1)
+    counts = np.bincount(idl[idx] + np.repeat(key, n), minlength=n_segments * (2 * k + 1))
+    return counts.reshape(n_segments, 2 * k + 1)
+
+
 def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
     """Histogram signal-idler gate offsets d = idler - signal, |d| <= window.
 
     Accepts an EventStream or any iterable of EventRecord sorted by gate
     index; unsorted records raise. Every signal-idler pair within the window
-    counts once, so a repeated record gate counts once per copy. Two binary
-    searches per signal gate find its window of sorted idler gates; the
-    windows are expanded into one array of pairs and their offsets binned.
+    counts once, so a repeated record gate counts once per copy.
     total_gates is the stream's n_gates, or else the last record's gate + 1
     (0 without records).
     """
@@ -285,16 +354,11 @@ def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
         sig, idl, n_gates = events.signal_gates, events.idler_gates, events.n_gates
     else:
         sig, idl, n_gates = _record_gates(events)
-
-    # signed, so that sig - k cannot wrap below gate 0
-    sig, idl = sig.astype(np.int64, copy=False), idl.astype(np.int64, copy=False)
-    lo = np.searchsorted(idl, sig - k, side="left")
-    n = np.searchsorted(idl, sig + k, side="right") - lo
-    # idl[idx] runs through every signal gate's window in turn
-    idx = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-    counts = np.bincount(idl[idx] - np.repeat(sig, n) + k, minlength=2 * k + 1)
     return CoincidenceHistogram(
-        offsets=np.arange(-k, k + 1), counts=counts, total_gates=n_gates, window=k
+        offsets=np.arange(-k, k + 1),
+        counts=_count_segments(sig, idl, k)[0],
+        total_gates=n_gates,
+        window=k,
     )
 
 
@@ -416,10 +480,12 @@ def estimate_visibility(
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
-    its own substream derived from (seed, batch, phase) and runs on one of
-    the available cores, in any order; the fits read the histograms in
-    (batch, phase) order, so the result does not depend on the core count.
-    A stream holds O(BERNOULLI_CHUNK + events) memory.
+    its own substream derived from (seed, batch, phase). One task simulates
+    and counts a batch's streams for _PHASE_GROUP consecutive phases as
+    segments of shared arrays; the tasks run on the available cores in any
+    order, and the fits read the histograms in (batch, phase) order, so the
+    result does not depend on the core count. A task holds
+    O(BERNOULLI_CHUNK + its group's events) memory.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -435,16 +501,21 @@ def estimate_visibility(
     k = max(3, gate_offset(cfg, det))
     offsets = np.arange(-k, k + 1)
     rates = _phase_rates(cfg, phases)
-    hists = np.empty((batches * len(phases), 2 * k + 1), dtype=np.int64)
+    hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
+    groups = range(0, len(phases), _PHASE_GROUP)
 
     def simulate(i):
-        b, j = divmod(i, len(phases))
-        rng = np.random.default_rng([int(seed), b, j])
-        stream = _simulate_stream(cfg, noise, det, per_phase, rng, rates[j])
-        hists[i] = count_coincidences(stream, window_offsets=k).counts
+        b, g = divmod(i, len(groups))
+        group = slice(groups[g], groups[g] + _PHASE_GROUP)
+        rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))[group]]
+        signal, idler, stride = _simulate_segments(
+            cfg, noise, det, per_phase, rngs, rates[group]
+        )
+        for name, gates in (("signal", signal), ("idler", idler)):
+            _check_gates(name, gates, per_phase, stride, len(rngs))
+        hists[b, group] = _count_segments(signal, idler, k, stride, len(rngs))
 
-    _run_tasks(len(hists), simulate)
-    hists = hists.reshape(batches, len(phases), 2 * k + 1)
+    _run_tasks(batches * len(groups), simulate)
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from fransonsim import (
     preset_experiment,
 )
 from fransonsim.cli import main
-from fransonsim.expconfig import parse_problem_file
+from fransonsim.expconfig import parse_experiment_file, parse_problem_file
 
 from tests.helpers import loop_fringe_csv, run_python
 
@@ -80,6 +81,23 @@ def _write(tmp_path, name, text):
     return path
 
 
+def _write_gaussian_csv(path):
+    """A measured-spectrum CSV: a 1.6 nm FWHM Gaussian at 1560 nm, 101 rows."""
+    lam = np.linspace(1556, 1564, 101)
+    sigma = 1.6 / (2 * math.sqrt(2 * math.log(2)))
+    rows = "\n".join(f"{l},{math.exp(-((l - 1560.0) ** 2) / (2 * sigma ** 2))}" for l in lam)
+    path.write_text("wavelength_nm,intensity\n" + rows + "\n")
+    return path
+
+
+def _tabulated(text, csv):
+    """``text`` with its [spectrum] model replaced by the tabulated file ``csv``."""
+    return text.replace(
+        "model = sinc2\nfwhm_nm = 1.6\ncenter_wavelength_nm = 1560\nspan_radps = 11.6",
+        f"model = tabulated\nfile = {csv}\ncenter_wavelength_nm = 1560",
+    )
+
+
 class TestParseExperiment:
     def test_full_document(self):
         exp = parse_experiment(FULL_CONFIG)
@@ -129,18 +147,8 @@ class TestParseExperiment:
         assert "PCF" in str(exc_info.value)
 
     def test_tabulated_spectrum_file(self, tmp_path):
-        csv = tmp_path / "meas.csv"
-        lam = np.linspace(1556, 1564, 101)
-        sigma = 1.6 / (2 * math.sqrt(2 * math.log(2)))
-        rows = "\n".join(
-            f"{l},{math.exp(-((l - 1560.0) ** 2) / (2 * sigma ** 2))}" for l in lam
-        )
-        csv.write_text("wavelength_nm,intensity\n" + rows + "\n")
-        text = FULL_CONFIG.replace(
-            "model = sinc2\nfwhm_nm = 1.6\ncenter_wavelength_nm = 1560\nspan_radps = 11.6",
-            f"model = tabulated\nfile = {csv}\ncenter_wavelength_nm = 1560",
-        )
-        exp = parse_experiment(text)
+        csv = _write_gaussian_csv(tmp_path / "meas.csv")
+        exp = parse_experiment(_tabulated(FULL_CONFIG, csv))
         assert exp.franson.spectrum.model == "tabulated"
         assert abs(exp.franson.spectrum.integral() - 1.0) <= 1e-9
 
@@ -578,6 +586,92 @@ class TestInputValidation:
         captured = capsys.readouterr()
         assert key in captured.err
         assert captured.out == ""
+
+
+class TestRunGrid:
+    @pytest.mark.parametrize(
+        "command", [["montecarlo"], ["alpha-sweep", "--montecarlo"]], ids=["mc", "sweep"]
+    )
+    @pytest.mark.parametrize(
+        "old, new, flags, key",
+        [
+            ("", "", ["--phases", "65537"], "--phases"),
+            ("phases = 16", "phases = 65537", [], "[run] phases"),
+            ("", "", ["--gates", "1000", "--phases", "2000000"], "--phases"),
+            ("", "", ["--gates", "1000", "--phases", "65536"], "--gates 1000"),
+            ("gates = 100000", "gates = 15", [], "[run] gates = 15"),
+        ],
+        ids=["flag-cap", "file-cap", "flag-over-cap", "flag-few-gates", "file-few-gates"],
+    )
+    def test_rejected_before_the_phase_grid(self, tmp_path, capsys, command, old, new, flags,
+                                            key):
+        # a 2M-point grid alone would take 16 MB; the first call also builds
+        # the parser and imports lazily loaded modules
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        argv = command + ["--config", str(cfg)] + flags
+        assert main(argv) == 3
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
+
+    def test_phases_cap_is_inclusive(self):
+        exp = parse_experiment(FULL_CONFIG.replace("phases = 16", "phases = 65536"))
+        assert exp.run.phases == 2**16
+
+    def test_gate_check_only_when_simulating(self, capsys):
+        argv = ["alpha-sweep", "--preset", "fig4c", "--alphas", "0.1,0.2", "--gates", "10"]
+        assert main(argv) == 0
+        assert main(argv + ["--montecarlo", "--gates", "0"]) == 0
+        assert "nan" in capsys.readouterr().out
+
+
+class TestRelativePaths:
+    """Files named in an experiment file are found next to it, not in the working directory."""
+
+    @staticmethod
+    def dsf_config(catalog):
+        return FULL_CONFIG.replace("LEAF:2695.0", "DSF:2695.0") + f"fiber_catalog = {catalog}\n"
+
+    def test_fiber_catalog_next_to_the_file(self, tmp_path, monkeypatch, capsys):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        catalog = _write(sub, "fibers.ini", CATALOG)
+        _write(sub, "exp.ini", self.dsf_config("fibers.ini"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["visibility", "--config", "sub/exp.ini"]) == 0
+        relative = capsys.readouterr().out
+        _write(sub, "abs.ini", self.dsf_config(catalog))
+        assert main(["visibility", "--config", "sub/abs.ini"]) == 0
+        absolute = capsys.readouterr().out.replace("sub/abs.ini", "sub/exp.ini")
+        assert relative == absolute
+        assert "DSF" in repr(parse_experiment_file(Path("sub/exp.ini")).franson.idler_arm.long)
+
+    def test_spectrum_file_next_to_the_file(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        _write_gaussian_csv(sub / "meas.csv")
+        _write(sub, "exp.ini", _tabulated(FULL_CONFIG, "meas.csv"))
+        monkeypatch.chdir(tmp_path)
+        assert parse_experiment_file("sub/exp.ini").franson.spectrum.model == "tabulated"
+        assert main(["visibility", "--config", "sub/exp.ini"]) == 0
+
+    def test_text_resolves_against_the_working_directory(self, tmp_path, monkeypatch):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        _write(sub, "fibers.ini", CATALOG)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError):
+            parse_experiment(self.dsf_config("fibers.ini"))
+        parse_experiment(self.dsf_config("sub/fibers.ini"))
+        parse_experiment(self.dsf_config("fibers.ini"), base_dir="sub")
 
 
 # file kind -> (text, its last section, a numeric key in that section, a

@@ -461,13 +461,30 @@ def reference_stream(m, alpha, det, n_gates, rng, c_rate):
     return signal, idler
 
 
+def segments_match_reference(cfg, noise, det, n_gates, seeds, rates):
+    """Simulate one segment per (seed, rate) and check each against reference_stream."""
+    m = gate_offset(cfg, det)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    signal, idler, stride = montecarlo._simulate_segments(cfg, noise, det, n_gates, rngs, rates)
+    assert signal.dtype == idler.dtype == np.int64
+    total = [0, 0]
+    for j, (seed, c_rate, rng) in enumerate(zip(seeds, rates, rngs)):
+        ref_rng = np.random.default_rng(seed)
+        reference = reference_stream(m, noise.alpha, det, n_gates, ref_rng, c_rate)
+        for d, (gates, expected) in enumerate(zip((signal, idler), reference)):
+            local = gates[(gates >= j * stride) & (gates < (j + 1) * stride)] - j * stride
+            assert np.array_equal(local, expected)
+            total[d] += len(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert total == [len(signal), len(idler)]
+
+
 class TestDrawOrder:
     # alpha 1 lies outside NoiseModel's range; the stream reads only .alpha
     @pytest.mark.parametrize("alpha", [0.0, 2e-6, 0.0024, 0.1, 0.2, 1.0])
     @pytest.mark.parametrize("n_gates", [1, 2, 31_250, BERNOULLI_CHUNK + 1])
     def test_stream_matches_frozen_reference(self, alpha, n_gates):
         cfg = preset_experiment("fig4c").franson
-        m = gate_offset(cfg, DetectorModel())
         noise = SimpleNamespace(alpha=alpha)
         combos = [(c, e) for c in (0.0, 0.37, 1.0) for e in (0.0, 0.2, 1.0)]
         for i, (c_rate, eta) in enumerate(combos):
@@ -475,13 +492,10 @@ class TestDrawOrder:
             # collisions common enough for the merges to see repeats
             det = DetectorModel(efficiency=eta, dark_prob=1e-3, afterpulse_prob=0.06)
             seed = [round(alpha * 1e6), n_gates, i]
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stream = montecarlo._simulate_stream(cfg, noise, det, n_gates, rng, c_rate)
-            signal, idler = reference_stream(m, alpha, det, n_gates, ref_rng, c_rate)
-            assert stream.signal_gates.dtype == stream.idler_gates.dtype == np.int64
-            assert np.array_equal(stream.signal_gates, signal)
-            assert np.array_equal(stream.idler_gates, idler)
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            # alone, and as the middle one of three segments at other rates
+            segments_match_reference(cfg, noise, det, n_gates, [seed], [c_rate])
+            seeds = [seed + [1], seed, seed + [2]]
+            segments_match_reference(cfg, noise, det, n_gates, seeds, [0.8, c_rate, 0.1])
 
     @given(
         parts=st.lists(
@@ -519,6 +533,51 @@ class TestParallelStreams:
             assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
             assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
 
+    @pytest.mark.parametrize("n_phases", [3, 33])
+    def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
+        # 3 phases fill less than one group and 33 leave a group of one;
+        # one phase per task simulates every stream as its own segment
+        cfg, noise, det = fig4c_at(0.2)
+        phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+        results = []
+        for workers, group in ((1, 1), (1, montecarlo._PHASE_GROUP), (2, montecarlo._PHASE_GROUP),
+                               (3, 5), (7, 32)):
+            monkeypatch.setattr(montecarlo, "_worker_count", lambda w=workers: w)
+            monkeypatch.setattr(montecarlo, "_PHASE_GROUP", group)
+            results.append(estimate_visibility(
+                cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
+            ))
+        ref = results[0]
+        for est in results[1:]:
+            assert est.v == ref.v
+            assert est.sigma_v == ref.sigma_v
+            assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
+            assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
+
+    def test_task_memory_grows_with_its_group_events(self, monkeypatch):
+        # A task holds one stream's pair uniforms and Bernoulli buffer at a
+        # time, plus its group's clicks as int64 gates. Above a one-stream
+        # task, its peak may grow by four int64 copies of the clicks of 8
+        # streams (8 phases per task reach 14 bytes per click); 32 streams
+        # per task, a whole batch, take 74 bytes per click of 8 at alpha 0.2.
+        cfg, noise, det = fig4c_at(0.2)
+        group = montecarlo._PHASE_GROUP
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+        per_phase = 31_250
+        clicks = len(simulate_run(cfg, noise, det, 8 * per_phase, seed=2))  # 8 streams' worth
+
+        def peak(group):
+            monkeypatch.setattr(montecarlo, "_PHASE_GROUP", group)
+            estimate_visibility(cfg, noise, det, n_gates=32 * per_phase, batches=2, seed=1)
+            tracemalloc.start()
+            try:
+                estimate_visibility(cfg, noise, det, n_gates=32 * per_phase, batches=2, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(group) - peak(1) < 4 * 8 * clicks
+
     def test_tasks_run_concurrently(self, monkeypatch):
         # every task waits for all three: it passes only if three threads,
         # the caller among them, run at once
@@ -540,6 +599,47 @@ class TestParallelStreams:
         assert sorted(ran) == list(range(2_000))
 
 
+class TestSegments:
+    @pytest.mark.parametrize("n_gates", [1, 2, 5, 40])
+    @pytest.mark.parametrize("dark_prob", [0.0, 1.0])
+    def test_no_pair_crosses_a_segment(self, n_gates, dark_prob):
+        # a pair in every gate, every photon detected, and an afterpulse after
+        # nearly every click, the one at the last local gate included: each
+        # segment must keep its gates in [0, n_gates) and count only its own
+        # pairs. With a dark count in every gate, every gate of a segment
+        # clicks on both detectors, so offset d counts n_gates - |d| pairs.
+        cfg = dispersion_free_config()
+        det = DetectorModel(efficiency=1.0, dark_prob=dark_prob, afterpulse_prob=0.999999)
+        rngs = [np.random.default_rng([n_gates, j]) for j in range(4)]
+        signal, idler, stride = montecarlo._simulate_segments(
+            cfg, SimpleNamespace(alpha=1.0), det, n_gates, rngs, [1.0, 0.0, 0.5, 1.0]
+        )
+        k = max(3, gate_offset(cfg, det))
+        assert stride == n_gates + k + 1
+        hists = montecarlo._count_segments(signal, idler, k, stride, len(rngs))
+        held = 0
+        for j in range(len(rngs)):
+            seg = [g[(g >= j * stride) & (g < (j + 1) * stride)] - j * stride
+                   for g in (signal, idler)]
+            held += len(seg[0]) + len(seg[1])
+            stream = EventStream(*seg, n_gates=n_gates)  # raises if a gate left [0, n_gates)
+            assert np.array_equal(hists[j], count_coincidences(stream, window_offsets=k).counts)
+            if dark_prob:
+                assert seg[0].tolist() == seg[1].tolist() == list(range(n_gates))
+                assert hists[j].tolist() == [max(0, n_gates - abs(d)) for d in range(-k, k + 1)]
+        assert held == len(signal) + len(idler)
+
+    def test_contract_check_names_the_segment_bound(self):
+        # 4 gates per segment, 9 apart: gate 4 is local gate 4 of segment 0,
+        # past its last gate, and gate 22 lies in a third segment
+        gates = np.array([0, 4, 9], dtype=np.int64)
+        montecarlo._check_gates("signal", gates[[0, 2]], 4, stride=9, n_segments=2)
+        with pytest.raises(ContractViolationError, match="each of 2 segments"):
+            montecarlo._check_gates("signal", gates, 4, stride=9, n_segments=2)
+        with pytest.raises(ContractViolationError):
+            montecarlo._check_gates("signal", np.array([9, 22]), 4, stride=9, n_segments=2)
+
+
 def inject_failure(task):
     raise ContractViolationError(f"injected failure in task {task}")
 
@@ -547,21 +647,23 @@ def inject_failure(task):
 def check_streams(monkeypatch, seed, batches, check):
     """Call check((batch, phase)) before every stream; a check that raises fails the task.
 
-    A task is recognised by its generator's initial state, which the
-    (seed, batch, phase) substream fixes.
+    A stream is recognised by its generator's initial state, which the
+    (seed, batch, phase) substream fixes. A task checks its group's streams
+    in phase order before it simulates any of them.
     """
     tasks = {
         np.random.default_rng([seed, b, j]).bit_generator.state["state"]["state"]: (b, j)
         for b in range(batches)
         for j in range(32)
     }
-    real = montecarlo._simulate_stream
+    real = montecarlo._simulate_segments
 
-    def simulate(cfg, noise, det, n_gates, rng, c_rate):
-        check(tasks[rng.bit_generator.state["state"]["state"]])
-        return real(cfg, noise, det, n_gates, rng, c_rate)
+    def simulate(cfg, noise, det, n_gates, rngs, rates):
+        for rng in rngs:
+            check(tasks[rng.bit_generator.state["state"]["state"]])
+        return real(cfg, noise, det, n_gates, rngs, rates)
 
-    monkeypatch.setattr(montecarlo, "_simulate_stream", simulate)
+    monkeypatch.setattr(montecarlo, "_simulate_segments", simulate)
 
 
 class TestParallelErrors:
@@ -569,13 +671,16 @@ class TestParallelErrors:
 
     @pytest.mark.parametrize("workers", [1, 3, 7])
     def test_lowest_failed_task_reaches_caller(self, monkeypatch, workers):
-        # task (1, 6) fails first whenever another thread can run it, yet
-        # the caller sees (1, 5), the failure a single thread meets first
+        # a later task, the one that starts with phase group 1 of batch 1,
+        # fails first whenever another thread can run it, yet the caller sees
+        # (1, 5), the failure a single thread meets first
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         later_failed = threading.Event()
+        later = (1, montecarlo._PHASE_GROUP)
+        assert later[1] > 5
 
         def check(task):
-            if task == (1, 6):
+            if task == later:
                 later_failed.set()
                 inject_failure(task)
             if task == (1, 5):
