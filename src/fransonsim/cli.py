@@ -50,6 +50,10 @@ EXIT_STATISTICS = 5
 # each fringe point is one CSV line held until written, and one rate
 # quadrature unless the fringe amplitude's error bound fixes its printed rate
 MAX_FRINGE_POINTS = 2**16
+# largest batches x phases, the streams of one Monte Carlo estimate: its
+# (batches, phases, 2k + 1) int64 histogram is allocated before any stream
+# runs, 56 B per stream at k = 3 (3.5 MiB at the cap); c08 runs 3,200
+_MAX_STREAMS = 2**16
 
 
 def _sci(x: float) -> str:
@@ -70,9 +74,10 @@ def _load_experiment(args):
 def _apply_run_overrides(args, run, simulate=True):
     """Seed, gates, batches and phases of a run: flags over the file's [run] values.
 
-    With ``simulate`` the Monte Carlo runs unless gates is 0, and every
-    phase must get at least one gate; this is checked before any phase
-    grid is built.
+    With ``simulate`` the Monte Carlo runs unless gates is 0: every phase
+    must then get at least one gate, and batches x phases may not exceed
+    _MAX_STREAMS. Both are checked before any phase grid or histogram is
+    built.
     """
     if args.gates is not None and args.gates > montecarlo.MAX_GATES:
         raise ConfigurationError(
@@ -90,11 +95,19 @@ def _apply_run_overrides(args, run, simulate=True):
     gates = args.gates if args.gates is not None else run.gates
     batches = args.batches if args.batches is not None else run.batches
     phases = args.phases if args.phases is not None else run.phases
-    if simulate and gates and gates // phases < 1:
-        gates_key = "--gates" if args.gates is not None else "[run] gates ="
-        phases_key = "--phases" if args.phases is not None else "[run] phases ="
+    if not (simulate and gates):
+        return seed, gates, batches, phases
+    gates_key = "--gates" if args.gates is not None else "[run] gates ="
+    batches_key = "--batches" if args.batches is not None else "[run] batches ="
+    phases_key = "--phases" if args.phases is not None else "[run] phases ="
+    if gates // phases < 1:
         raise ConfigurationError(
             f"{gates_key} {gates} gives no gate per phase at {phases_key} {phases}"
+        )
+    if batches * phases > _MAX_STREAMS:
+        raise ConfigurationError(
+            f"{batches_key} {batches} at {phases_key} {phases} asks for "
+            f"{batches * phases} streams, over the cap of {_MAX_STREAMS}"
         )
     return seed, gates, batches, phases
 

@@ -22,13 +22,16 @@ the 1.59 ns gate period it cannot.
 
 Streams are reproducible: a run is a pure function of (config, seed). The
 draw order is pinned, since every seeded output depends on it. Each stream
-has its own generator and draws, in this order: one uniform per gate for
-pair births; five per pair (outcome class, interference survival,
+has its own generator and draws, in this order: geometric gaps between pair
+births; five uniforms per pair (outcome class, interference survival,
 placement, signal and idler detection); then per detector, signal first,
-one uniform per gate for dark counts and one per click for afterpulses.
-tests/test_montecarlo.py holds a frozen copy of the stream code to check it
-against. The per-gate Bernoulli draws are made in chunks of BERNOULLI_CHUNK
-uniforms, so they hold O(chunk + hits) memory rather than O(gates).
+geometric gaps between dark counts and one uniform per click for
+afterpulses. The gaps give each gate a birth (or a dark count) independently
+with probability alpha (or dark_prob), at most one per gate, as one uniform
+per gate would, but with draws in proportion to the events rather than the
+gates (see _bernoulli_gates). tests/test_montecarlo.py holds a frozen copy of
+the stream code to check the order against, and a copy of the earlier
+one-uniform-per-gate sampler to check the law against.
 
 One engine, _simulate_segments, simulates several streams at once as
 segments of shared gate arrays, one segment per stream. The draws stay per
@@ -39,10 +42,11 @@ of _PHASE_GROUP consecutive phases) and runs the tasks on one thread per
 available core; NumPy's bulk draws, comparisons and searches release the
 GIL, and each task owns its generators and its histogram rows, so the
 output does not depend on the core count. A task holds one stream's pair
-uniforms and Bernoulli buffer at a time plus its group's clicks, so its
-memory grows with the group's events, not with its gates.
+uniforms at a time plus its group's births, darks and clicks, so its memory
+grows with the group's events, not with its gates.
 """
 
+import math
 import os
 import threading
 import weakref
@@ -56,7 +60,6 @@ from .interference import FransonConfig, coincidence_rate
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
-BERNOULLI_CHUNK = 65_536  # uniforms per fill in _bernoulli_gates (512 KiB of doubles)
 # phases per estimate_visibility task. A task holds its group's clicks at
 # once: on the dense alpha-sweep, 8 ran as fast as 32 (a whole batch) at the
 # peak RSS of one stream per task, while 32 raised it by 3 MB on 2 threads
@@ -209,19 +212,33 @@ def _merge_gates(*arrays):
 
 
 def _bernoulli_gates(rng, n, p):
-    """Sorted int64 indices i in [0, n) whose uniform draw u_i falls below p.
+    """Sorted int64 gates in [0, n), each present independently with probability p.
 
-    Consumes exactly the draws of ``rng.random(n) < p``, in the same order,
-    but through one reused buffer of BERNOULLI_CHUNK doubles, so memory is
-    O(chunk + hits) instead of O(n).
+    The gaps between successive hits, the first counted from gate -1, are
+    geometric(p) (Devroye 1986, ch. X), so draws and memory grow with the
+    hits, not with n. Gaps come in blocks of int(n p + 4 sqrt(n p)) + 16
+    draws of ``rng.geometric``, until a gate reaches n; the rest of the last
+    block is discarded. Each gap is clipped to [1, n + 1]: NumPy's geometric
+    returns 0 when its exponential draw is exactly 0 and INT64_MAX when p is
+    so small that the gap overflows, and neither clip moves a gate below n.
+    A block then sums to at most block * (n + 1), within int64 for n < 2**31.
     """
-    buf = np.empty(min(n, BERNOULLI_CHUNK))
-    hits = [np.empty(0, dtype=np.int64)]
-    for start in range(0, n, BERNOULLI_CHUNK):
-        u = buf[: min(BERNOULLI_CHUNK, n - start)]
-        rng.random(out=u)
-        hits.append(np.flatnonzero(u < p) + start)
-    return np.concatenate(hits)
+    if p == 0:
+        return np.empty(0, dtype=np.int64)
+    mean = n * p
+    block = int(mean + 4 * math.sqrt(mean)) + 16
+    hits, last = [], -1
+    while True:
+        gates = rng.geometric(p, block)
+        np.maximum(gates, 1, out=gates)
+        np.minimum(gates, n + 1, out=gates)
+        gates[0] += last
+        gates.cumsum(out=gates)
+        end = gates.searchsorted(n)
+        hits.append(gates[:end])
+        if end < block:  # a gate reached n
+            return hits[0] if len(hits) == 1 else np.concatenate(hits)
+        last = int(gates[-1])
 
 
 def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
@@ -484,8 +501,8 @@ def estimate_visibility(
     and counts a batch's streams for _PHASE_GROUP consecutive phases as
     segments of shared arrays; the tasks run on the available cores in any
     order, and the fits read the histograms in (batch, phase) order, so the
-    result does not depend on the core count. A task holds
-    O(BERNOULLI_CHUNK + its group's events) memory.
+    result does not depend on the core count. A task holds O(its group's
+    events) memory.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")

@@ -30,8 +30,10 @@ def arm_with_dispersion(d_beta2_ps2=0.0, d_beta3_ps3=0.0, delta_t_ns=DELTA_T_NS,
     )
 
 
-def run_python(code: str) -> str:
+def run_python(code: str, timeout: float = 600) -> str:
     """Run ``code`` in a fresh interpreter and return its standard output.
+
+    A child that outlives ``timeout`` seconds is killed and the call raises.
 
     The child imports fransonsim from this process's path. BLAS is pinned to
     one thread: OpenBLAS splits long dot products across threads, which moves
@@ -45,7 +47,7 @@ def run_python(code: str) -> str:
         MKL_NUM_THREADS="1",
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

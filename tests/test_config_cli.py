@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import fransonsim.cli
 from fransonsim import (
     PRESET_NAMES,
     ConfigParseError,
+    ConfigurationError,
     load_fiber_catalog,
     parse_experiment,
     preset_experiment,
@@ -337,20 +339,20 @@ class TestCli:
     def test_montecarlo_warns_on_unphysical_visibility(self, capsys):
         # about 0.3 offset-0 coincidences per (batch, phase) bin
         argv = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2",
-                "--seed", "7"]
+                "--seed", "8"]
         assert main(argv) == 0
         captured = capsys.readouterr()
         assert self._value(captured.out, "V_montecarlo") > 1
         (line,) = captured.err.splitlines()
-        assert line.startswith("warning: V_montecarlo 1.28256925e+00 exceeds 1")
-        assert "only 21 offset-0 coincidences in 64 (batch, phase) bins" in line
+        assert line.startswith("warning: V_montecarlo 1.32640735e+00 exceeds 1")
+        assert "only 19 offset-0 coincidences in 64 (batch, phase) bins" in line
 
     def test_alpha_sweep_warns_only_for_unphysical_estimates(self, capsys):
         argv = ["alpha-sweep", "--preset", "fig4a", "--montecarlo", "--alphas", "0.0024,0.2",
-                "--gates", "320000", "--batches", "2", "--seed", "7"]
+                "--gates", "320000", "--batches", "2", "--seed", "8"]
         assert main(argv) == 0
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith("warning: alpha 2.40000000e-03: V_montecarlo 1.28256925e+00")
+        assert line.startswith("warning: alpha 2.40000000e-03: V_montecarlo 1.32640735e+00")
 
     def test_montecarlo_statistics_error(self, tmp_path, capsys):
         cfg = tmp_path / "quiet.ini"
@@ -625,6 +627,49 @@ class TestRunGrid:
     def test_phases_cap_is_inclusive(self):
         exp = parse_experiment(FULL_CONFIG.replace("phases = 16", "phases = 65536"))
         assert exp.run.phases == 2**16
+
+    @pytest.mark.parametrize(
+        "command", [["montecarlo"], ["alpha-sweep", "--montecarlo"]], ids=["mc", "sweep"]
+    )
+    @pytest.mark.parametrize(
+        "old, new, flags, key",
+        [
+            ("", "", ["--batches", "4097"], "--batches 4097 at [run] phases = 16"),
+            ("batches = 5", "batches = 4097", [], "[run] batches = 4097 at [run] phases = 16"),
+            ("", "", ["--batches", "2", "--phases", "32769"], "--batches 2 at --phases 32769"),
+            # 32 gates on 32 phases ran 4,000 batches of empty fringes, then exited 5
+            ("", "", ["--gates", "32", "--phases", "32", "--batches", "4000"],
+             "--batches 4000 at --phases 32 asks for 128000 streams"),
+        ],
+        ids=["flag-batches", "file-batches", "flag-phases", "few-gates"],
+    )
+    def test_streams_capped_before_the_histogram(self, tmp_path, capsys, command, old, new,
+                                                 flags, key):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        argv = command + ["--config", str(cfg)] + flags
+        assert main(argv) == 3
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert f"over the cap of {2**16}" in captured.err
+        assert captured.out == ""
+
+    def test_streams_cap_is_inclusive(self):
+        run = parse_experiment(FULL_CONFIG).run
+        args = SimpleNamespace(seed=None, gates=None, batches=4096, phases=None)
+        assert fransonsim.cli._apply_run_overrides(args, run) == (7, 100_000, 4096, 16)
+        args.batches = 4097
+        with pytest.raises(ConfigurationError, match="--batches 4097"):
+            fransonsim.cli._apply_run_overrides(args, run)
+        # the cap binds only when a Monte Carlo runs
+        assert fransonsim.cli._apply_run_overrides(args, run, simulate=False)[2] == 4097
 
     def test_gate_check_only_when_simulating(self, capsys):
         argv = ["alpha-sweep", "--preset", "fig4c", "--alphas", "0.1,0.2", "--gates", "10"]

@@ -4,13 +4,13 @@ The analytic and ``montecarlo fig4a`` stdout digests pin the output of the
 code before the summed dispersion phase was cached per config. The
 ``visibility --method sweep`` digests, which print the sweep's c_max, c_min
 and phase, were pinned from the code that still refined both extrema with a
-quadrature at every golden-section step. The
-``montecarlo --out/--events/--histogram`` files and the ``alpha-sweep
---montecarlo`` stdout were pinned from the code that still counted
-coincidences with a per-event loop and wrote the events CSV from a record
-merge. A change that keeps the physics, the arithmetic and the RNG draw
-order keeps every digest; a change that alters a printed digit must say so
-and re-capture them. The commands run in one fresh interpreter with BLAS pinned
+quadrature at every golden-section step. The five Monte Carlo digests
+(``montecarlo fig4a`` stdout, its ``--out/--events/--histogram`` files and
+the ``alpha-sweep --montecarlo`` stdout) were re-captured when pair births
+and dark counts came to be drawn as geometric gaps; the RNG draw order is
+pinned in tests/test_montecarlo.py. A change that keeps the physics, the
+arithmetic and the RNG draw order keeps every digest; a change that alters
+a printed digit must say so and re-capture them. The commands run in one fresh interpreter with BLAS pinned
 to one thread (see ``tests.helpers.run_python``). The Monte Carlo runs use
 every core the child may run on; the ``montecarlo fig4a`` run is repeated in
 a child pinned to one core and must give the same digest.
@@ -77,15 +77,15 @@ print(json.dumps({{"rc": rc, "workers": montecarlo._worker_count(),
 """
 
 DIGESTS = {
-    "alpha-sweep fig4c --montecarlo": "909cc1cab00bfbe33c650229b411e8ecae8a79b05700f49dbb3e5532909c5486",
+    "alpha-sweep fig4c --montecarlo": "410e7dce577c6f72733ecdf910bac51de1374bc70938a13752a7608d462f965b",
     "fringe fig4a": "3c795c0e7fad8ff02304bfe51d1ca9ad2238f61f129f528a44264b2cfbee6956",
     "fringe fig4b": "1f6f1cbc0c2a8424b742e42f4933a24c19b67be34317edaabba07b98b9f894e8",
     "fringe fig4c": "063a77259d660dbb400ccbb0d4b68ab2fdf8ea721b30b03c10fcc5075202b4f1",
     "fringe fig4d": "183bb1d4ec9bfc3022e73aaf830a547fc036136cc2257a943c669da70be120c5",
-    "montecarlo fig4a": "cc230831e9c5c85499c7e3b60b9a0424a272886ac5c7bce0dedec5ea776a8f32",
-    "montecarlo fig4a --events": "d8dd76a4db20211628f050713b342c9637deb1c6f85c70659b4c9fc47cf5152b",
-    "montecarlo fig4a --histogram": "ad37236c05f8c515f69cb2fdd37f97dd8f85f15cc69f4a20d05e7309b41f84f0",
-    "montecarlo fig4a --out": "18af313fcc5991b42541fe873fdd36f57036a724b292b23d38cc7089273cc1d6",
+    "montecarlo fig4a": "5a509edaec356a2c10f5a712c984b359443dddfbe47332515de36dc90089da2a",
+    "montecarlo fig4a --events": "f4d82ba48991ed34e8315273a71afa9607a1b43161979dfab235dc39d7efbcad",
+    "montecarlo fig4a --histogram": "9e2832c80bc8d33a7d1aa7ee79484584a432ec829f7502a43c9d24d5a7ece49f",
+    "montecarlo fig4a --out": "9d7973f04bb92d36dec97ba1be841fdc3d0bdbc5c84bbd8c679d94eb56b85eef",
     "visibility --method sweep fig4a": "dc12b8a2033f9b1cb48d4d210ccc4dc0a6343464cb0637d72ebf831237e2808c",
     "visibility --method sweep fig4b": "e0fe60b4174ce580da72ebca789f23dde9e07ea10f6ded84a27947e6b0d1fca9",
     "visibility --method sweep fig4c": "f0e037ae5c1c3a14b0c9ec524944b5ac9ae00dae9f10e64928112f82246d70b3",

@@ -1,5 +1,6 @@
 """Event-level detection streams, coincidence counting, fringe estimation."""
 
+import json
 import math
 import sys
 import threading
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom, chi2
 
 from fransonsim import (
     ConfigurationError,
@@ -36,9 +38,9 @@ from fransonsim import (
 )
 from fransonsim import montecarlo
 from fransonsim.cli import main
-from fransonsim.montecarlo import BERNOULLI_CHUNK, _bernoulli_gates, _merge_gates, _run_tasks
+from fransonsim.montecarlo import _bernoulli_gates, _merge_gates, _run_tasks
 
-from tests.helpers import arm_with_dispersion
+from tests.helpers import arm_with_dispersion, run_python
 
 IDEAL = DetectorModel(efficiency=1.0, dark_prob=0.0, afterpulse_prob=0.0)
 NO_PAIRS = NoiseModel(0.0)
@@ -381,19 +383,49 @@ class TestExports:
         assert lines[1].startswith("-3,")
 
 
+def dense_bernoulli(rng, n, p):
+    """The earlier per-gate sampler: one uniform per gate, a hit where it falls below p.
+
+    A frozen copy, kept as the reference for the law the gap sampler must
+    keep; its draws are no longer the engine's.
+    """
+    return np.flatnonzero(rng.random(n) < p)
+
+
+def gap_bernoulli(rng, n, p):
+    """A frozen copy of the engine's per-gate Bernoulli draws, walked into one dense mask.
+
+    Blocks of int(n p + 4 sqrt(n p)) + 16 geometric gaps, the first gap
+    counted from gate -1, are drawn until a gate reaches n; a zero gap
+    counts as 1. Every later rewrite of _bernoulli_gates must make the same
+    draws and mark the same gates.
+    """
+    mask = np.zeros(n, dtype=bool)
+    if p:
+        mean = n * p
+        block = int(mean + 4 * math.sqrt(mean)) + 16
+        gate = -1
+        while gate < n:
+            for gap in rng.geometric(p, block).tolist():
+                gate += max(gap, 1)
+                if gate >= n:
+                    break
+                mask[gate] = True
+    return np.flatnonzero(mask)
+
+
 class TestBernoulliGates:
     @pytest.mark.parametrize("p", [0.0, 2e-6, 0.0024, 0.5, 1.0])
-    @pytest.mark.parametrize(
-        "n",
-        [1, BERNOULLI_CHUNK - 1, BERNOULLI_CHUNK, BERNOULLI_CHUNK + 1, 3 * BERNOULLI_CHUNK + 7],
-    )
+    # 2**16 - 1 to 3 * 2**16 + 7: the sizes at which the earlier sampler
+    # split its uniforms into chunks
+    @pytest.mark.parametrize("n", [1, 65_535, 65_536, 65_537, 196_615])
     def test_same_draws_as_one_dense_mask(self, n, p):
-        chunked, dense = np.random.default_rng(17), np.random.default_rng(17)
-        gates = _bernoulli_gates(chunked, n, p)
-        expected = np.flatnonzero(dense.random(n) < p).astype(np.int64)
+        engine, frozen = np.random.default_rng(17), np.random.default_rng(17)
+        gates = _bernoulli_gates(engine, n, p)
+        expected = gap_bernoulli(frozen, n, p).astype(np.int64)
         assert gates.dtype == np.int64
         assert np.array_equal(gates, expected)
-        assert chunked.bit_generator.state == dense.bit_generator.state
+        assert engine.bit_generator.state == frozen.bit_generator.state
 
     def test_stream_memory_scales_with_events_not_gates(self):
         # a dense mask over 4M gates alone would need 32 MB of uniforms
@@ -410,6 +442,191 @@ class TestBernoulliGates:
         assert len(stream) > 0
         assert peak < 4_000_000
 
+    @pytest.mark.parametrize("p", [2e-6, 0.0024, 0.2])
+    def test_draws_scale_with_hits_not_gates(self, p):
+        class CountingRng:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(3), 0
+
+            def geometric(self, p, size):
+                self.draws += size
+                return self.rng.geometric(p, size)
+
+        rng = CountingRng()
+        n = 2**22
+        hits = len(_bernoulli_gates(rng, n, p))
+        # one block of n p + 4 sqrt(n p) + 16 draws, or rarely two
+        assert rng.draws <= 2 * (n * p + 4 * math.sqrt(n * p) + 16)
+        assert rng.draws < 2 * hits + 100
+
+    def test_zero_and_overflowing_gaps(self):
+        # NumPy's geometric returns 0 when its exponential draw is exactly 0,
+        # and INT64_MAX when the gap overflows; neither may repeat a gate or
+        # wrap the running sum
+        big = np.iinfo(np.int64).max
+        rng = SimpleNamespace(geometric=lambda p, size: np.resize([0, 0, 3, big, big], size))
+        assert _bernoulli_gates(rng, 10, 0.5).tolist() == [0, 1, 4]
+        rng = SimpleNamespace(geometric=lambda p, size: np.full(size, big))
+        assert _bernoulli_gates(rng, 2**26, 1e-300).tolist() == []
+
+    def test_later_blocks_continue_from_the_last_hit(self):
+        # at p = 1e-9 a block holds 16 gaps; gaps of 1 need 7 blocks for 100 gates
+        blocks = []
+
+        def geometric(p, size):
+            blocks.append(size)
+            return np.ones(size, dtype=np.int64)
+
+        gates = _bernoulli_gates(SimpleNamespace(geometric=geometric), 100, 1e-9)
+        assert gates.tolist() == list(range(100))
+        assert blocks == [16] * 7
+
+
+LAW_P = [0.0, 5e-324, 1e-300, 2e-6, 0.0024, 0.2, 0.5, 1.0]
+TINY_P = LAW_P[1:3]
+LAW_N = [1, 2, 17, 31_250, 312_500]
+# a law check fails only below this probability under the law it checks
+LAW_ALPHA = 1e-6
+
+
+def law_draws(n, p):
+    """Repeated _bernoulli_gates(rng, n, p) from one seeded generator, about 2M hits in all."""
+    rng = np.random.default_rng([n, round(p * 1e6)])
+    reps = int(min(2_000, max(20, 2_000_000 // (n * p + 1))))
+    return [_bernoulli_gates(rng, n, p) for _ in range(reps)]
+
+
+@pytest.mark.parametrize("n", LAW_N)
+@pytest.mark.parametrize("p", [p for p in LAW_P if p not in TINY_P])
+class TestBernoulliLaw:
+    """_bernoulli_gates(rng, n, p) is the per-gate Bernoulli(p) process on [0, n)."""
+
+    def test_sorted_distinct_gates_in_range(self, n, p):
+        # strictly increasing: no gate holds two pairs
+        for gates in law_draws(n, p):
+            assert gates.dtype == np.int64
+            assert np.all(np.diff(gates) > 0)
+            assert np.all((gates >= 0) & (gates < n))
+            if p == 1:
+                assert np.array_equal(gates, np.arange(n))
+
+    def test_hit_counts_are_binomial(self, n, p):
+        counts = np.array([len(g) for g in law_draws(n, p)])
+        reps, var = len(counts), n * p * (1 - p)
+        # the total of reps Binomial(n, p) counts is Binomial(reps n, p)
+        total = int(counts.sum())
+        assert binom.cdf(total, reps * n, p) > LAW_ALPHA / 2
+        assert binom.sf(total - 1, reps * n, p) > LAW_ALPHA / 2
+        if reps * var < 100:  # too few hits to measure a spread
+            return
+        # the sample variance's standard error from the binomial's fourth
+        # central moment, n p q (1 + 3 (n - 2) p q); a 5-SE miss has
+        # probability below LAW_ALPHA under a normal sample variance
+        mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))
+        se = math.sqrt((mu4 - var**2 * (reps - 3) / (reps - 1)) / reps)
+        assert abs(counts.var(ddof=1) - var) <= 5 * se
+
+    def test_positions_are_uniform(self, n, p):
+        draws = law_draws(n, p)
+        # bins of whole gates with at least 5 expected hits each
+        n_bins = int(min(10, n, len(draws) * n * p // 5))
+        if p in (0, 1) or n_bins < 2:
+            return  # nothing random to bin: the range check covers it
+        edges = np.linspace(0, n, n_bins + 1).astype(np.int64)
+        observed = np.histogram(np.concatenate(draws), bins=edges)[0]
+        expected = len(draws) * p * np.diff(edges)
+        # each bin count is an independent Binomial(reps * width, p)
+        stat = float(((observed - expected) ** 2 / (expected * (1 - p))).sum())
+        assert chi2.sf(stat, n_bins) > LAW_ALPHA
+
+    def test_gaps_are_geometric(self, n, p):
+        draws = law_draws(n, p)
+        gaps = np.concatenate([np.diff(g) for g in draws])
+        # a gap of g between two hits starts at one of n - g gates:
+        # E[count of g] = reps (n - g) p^2 (1 - p)^(g - 1)
+        g = np.arange(1, n)
+        expected = len(draws) * (n - g) * p**2 * (1 - p) ** (g - 1.0)
+        if p in (0, 1) or expected.sum() < 10:
+            assert p != 1 or set(gaps.tolist()) <= {1}
+            return
+        # up to 10 bins of consecutive gaps, by the expected count before
+        # each gap; a bin of fewer than 5 expected joins the one before it
+        target = expected.sum() / min(10, expected.sum() // 5)
+        bin_of = ((np.cumsum(expected) - expected) // target).astype(np.int64)
+        o_bins = np.bincount(bin_of[gaps - 1], minlength=bin_of[-1] + 1)
+        e_bins = np.bincount(bin_of, weights=expected)
+        observed, expected = [o_bins[0]], [e_bins[0]]
+        for o, e in zip(o_bins[1:], e_bins[1:]):
+            if e < 5:
+                observed[-1], expected[-1] = observed[-1] + o, expected[-1] + e
+            else:
+                observed.append(o)
+                expected.append(e)
+        observed, expected = np.array(observed), np.array(expected)
+        # a bin's count varies by at most (1 + 2 P(bin)) times its mean: a gap
+        # correlates positively only with the gap after it
+        inflation = 1 + 2 * (expected / expected.sum()).max()
+        stat = float(((observed - expected) ** 2 / expected).sum()) / inflation
+        assert chi2.sf(stat, len(expected)) > LAW_ALPHA
+
+
+TINY_P_CHILD = r"""
+import json, time
+import numpy as np
+from fransonsim.montecarlo import _bernoulli_gates
+rng = np.random.default_rng(5)
+slowest = 0.0
+for p in {tiny}:
+    for n in {sizes}:
+        for _ in range(200 if n < 2**26 else 1):
+            tick = time.perf_counter()
+            gates = _bernoulli_gates(rng, n, p)
+            slowest = max(slowest, time.perf_counter() - tick)
+            assert gates.dtype == np.int64 and len(gates) == 0, (p, n, gates)
+print(json.dumps(slowest))
+"""
+
+
+def test_tiny_p_draws_nothing_at_once():
+    # the gaps at p = 1e-300 or 5e-324 overflow int64; run in a child, so a
+    # sampler that loops on them fails at the timeout rather than hanging
+    code = TINY_P_CHILD.format(tiny=TINY_P, sizes=LAW_N + [montecarlo.MAX_GATES])
+    slowest = json.loads(run_python(code, timeout=120))
+    assert slowest < 1.0
+
+
+def old_engine_stream(cfg, noise, det, n_gates, rng, c_rate):
+    """A stream drawn with the earlier per-gate sampler, by the frozen reference."""
+    m = gate_offset(cfg, det)
+    signal, idler = reference_stream(m, noise.alpha, det, n_gates, rng, c_rate, dense_bernoulli)
+    return EventStream(signal_gates=signal, idler_gates=idler, n_gates=n_gates)
+
+
+def test_old_and_new_samplers_agree_over_many_seeds():
+    # the gap sampler keeps the per-gate law: over 300 seeds the mean count
+    # at every offset, accidentals and afterpulses included, agrees within
+    # 4 standard errors with the earlier one-uniform-per-gate sampler's.
+    # Darks at 0.02 per gate click about as often as the pairs, so the
+    # counts see the dark draws as well as the births.
+    cfg = preset_experiment("fig4c").franson
+    noise = SimpleNamespace(alpha=0.05)
+    det = DetectorModel(efficiency=0.6, dark_prob=0.02, afterpulse_prob=0.06)
+    n_gates, c_rate, seeds = 4_000, 0.7, range(300)
+
+    def hists(engine, stream):  # one offset histogram per seed
+        return np.array([
+            count_coincidences(
+                engine(cfg, noise, det, n_gates, np.random.default_rng([s, stream]), c_rate),
+                window_offsets=3,
+            ).counts
+            for s in seeds
+        ])
+
+    old, new = hists(old_engine_stream, 0), hists(montecarlo._simulate_stream, 1)
+    se = np.sqrt(old.var(axis=0, ddof=1) / len(old) + new.var(axis=0, ddof=1) / len(new))
+    assert np.all(se > 0)
+    assert np.all(np.abs(old.mean(axis=0) - new.mean(axis=0)) <= 4 * se)
+
 
 def reference_merge_gates(*arrays):
     parts = [a for a in arrays if len(a)]
@@ -418,22 +635,24 @@ def reference_merge_gates(*arrays):
     return np.unique(np.concatenate(parts))
 
 
-def reference_detector_events(rng, photon_gates, n_gates, det):
-    dark = np.flatnonzero(rng.random(n_gates) < det.dark_prob)
+def reference_detector_events(rng, photon_gates, n_gates, det, bernoulli):
+    dark = bernoulli(rng, n_gates, det.dark_prob)
     base = reference_merge_gates(photon_gates, dark)
     ap = base[rng.random(len(base)) < det.afterpulse_prob] + 1
     ap = ap[ap < n_gates]
     return reference_merge_gates(base, ap)
 
 
-def reference_stream(m, alpha, det, n_gates, rng, c_rate):
-    """Signal and idler gates as the stream was first drawn, one mask per gate.
+def reference_stream(m, alpha, det, n_gates, rng, c_rate, bernoulli=gap_bernoulli):
+    """Signal and idler gates of one stream, with per-gate Bernoulli draws by ``bernoulli``.
 
-    A frozen copy of the earlier stream code: every later rewrite of
-    _simulate_stream must make the same draws in the same order.
+    A frozen copy of the earlier stream code: with gap_bernoulli, every
+    later rewrite of _simulate_stream must make the same draws in the same
+    order; with dense_bernoulli it draws as the engine did before pair
+    births and dark counts were drawn as geometric gaps.
     """
     eta = det.efficiency
-    pair_g = np.flatnonzero(rng.random(n_gates) < alpha)
+    pair_g = bernoulli(rng, n_gates, alpha)
     n_pairs = len(pair_g)
 
     u = rng.random(n_pairs)
@@ -456,8 +675,8 @@ def reference_stream(m, alpha, det, n_gates, rng, c_rate):
     sig_photons = sig_photons[sig_photons < n_gates]
     idl_photons = idl_photons[idl_photons < n_gates]
 
-    signal = reference_detector_events(rng, sig_photons, n_gates, det)
-    idler = reference_detector_events(rng, idl_photons, n_gates, det)
+    signal = reference_detector_events(rng, sig_photons, n_gates, det, bernoulli)
+    idler = reference_detector_events(rng, idl_photons, n_gates, det, bernoulli)
     return signal, idler
 
 
@@ -482,7 +701,7 @@ def segments_match_reference(cfg, noise, det, n_gates, seeds, rates):
 class TestDrawOrder:
     # alpha 1 lies outside NoiseModel's range; the stream reads only .alpha
     @pytest.mark.parametrize("alpha", [0.0, 2e-6, 0.0024, 0.1, 0.2, 1.0])
-    @pytest.mark.parametrize("n_gates", [1, 2, 31_250, BERNOULLI_CHUNK + 1])
+    @pytest.mark.parametrize("n_gates", [1, 2, 31_250, 65_537])
     def test_stream_matches_frozen_reference(self, alpha, n_gates):
         cfg = preset_experiment("fig4c").franson
         noise = SimpleNamespace(alpha=alpha)
