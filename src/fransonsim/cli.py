@@ -250,14 +250,15 @@ def cmd_alpha_sweep(args) -> int:
 def cmd_montecarlo(args) -> int:
     exp = _load_experiment(args)
     seed, gates, batches, phases = _apply_run_overrides(args, exp.run)
-    phase_grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
+    if (args.events or args.histogram) and not np.isfinite(args.phase):
+        raise ConfigurationError(f"--phase {args.phase} must be finite")
 
     est = montecarlo.estimate_visibility(
         exp.franson,
         exp.noise,
         exp.detector,
         n_gates=gates,
-        phases=phase_grid,
+        phases=np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False),
         batches=batches,
         seed=seed,
     )

@@ -211,6 +211,20 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     return complex(s.weights @ (s.density * _folded(lambda phase: np.exp(-1j * phase), cfg)))
 
 
+def _prediction(cfg: FransonConfig, arg: np.ndarray):
+    """cos a, sin a and P(a) = (I + Re Z cos a - Im Z sin a) / 2 = (I + Re[e^{ia} Z]) / 2."""
+    cos, sin, z = np.cos(arg), np.sin(arg), cfg.amplitude
+    return cos, sin, (cfg.bound_terms[0] + z.real * cos - z.imag * sin) / 2.0
+
+
+def fringe_rates(cfg: FransonConfig, phis) -> np.ndarray:
+    """coincidence_rate at each finite phi from Z, clip(P(phi + offset), 0, 1), inside _rate_bounds."""
+    phis = np.asarray(phis, dtype=float)
+    if not np.isfinite(phis).all():
+        raise DomainError(f"phi_tilde must be finite, got {phis[~np.isfinite(phis)][0]}")
+    return np.clip(_prediction(cfg, phis + cfg.pump_phase_offset_rad)[2], 0.0, 1.0)
+
+
 def _rate_bounds(cfg: FransonConfig, phis: np.ndarray, reach: float = 0.0):
     """Bounds (lo, hi) on coincidence_rate(cfg, phi') for every phi' within reach of each phi, from Z.
 
@@ -271,11 +285,10 @@ def _rate_bounds(cfg: FransonConfig, phis: np.ndarray, reach: float = 0.0):
     is NaN or infinite before the clip is NaN, which rules nothing out. An
     empty phis gives empty bounds.
     """
-    integral, mass, max_phase = cfg.bound_terms
+    _, mass, max_phase = cfg.bound_terms
     z = cfg.amplitude
     arg = phis + cfg.pump_phase_offset_rad  # the sum coincidence_rate forms
-    cos, sin = np.cos(arg), np.sin(arg)
-    pred = (integral + z.real * cos - z.imag * sin) / 2.0
+    cos, sin, pred = _prediction(cfg, arg)
     spread = 0.0
     if reach:
         spread = (np.abs(z.real * sin + z.imag * cos) / 2.0 + abs(z) * reach / 4.0) * reach

@@ -12,13 +12,14 @@ integer number m of gating periods (m = 3 at the stock 628.5 MHz rate and
       (offset 0, gate g or g + m with equal odds); otherwise it is lost
       to the destructive ports and produces no clicks.
 
-C(phi_tilde) is the analytic coincidence rate, so the offset-0 fringe
-follows the full dispersive spectral integral while the +-m side peaks stay
-phase independent. Detector imperfections: independent per-photon detection
-efficiency, per-gate dark counts, and a single-gate-delayed afterpulse after
-any detection (no cascades). Detector timing jitter is carried in the model
-for reference but does not move events between gates; at 100 ps rms against
-the 1.59 ns gate period it cannot.
+C(phi_tilde) is the analytic coincidence rate, read from the config's cached
+fringe amplitude Z without a quadrature (interference.fringe_rates), so the
+offset-0 fringe follows the full dispersive spectral integral while the +-m
+side peaks stay phase independent. Detector imperfections: independent
+per-photon detection efficiency, per-gate dark counts, and a
+single-gate-delayed afterpulse after any detection (no cascades). Detector
+timing jitter is carried in the model for reference but does not move events
+between gates; at 100 ps rms against the 1.59 ns gate period it cannot.
 
 Streams are reproducible: a run is a pure function of (config, seed). The
 draw order is pinned, since every seeded output depends on it. Each stream
@@ -34,29 +35,25 @@ the stream code to check the order against, and a copy of the earlier
 one-uniform-per-gate sampler to check the law against.
 
 One engine, _simulate_segments, simulates several streams at once as
-segments of shared gate arrays, one segment per stream. The draws stay per
-generator, in the order above; the merges, the afterpulse selection and the
-coincidence count run once over all segments. simulate_run is the
-one-segment case. estimate_visibility hands out one task per (batch, group
-of _PHASE_GROUP consecutive phases) and runs the tasks on one thread per
-available core; NumPy's bulk draws, comparisons and searches release the
-GIL, and each task owns its generators and its histogram rows, so the
-output does not depend on the core count. A task holds one stream's pair
-uniforms at a time plus its group's births, darks and clicks, so its memory
-grows with the group's events, not with its gates.
+segments of shared gate arrays; the draws stay per generator, in the order
+above, and the merges, afterpulse selection and coincidence count run once
+over all segments. simulate_run is the one-segment case. estimate_visibility
+maps one task per (batch, group of _PHASE_GROUP consecutive phases) over a
+pool of one thread per available core, as NumPy's bulk work releases the
+GIL. A task owns its generators and returns its histogram rows, which are
+read in task order, so the output does not depend on the core count. A task
+holds one stream's pair uniforms at a time plus its group's events.
 """
 
 import math
 import os
-import threading
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolationError, DomainError, StatisticsError
-from .interference import FransonConfig, coincidence_rate
+from .interference import FransonConfig, fringe_rates
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
@@ -71,6 +68,9 @@ MAX_GATES = 2**26
 # largest phase grid a run may ask for, as for a fringe's points: the grid and
 # its (phase, offset) histogram rows are built before any stream runs
 MAX_PHASES = 2**16
+# largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
+# 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
+MAX_HISTOGRAM_CELLS = 2**23
 
 
 class Detector(str, Enum):
@@ -315,8 +315,8 @@ def simulate_run(
     """
     if n_gates < 1:
         raise DomainError(f"n_gates must be >= 1, got {n_gates}")
-    rng = np.random.default_rng(seed)
-    return _simulate_stream(cfg, noise, det, int(n_gates), rng, coincidence_rate(cfg, phi_tilde))
+    rate = fringe_rates(cfg, [cfg.phi_tilde() if phi_tilde is None else phi_tilde])[0]
+    return _simulate_stream(cfg, noise, det, int(n_gates), np.random.default_rng(seed), rate)
 
 
 def _record_gates(records):
@@ -422,67 +422,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run_tasks(n_tasks, task):
-    """Call task(i) for i in range(n_tasks) on _worker_count() threads.
-
-    The calling thread is one of the workers. Tasks are handed out in index
-    order; after a failure no new task starts, every thread is joined, and
-    the error of the lowest failed index is raised, which is the error a
-    single thread would have raised.
-    """
-    lock = threading.Lock()
-    todo = list(range(n_tasks - 1, -1, -1))  # popped from the end: index order
-    errors = []  # (task index, exception)
-
-    def work():
-        while True:
-            with lock:
-                if errors or not todo:
-                    return
-                i = todo.pop()
-            try:
-                task(i)
-            except BaseException as exc:  # re-raised in the calling thread
-                with lock:
-                    errors.append((i, exc))
-
-    threads = []
-    try:
-        for _ in range(min(_worker_count(), n_tasks) - 1):
-            t = threading.Thread(target=work)
-            t.start()
-            threads.append(t)
-        work()
-    finally:
-        with lock:
-            todo.clear()  # a failed start or an interrupt: start nothing new
-        for t in threads:
-            t.join()
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-
-
-_last_rates = None  # (weak reference to cfg, phases, rates) of the latest _phase_rates call
-
-
-def _phase_rates(cfg, phases):
-    """Coincidence rate at each phase, reused while cfg and phases repeat.
-
-    alpha-sweep estimates one config on one phase grid per alpha, so its
-    rates are computed once per sweep. Keying on the config's identity is
-    safe for the reason its summed-phase cache is: the config is frozen and
-    its spectrum read-only. The reference is weak, so the cache does not
-    keep a finished run's spectrum alive.
-    """
-    global _last_rates
-    last = _last_rates
-    if last is not None and last[0]() is cfg and np.array_equal(last[1], phases):
-        return last[2]
-    rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
-    _last_rates = (weakref.ref(cfg), phases.copy(), rates)
-    return rates
-
-
 def estimate_visibility(
     cfg: FransonConfig,
     noise: NoiseModel,
@@ -499,10 +438,10 @@ def estimate_visibility(
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
     its own substream derived from (seed, batch, phase). One task simulates
     and counts a batch's streams for _PHASE_GROUP consecutive phases as
-    segments of shared arrays; the tasks run on the available cores in any
-    order, and the fits read the histograms in (batch, phase) order, so the
-    result does not depend on the core count. A task holds O(its group's
-    events) memory.
+    segments and returns their rows; the tasks run on a thread pool and their
+    rows are read in task order, so the result does not depend on the core
+    count and the lowest failed task's error is raised. A histogram over
+    MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -515,24 +454,31 @@ def estimate_visibility(
     if per_phase < 1:
         raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
 
-    k = max(3, gate_offset(cfg, det))
-    offsets = np.arange(-k, k + 1)
-    rates = _phase_rates(cfg, phases)
+    m = gate_offset(cfg, det)
+    k = max(3, m)
+    if batches * len(phases) * (2 * k + 1) > MAX_HISTOGRAM_CELLS:
+        raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
+                                 f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
+    rates = fringe_rates(cfg, phases)
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    groups = range(0, len(phases), _PHASE_GROUP)
+    tasks = [(b, slice(g, g + _PHASE_GROUP))
+             for b in range(batches) for g in range(0, len(phases), _PHASE_GROUP)]
 
-    def simulate(i):
-        b, g = divmod(i, len(groups))
-        group = slice(groups[g], groups[g] + _PHASE_GROUP)
+    def simulate(task):
+        b, group = task
         rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))[group]]
-        signal, idler, stride = _simulate_segments(
-            cfg, noise, det, per_phase, rngs, rates[group]
-        )
+        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates[group])
         for name, gates in (("signal", signal), ("idler", idler)):
             _check_gates(name, gates, per_phase, stride, len(rngs))
-        hists[b, group] = _count_segments(signal, idler, k, stride, len(rngs))
+        return _count_segments(signal, idler, k, stride, len(rngs))
 
-    _run_tasks(batches * len(groups), simulate)
+    # imported here: at module level it adds about 10 ms and up to 1 MB to
+    # every run. map yields in task order; a failure raises and cancels the rest
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(min(_worker_count(), len(tasks))) as pool:
+        for (b, group), rows in zip(tasks, pool.map(simulate, tasks)):
+            hists[b, group] = rows
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(
@@ -541,6 +487,6 @@ def estimate_visibility(
         batch_visibilities=batch_vs,
         phases=phases,
         per_phase_histogram=hists.sum(axis=0),
-        offsets=offsets,
+        offsets=np.arange(-k, k + 1),
         n_gates_per_phase=per_phase,
     )

@@ -671,6 +671,66 @@ class TestRunGrid:
         # the cap binds only when a Monte Carlo runs
         assert fransonsim.cli._apply_run_overrides(args, run, simulate=False)[2] == 4097
 
+    @pytest.mark.parametrize("export", ["--events", "--histogram"])
+    @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_rejected_before_any_stream(self, tmp_path, monkeypatch, capsys,
+                                                         export, phase):
+        def no_stream(*args):
+            raise AssertionError("a stream ran")
+
+        monkeypatch.setattr(fransonsim.montecarlo, "_simulate_segments", no_stream)
+        out = tmp_path / "export.csv"
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "3200", "--batches", "2",
+                f"--phase={phase}", export, str(out)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert f"--phase {float(phase)} must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    M3000_CONFIG = FULL_CONFIG.replace("delta_t_ns = 4.77", "delta_t_ns = 4773.27")
+
+    def test_wide_histogram_runs_at_a_small_size(self, tmp_path, capsys):
+        # m = 3000 gates between the paths: 6,001 offsets per (batch, phase);
+        # 20 pairs per stream at alpha 0.2 fill the offset-0 fringe
+        cfg = tmp_path / "m3000.ini"
+        cfg.write_text(self.M3000_CONFIG.replace("alpha = 0.0024", "alpha = 0.2"))
+        out = tmp_path / "fringe.csv"
+        argv = ["montecarlo", "--config", str(cfg), "--gates", "3200", "--batches", "2",
+                "--phases", "32", "--out", str(out)]
+        assert main(argv) == 0
+        header = out.read_text().splitlines()[0]
+        assert header == "phi_rad," + ",".join(f"offset_{o:+d}" for o in range(-3000, 3001))
+
+    @pytest.mark.parametrize("command", [["montecarlo"], ["alpha-sweep", "--montecarlo"]],
+                             ids=["mc", "sweep"])
+    def test_histogram_cells_capped(self, tmp_path, capsys, command):
+        # 1,600 streams x 6,001 offsets = 9.6M cells, 77 MB of int64
+        cfg = tmp_path / "m3000.ini"
+        cfg.write_text(self.M3000_CONFIG)
+        argv = command + ["--config", str(cfg), "--gates", "3200", "--batches", "50",
+                          "--phases", "32"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "1600 streams at gate offset m = 3000" in captured.err
+        assert f"exceed the histogram cap of {2**23} cells" in captured.err
+        assert captured.out == ""
+
+    def test_histogram_cells_capped_before_the_histogram(self, tmp_path, capsys):
+        cfg = tmp_path / "m3000.ini"
+        cfg.write_text(self.M3000_CONFIG)
+        argv = ["montecarlo", "--config", str(cfg), "--gates", "3200", "--batches", "50",
+                "--phases", "32"]
+        assert main(argv) == 3
+        tracemalloc.start()
+        try:
+            assert main(argv) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert "histogram cap" in capsys.readouterr().err
+
     def test_gate_check_only_when_simulating(self, capsys):
         argv = ["alpha-sweep", "--preset", "fig4c", "--alphas", "0.1,0.2", "--gates", "10"]
         assert main(argv) == 0

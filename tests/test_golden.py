@@ -62,7 +62,7 @@ print(json.dumps(digests))
 """
 
 # DRIVER's "montecarlo fig4a" run in a child pinned to one core, where an
-# estimate runs all its streams on the calling thread.
+# estimate runs all its tasks on a pool of one thread.
 MC_ARGV = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2", "--seed", "7"]
 ONE_CORE_DRIVER = f"""
 import contextlib, hashlib, io, json, os

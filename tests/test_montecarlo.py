@@ -2,10 +2,8 @@
 
 import json
 import math
-import sys
 import threading
 import tracemalloc
-import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,9 +34,10 @@ from fransonsim import (
     simulate_run,
     visibility,
 )
-from fransonsim import montecarlo
+from fransonsim import interference, montecarlo
 from fransonsim.cli import main
-from fransonsim.montecarlo import _bernoulli_gates, _merge_gates, _run_tasks
+from fransonsim.interference import _rate_bounds, coincidence_rate
+from fransonsim.montecarlo import _bernoulli_gates, _merge_gates
 
 from tests.helpers import arm_with_dispersion, run_python
 
@@ -305,44 +304,125 @@ class TestEstimateVisibility:
         assert a.sigma_v == b.sigma_v
         assert np.array_equal(a.per_phase_histogram, b.per_phase_histogram)
 
-    def test_alpha_sweep_computes_rates_once(self, monkeypatch):
-        phis = []
-        real = montecarlo.coincidence_rate
-        monkeypatch.setattr(
-            montecarlo, "coincidence_rate", lambda cfg, phi: phis.append(phi) or real(cfg, phi)
-        )
-        argv = ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
-                "--gates", "64000", "--batches", "2", "--seed", "4"]
-        assert main(argv) == 0
-        assert len(phis) == len(set(phis)) == 32
-
-    def test_rates_recomputed_for_new_config_or_phases(self, monkeypatch):
-        calls = []
-        real = montecarlo.coincidence_rate
-        monkeypatch.setattr(
-            montecarlo, "coincidence_rate", lambda cfg, phi: calls.append(phi) or real(cfg, phi)
-        )
-        cfg, noise, det = fig4c_at(0.1)
-        phases = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-        args = dict(n_gates=16_000, batches=2, seed=3)
-        first = estimate_visibility(cfg, noise, det, phases=phases, **args)
-        phases += 0.5  # the caller's array changes in place
-        shifted = estimate_visibility(cfg, noise, det, phases=phases, **args)
-        assert len(calls) == 16
-        assert calls[-8:] == phases.tolist()
-        assert not np.array_equal(shifted.per_phase_histogram, first.per_phase_histogram)
-        other = replace(cfg)
-        estimate_visibility(other, noise, det, phases=phases, **args)
-        assert len(calls) == 24
-        held = weakref.ref(other)
-        del other
-        assert held() is None  # the cached rates do not keep a config alive
-
     def test_too_few_batches(self):
         with pytest.raises(DomainError):
             estimate_visibility(
                 dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=320_000, batches=1, seed=1
             )
+
+    def test_non_finite_phase_rejected(self):
+        phases = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+        phases[2] = np.nan
+        with pytest.raises(DomainError, match="phi_tilde must be finite"):
+            estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=4_000,
+                                phases=phases, batches=2, seed=1)
+
+
+PRESETS = ("fig4a", "fig4b", "fig4c", "fig4d")
+
+
+def quadrature_rate_histograms(cfg, noise, det, n_gates, phases, batches, seed):
+    """Per-(batch, phase) offset histograms with one rate quadrature per phase.
+
+    A frozen copy of the estimate before its rates came from Z: every phase
+    ran coincidence_rate, and each stream was simulated and counted alone.
+    """
+    k = max(3, gate_offset(cfg, det))
+    per_phase = n_gates // len(phases)
+    rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
+    return np.array([
+        [
+            count_coincidences(
+                montecarlo._simulate_stream(
+                    cfg, noise, det, per_phase, np.random.default_rng([seed, b, j]), rate
+                ),
+                window_offsets=k,
+            ).counts
+            for j, rate in enumerate(rates)
+        ]
+        for b in range(batches)
+    ])
+
+
+def record_task_rows(monkeypatch):
+    """Run estimates on one worker and return the list their task rows are appended to."""
+    rows = []
+    real = montecarlo._count_segments
+    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+    monkeypatch.setattr(montecarlo, "_count_segments",
+                        lambda *args: rows.append(real(*args)) or rows[-1])
+    return rows
+
+
+class TestRatesFromAmplitude:
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_histograms_match_quadrature_rates_over_many_seeds(self, monkeypatch, preset):
+        # 100 pairs per stream at alpha 0.2: about half of an estimate's 6,400
+        # pairs meet a survival draw, which flips if a rate moves across it
+        exp = preset_experiment(preset)
+        noise = replace(exp.noise, alpha=0.2)
+        phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        rows = record_task_rows(monkeypatch)
+        for seed in range(100):
+            rows.clear()
+            est = estimate_visibility(exp.franson, noise, exp.detector, n_gates=16_000,
+                                      batches=2, seed=seed)
+            new = np.concatenate(rows)
+            old = quadrature_rate_histograms(exp.franson, noise, exp.detector, 16_000, phases,
+                                             2, seed)
+            assert np.array_equal(new.reshape(old.shape), old)
+            assert np.array_equal(est.per_phase_histogram, old.sum(axis=0))
+
+    def test_alpha_sweep_matches_quadrature_rates(self, monkeypatch, capsys):
+        argv = ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
+                "--gates", "64000", "--batches", "3", "--seed", "4"]
+        rows = record_task_rows(monkeypatch)
+        assert main(argv) == 0
+        new_out, new_rows = capsys.readouterr().out, np.concatenate(rows)
+        rows.clear()
+        monkeypatch.setattr(montecarlo, "fringe_rates", lambda cfg, phis: np.array(
+            [coincidence_rate(cfg, float(phi)) for phi in phis]))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == new_out
+        assert np.array_equal(np.concatenate(rows), new_rows)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_every_rate_lies_inside_its_bounds(self, monkeypatch, preset):
+        exp = preset_experiment(preset)
+        noise = replace(exp.noise, alpha=0.2)
+        phases = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
+        seen = []
+        real = montecarlo._simulate_segments
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_simulate_segments",
+                            lambda *args: seen.append(args[5]) or real(*args))
+        estimate_visibility(exp.franson, noise, exp.detector, n_gates=37_000,
+                            phases=phases, batches=2, seed=3)
+        rates = np.concatenate(seen)
+        lo, hi = _rate_bounds(exp.franson, np.tile(phases, 2))
+        assert np.all((lo <= rates) & (rates <= hi))
+        quadrature = [coincidence_rate(exp.franson, float(phi)) for phi in phases]
+        assert np.all((lo[:37] <= quadrature) & (quadrature <= hi[:37]))
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--preset", "fig4a", "--gates", "64000", "--batches", "2",
+         "--histogram", "HIST"],
+        ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
+         "--gates", "64000", "--batches", "2"],
+    ], ids=["montecarlo", "alpha-sweep"])
+    def test_no_rate_quadrature(self, monkeypatch, tmp_path, argv):
+        def forbidden(*args):
+            raise AssertionError("coincidence_rate called")
+
+        monkeypatch.setattr(interference, "coincidence_rate", forbidden)
+        argv = [str(tmp_path / "h.csv") if a == "HIST" else a for a in argv]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_simulate_run_rejects_non_finite_phase(self, phi):
+        with pytest.raises(DomainError, match="phi_tilde must be finite"):
+            simulate_run(dispersion_free_config(), STOCK_ALPHA, IDEAL, 100, seed=1,
+                         phi_tilde=phi)
 
 
 class TestExports:
@@ -798,24 +878,20 @@ class TestParallelStreams:
         assert peak(group) - peak(1) < 4 * 8 * clicks
 
     def test_tasks_run_concurrently(self, monkeypatch):
-        # every task waits for all three: it passes only if three threads,
-        # the caller among them, run at once
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
-        barrier = threading.Barrier(3, timeout=30)
-        ran = []
-        _run_tasks(3, lambda i: ran.append((i, barrier.wait())))
-        assert sorted(i for i, _ in ran) == [0, 1, 2]
+        # the first two tasks, phase groups 0 and 1 of batch 0, each wait at
+        # their first stream for the other: the estimate finishes only if
+        # two pool threads run them at once (a timeout breaks the barrier)
+        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        barrier = threading.Barrier(2, timeout=30)
+        met = []
 
-    def test_every_task_runs_once_under_contention(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ran = []
-            _run_tasks(2_000, ran.append)
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(ran) == list(range(2_000))
+        def check(task):
+            if task in ((0, 0), (0, montecarlo._PHASE_GROUP)):
+                met.append((task, barrier.wait()))
+
+        check_streams(monkeypatch, 7, 2, check)
+        estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=7)
+        assert sorted(arrival for _, arrival in met) == [0, 1]
 
 
 class TestSegments:
@@ -909,25 +985,6 @@ class TestParallelErrors:
         check_streams(monkeypatch, 7, 2, check)
         threads_before = threading.active_count()
         with pytest.raises(ContractViolationError, match=r"task \(1, 5\)"):
-            estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
-        assert threading.active_count() == threads_before
-
-    def test_calling_thread_failure_joins_workers(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
-        caller_failed = threading.Event()
-
-        def check(task):
-            if threading.current_thread() is threading.main_thread():
-                caller_failed.set()
-                inject_failure(task)
-            # each started worker holds its first task until the calling
-            # thread has failed, so the two cannot drain every task before
-            # the calling thread takes one; a timeout fails that worker's task
-            assert caller_failed.wait(timeout=30)
-
-        check_streams(monkeypatch, 7, 2, check)
-        threads_before = threading.active_count()
-        with pytest.raises(ContractViolationError, match="injected"):
             estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
         assert threading.active_count() == threads_before
 
