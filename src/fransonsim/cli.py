@@ -35,7 +35,6 @@ from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
     formatted_rates,
-    formatted_sweep_visibility,
     visibility,
 )
 from .noise import alpha_sweep, bell_significance, observed_visibility
@@ -147,15 +146,11 @@ def cmd_visibility(args) -> int:
     exp = _load_experiment(args)
     cfg = exp.franson
     res_int = visibility(cfg, COMPLEX_INTEGRAL)
+    # both methods print the sweep's visibility: two rate quadratures, at the
+    # extrema that Z locates
+    res_sweep = visibility(cfg, PHASE_SWEEP)
     # --method overrides the file's [run] method, which defaults to integral
-    if (args.method or exp.run.method) == PHASE_SWEEP:
-        chosen = visibility(cfg, PHASE_SWEEP)
-        sweep_text = _sci(chosen.visibility)
-    else:
-        # only the sweep's visibility is printed: its digits fix long before
-        # the golden-section searches end
-        chosen = res_int
-        sweep_text = formatted_sweep_visibility(cfg, _sci)
+    chosen = res_sweep if (args.method or exp.run.method) == PHASE_SWEEP else res_int
     v_obs = observed_visibility(chosen.visibility, exp.noise)
     bell = bell_significance(min(v_obs, 1.0), args.sigma_v)
 
@@ -163,7 +158,7 @@ def cmd_visibility(args) -> int:
         ("preset", args.preset or args.config),
         ("method", chosen.method),
         ("intrinsic_visibility_integral", _sci(res_int.visibility)),
-        ("intrinsic_visibility_sweep", sweep_text),
+        ("intrinsic_visibility_sweep", _sci(res_sweep.visibility)),
         ("c_max", _sci(chosen.c_max)),
         ("c_min", _sci(chosen.c_min)),
         ("phase_at_max_rad", _sci(chosen.phase_at_max_rad)),

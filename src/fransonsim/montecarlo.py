@@ -42,11 +42,13 @@ maps one task per (batch, group of _PHASE_GROUP consecutive phases) over a
 pool of one thread per available core, as NumPy's bulk work releases the
 GIL. A task owns its generators and returns its histogram rows, which are
 read in task order, so the output does not depend on the core count. A task
-holds one stream's pair uniforms at a time plus its group's events.
+holds one stream's pair uniforms at a time plus its group's events, and at
+most _QUEUED_PER_THREAD tasks per thread are submitted at once.
 """
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -61,6 +63,10 @@ GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate coun
 # once: on the dense alpha-sweep, 8 ran as fast as 32 (a whole batch) at the
 # peak RSS of one stream per task, while 32 raised it by 3 MB on 2 threads
 _PHASE_GROUP = 8
+# tasks queued or running per pool thread: enough to keep every thread busy
+# while the caller reads rows in task order, and few enough that the pool's
+# futures (about 2 KB each) do not grow with the number of tasks
+_QUEUED_PER_THREAD = 4
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
 # 1 GiB at the cap
@@ -104,12 +110,6 @@ class DetectorModel:
 
     def gate_period_ns(self) -> float:
         return 1e3 / self.gate_rate_mhz
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    detector: Detector
-    gate_index: int
 
 
 def _check_gates(name, gates, n_gates, stride=None, n_segments=1):
@@ -319,19 +319,6 @@ def simulate_run(
     return _simulate_stream(cfg, noise, det, int(n_gates), np.random.default_rng(seed), rate)
 
 
-def _record_gates(records):
-    """Split EventRecords sorted by gate into signal and idler gate arrays."""
-    records = list(records)
-    gates = np.array([r.gate_index for r in records], dtype=np.int64)
-    unsorted = np.flatnonzero(np.diff(gates) < 0)
-    if len(unsorted):
-        g, last = gates[unsorted[0] + 1], gates[unsorted[0]]
-        raise ContractViolationError(f"events not sorted by gate_index ({g} after {last})")
-    is_signal = np.array([Detector(r.detector) is Detector.SIGNAL for r in records], dtype=bool)
-    n_gates = int(gates[-1]) + 1 if len(gates) else 0
-    return gates[is_signal], gates[~is_signal], n_gates
-
-
 def _count_segments(sig, idl, k, stride=None, n_segments=1):
     """Offset histogram (n_segments, 2k + 1) of sorted signal and idler gates.
 
@@ -354,27 +341,19 @@ def _count_segments(sig, idl, k, stride=None, n_segments=1):
     return counts.reshape(n_segments, 2 * k + 1)
 
 
-def count_coincidences(events, window_offsets: int = 3) -> CoincidenceHistogram:
+def count_coincidences(events: EventStream, window_offsets: int = 3) -> CoincidenceHistogram:
     """Histogram signal-idler gate offsets d = idler - signal, |d| <= window.
 
-    Accepts an EventStream or any iterable of EventRecord sorted by gate
-    index; unsorted records raise. Every signal-idler pair within the window
-    counts once, so a repeated record gate counts once per copy.
-    total_gates is the stream's n_gates, or else the last record's gate + 1
-    (0 without records).
+    Every signal-idler pair of the stream within the window counts once;
+    total_gates is the stream's n_gates.
     """
     k = int(window_offsets)
     if k < 3:
         raise DomainError(f"window_offsets must be >= 3, got {k}")
-
-    if isinstance(events, EventStream):
-        sig, idl, n_gates = events.signal_gates, events.idler_gates, events.n_gates
-    else:
-        sig, idl, n_gates = _record_gates(events)
     return CoincidenceHistogram(
         offsets=np.arange(-k, k + 1),
-        counts=_count_segments(sig, idl, k)[0],
-        total_gates=n_gates,
+        counts=_count_segments(events.signal_gates, events.idler_gates, k)[0],
+        total_gates=events.n_gates,
         window=k,
     )
 
@@ -422,6 +401,31 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _ordered_map(pool, fn, items, window):
+    """Yield (item, fn(item)) in item order, with at most window calls submitted to pool at once.
+
+    A call that raised raises when its turn comes, after every earlier one
+    has returned, so the error is the one a single thread meets first; the
+    calls submitted after it are cancelled if they have not started.
+    """
+    queued = deque()
+
+    def oldest():
+        item, future = queued.popleft()
+        return item, future.result()
+
+    try:
+        for item in items:
+            queued.append((item, pool.submit(fn, item)))
+            if len(queued) == window:
+                yield oldest()
+        while queued:
+            yield oldest()
+    finally:
+        for _, future in queued:
+            future.cancel()
+
+
 def estimate_visibility(
     cfg: FransonConfig,
     noise: NoiseModel,
@@ -438,9 +442,10 @@ def estimate_visibility(
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
     its own substream derived from (seed, batch, phase). One task simulates
     and counts a batch's streams for _PHASE_GROUP consecutive phases as
-    segments and returns their rows; the tasks run on a thread pool and their
-    rows are read in task order, so the result does not depend on the core
-    count and the lowest failed task's error is raised. A histogram over
+    segments and returns their rows; the tasks run on a thread pool in a
+    window of _QUEUED_PER_THREAD per thread (_ordered_map) and their rows are
+    read in task order, so the result does not depend on the core count and
+    the lowest failed task's error is raised. A histogram over
     MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
     """
     if batches < 2:
@@ -461,8 +466,8 @@ def estimate_visibility(
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    tasks = [(b, slice(g, g + _PHASE_GROUP))
-             for b in range(batches) for g in range(0, len(phases), _PHASE_GROUP)]
+    groups = range(0, len(phases), _PHASE_GROUP)
+    tasks = ((b, slice(g, g + _PHASE_GROUP)) for b in range(batches) for g in groups)
 
     def simulate(task):
         b, group = task
@@ -473,11 +478,12 @@ def estimate_visibility(
         return _count_segments(signal, idler, k, stride, len(rngs))
 
     # imported here: at module level it adds about 10 ms and up to 1 MB to
-    # every run. map yields in task order; a failure raises and cancels the rest
+    # every run
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(min(_worker_count(), len(tasks))) as pool:
-        for (b, group), rows in zip(tasks, pool.map(simulate, tasks)):
+    workers = min(_worker_count(), batches * len(groups))
+    with ThreadPoolExecutor(workers) as pool:
+        for (b, group), rows in _ordered_map(pool, simulate, tasks, workers * _QUEUED_PER_THREAD):
             hists[b, group] = rows
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 

@@ -73,7 +73,8 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-12):
     tol=1e-12 on an O(1) interval.
 
     A frozen copy of the search the phase sweep ran with a quadrature at
-    every step, kept as the reference for the bound-decided replay.
+    every step, before Z placed its extrema; the full-scan reference in
+    tests/test_interference.py still refines with it.
     """
     a, b = float(lo), float(hi)
     c = b - _INVPHI * (b - a)

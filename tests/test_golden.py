@@ -1,10 +1,14 @@
 """Byte-identity of the CLI's analytic reports, fringe CSVs and seeded Monte Carlo runs.
 
 The analytic and ``montecarlo fig4a`` stdout digests pin the output of the
-code before the summed dispersion phase was cached per config. The
-``visibility --method sweep`` digests, which print the sweep's c_max, c_min
-and phase, were pinned from the code that still refined both extrema with a
-quadrature at every golden-section step. The five Monte Carlo digests
+code before the summed dispersion phase was cached per config; the default
+``visibility`` report prints the sweep's visibility, which has kept its
+digits since the sweep searched a 720-point grid with golden-section steps.
+The ``visibility --method sweep`` digests also print the sweep's c_max,
+c_min and phase, and were re-captured when the sweep came to take its
+extrema where Z places them, phi* = -arg Z - offset and phi* + pi, with one
+rate quadrature each: the phase is then the integral method's, and c_min
+the direct quadrature at the minimum. The five Monte Carlo digests
 (``montecarlo fig4a`` stdout, its ``--out/--events/--histogram`` files and
 the ``alpha-sweep --montecarlo`` stdout) were re-captured when pair births
 and dark counts came to be drawn as geometric gaps; the RNG draw order is
@@ -86,10 +90,10 @@ DIGESTS = {
     "montecarlo fig4a --events": "f4d82ba48991ed34e8315273a71afa9607a1b43161979dfab235dc39d7efbcad",
     "montecarlo fig4a --histogram": "9e2832c80bc8d33a7d1aa7ee79484584a432ec829f7502a43c9d24d5a7ece49f",
     "montecarlo fig4a --out": "9d7973f04bb92d36dec97ba1be841fdc3d0bdbc5c84bbd8c679d94eb56b85eef",
-    "visibility --method sweep fig4a": "dc12b8a2033f9b1cb48d4d210ccc4dc0a6343464cb0637d72ebf831237e2808c",
-    "visibility --method sweep fig4b": "e0fe60b4174ce580da72ebca789f23dde9e07ea10f6ded84a27947e6b0d1fca9",
-    "visibility --method sweep fig4c": "f0e037ae5c1c3a14b0c9ec524944b5ac9ae00dae9f10e64928112f82246d70b3",
-    "visibility --method sweep fig4d": "3e6c28533ab5b3ff79c1633dae1217ff35b75dbee31d3df329f1b3a1b0362f41",
+    "visibility --method sweep fig4a": "0d6f083b9cd14105ba8f8f4f57be6e6c3372550c1ab77f4c6b233b91332d817d",
+    "visibility --method sweep fig4b": "a873734da4c24fcb8363ac1b402b125ad5a3384768b6d092e65ba210621379f1",
+    "visibility --method sweep fig4c": "69bb9c5d218f22497913f82666e258c7e33a0e501dc0d90d140a0759997f903f",
+    "visibility --method sweep fig4d": "1642a23589c36b878fe7f965cf5c37374931ee707eefc602db51918b9996d604",
     "visibility fig4a": "4399e2471b2b30677bdf39357f211c81916d7e6a19ee04935c3c26fceec076da",
     "visibility fig4b": "568f325cd3c1c5e852c84738b99a79568b019b8c1d8331b8aa376e13b33357d9",
     "visibility fig4c": "63c5d8d36417dd2c19efd6bc0e061289015db22d8c0558666c1d09a22578bc45",
