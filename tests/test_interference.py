@@ -358,6 +358,48 @@ class TestSweepMatchesFullScan:
         assert (rates <= got.c_max + margin).all()
         assert (rates >= got.c_min - margin).all()
 
+    def test_near_zero_visibility_evaluates_every_point(self, monkeypatch):
+        # Z can rule out no grid point here, so the full scan's picks are
+        # rounding alone. The sweep still runs its two quadratures, and its
+        # extrema hold every grid point's rate within _rate_bounds' margin.
+        cfg = near_zero_visibility_config()
+        assert abs(fringe_amplitude(cfg)) < 1e-15
+        phis = fringe_phis(720)
+        rates = np.array([coincidence_rate(cfg, p) for p in phis])
+        assert rates.max() - rates.min() < 1e-15
+        calls = count_rate_calls(monkeypatch)
+        got = visibility(cfg, PHASE_SWEEP)
+        assert len(calls) == 2
+        peak = fringe_peak(cfg)
+        margin = rate_margin(cfg, np.append(phis, [peak, peak + np.pi]))
+        assert (rates <= got.c_max + margin).all()
+        assert (rates >= got.c_min - margin).all()
+        assert got.phase_at_max_rad == visibility(cfg, COMPLEX_INTEGRAL).phase_at_max_rad
+
+    def test_clipped_ties_resolve_to_first_index(self):
+        # The clip turns a third of the grid into ties at 1 and another third
+        # into ties at 0. The full scan resolves the ties to the first tied
+        # index; the sweep lands on the same plateaus at phi* and phi* + pi
+        # and reports the same extrema and visibility.
+        cfg = negative_weight_config()
+        assert abs(fringe_amplitude(cfg)) == pytest.approx(2.0)
+        phis = fringe_phis(720)
+        rates = np.array([coincidence_rate(cfg, p) for p in phis])
+        first = int(np.argmax(rates))
+        assert rates[first] == 1.0 and (rates[:first] < 1.0).all()
+        expected = full_scan_sweep(cfg)
+        # the refined phase lies within a grid step of it, mod 2 pi
+        dphi = (expected.phase_at_max_rad - phis[first]) % (2 * math.pi)
+        assert min(dphi, 2 * math.pi - dphi) <= phis[1] - phis[0]
+        got = visibility(cfg, PHASE_SWEEP)
+        assert (got.c_max, got.c_min, got.visibility) == (
+            expected.c_max,
+            expected.c_min,
+            expected.visibility,
+        )
+        assert coincidence_rate(cfg, got.phase_at_max_rad) == 1.0
+        assert coincidence_rate(cfg, got.phase_at_max_rad + math.pi) == 0.0
+
 
 class TestRateBoundsOverBracket:
     """_rate_bounds holds the rate at every phase across a bracket, each at its own point."""
