@@ -22,15 +22,12 @@ from . import montecarlo
 from .designer import solve_lengths
 from .errors import (
     ConfigParseError,
-    ContractViolationError,
-    DataError,
-    DomainError,
     ConfigurationError,
     FransonError,
     InfeasibleDesignError,
     StatisticsError,
 )
-from .expconfig import parse_experiment_file, parse_problem_file
+from .expconfig import parse_experiment_file, parse_problem_file, resolve_run
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
@@ -49,10 +46,6 @@ EXIT_STATISTICS = 5
 # each fringe point is one CSV line held until written, and one rate
 # quadrature unless the fringe amplitude's error bound fixes its printed rate
 MAX_FRINGE_POINTS = 2**16
-# largest batches x phases, the streams of one Monte Carlo estimate: its
-# (batches, phases, 2k + 1) int64 histogram is allocated before any stream
-# runs, 56 B per stream at k = 3 (3.5 MiB at the cap); c08 runs 3,200
-_MAX_STREAMS = 2**16
 
 
 def _sci(x: float) -> str:
@@ -70,45 +63,9 @@ def _load_experiment(args):
     raise ConfigParseError("one of --preset or --config is required")
 
 
-def _apply_run_overrides(args, run, simulate=True):
-    """Seed, gates, batches and phases of a run: flags over the file's [run] values.
-
-    With ``simulate`` the Monte Carlo runs unless gates is 0: every phase
-    must then get at least one gate, and batches x phases may not exceed
-    _MAX_STREAMS. Both are checked before any phase grid or histogram is
-    built.
-    """
-    if args.gates is not None and args.gates > montecarlo.MAX_GATES:
-        raise ConfigurationError(
-            f"--gates {args.gates} exceeds the cap of {montecarlo.MAX_GATES}"
-        )
-    if args.seed is not None and args.seed < 0:
-        raise ConfigurationError(f"--seed {args.seed} is below the minimum of 0")
-    if args.phases is not None and args.phases < 3:
-        raise ConfigurationError(f"--phases {args.phases} is below the minimum of 3")
-    if args.phases is not None and args.phases > montecarlo.MAX_PHASES:
-        raise ConfigurationError(
-            f"--phases {args.phases} exceeds the cap of {montecarlo.MAX_PHASES}"
-        )
-    seed = args.seed if args.seed is not None else run.seed
-    gates = args.gates if args.gates is not None else run.gates
-    batches = args.batches if args.batches is not None else run.batches
-    phases = args.phases if args.phases is not None else run.phases
-    if not (simulate and gates):
-        return seed, gates, batches, phases
-    gates_key = "--gates" if args.gates is not None else "[run] gates ="
-    batches_key = "--batches" if args.batches is not None else "[run] batches ="
-    phases_key = "--phases" if args.phases is not None else "[run] phases ="
-    if gates // phases < 1:
-        raise ConfigurationError(
-            f"{gates_key} {gates} gives no gate per phase at {phases_key} {phases}"
-        )
-    if batches * phases > _MAX_STREAMS:
-        raise ConfigurationError(
-            f"{batches_key} {batches} at {phases_key} {phases} asks for "
-            f"{batches * phases} streams, over the cap of {_MAX_STREAMS}"
-        )
-    return seed, gates, batches, phases
+def _run_flags(args):
+    """The seed, gates, batches and phases flags, None where not given."""
+    return {name: getattr(args, name) for name in ("seed", "gates", "batches", "phases")}
 
 
 def _warn_if_unphysical(est, label=""):
@@ -124,21 +81,42 @@ def _warn_if_unphysical(est, label=""):
         )
 
 
+def _estimate(exp, run, noise, label=""):
+    """The Monte Carlo fringe visibility of ``run``'s settings, warned about when V > 1."""
+    est = montecarlo.estimate_visibility(
+        exp.franson,
+        noise,
+        exp.detector,
+        n_gates=run.gates,
+        phases=np.linspace(0.0, 2.0 * np.pi, run.phases, endpoint=False),
+        batches=run.batches,
+        seed=run.seed,
+    )
+    _warn_if_unphysical(est, label)
+    return est
+
+
 def _check_fringe_points(points):
     if not 0 <= points <= MAX_FRINGE_POINTS:
         raise ConfigurationError(f"--points {points} is outside [0, {MAX_FRINGE_POINTS}]")
 
 
+def _write_csv(path, header, rows):
+    """Write a header line and rows, each ending in a newline, to ``path``; to stdout without one."""
+    if not path:
+        sys.stdout.write(header)
+        sys.stdout.writelines(rows)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        fh.writelines(rows)
+
+
 def _write_fringe_csv(path, cfg, points):
     """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
     phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    lines = ["phi_rad,coincidence_rate\n"]
-    lines += [f"{_sci(phi)},{rate}\n" for phi, rate in zip(phis, formatted_rates(cfg, phis, _sci))]
-    if not path:
-        sys.stdout.writelines(lines)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+    rows = [f"{_sci(phi)},{rate}\n" for phi, rate in zip(phis, formatted_rates(cfg, phis, _sci))]
+    _write_csv(path, "phi_rad,coincidence_rate\n", rows)
 
 
 def cmd_visibility(args) -> int:
@@ -193,41 +171,27 @@ def cmd_alpha_sweep(args) -> int:
         raise ConfigParseError(f"bad alpha list {args.alphas!r}")
     if not alphas:
         raise ConfigParseError("alpha list is empty")
+    repeated = [a for a, b in zip(alphas, alphas[1:]) if a == b]
+    if repeated:
+        raise ConfigParseError(f"alpha {repeated[0]!r} is repeated in {args.alphas!r}")
 
-    seed, gates, batches, phases = _apply_run_overrides(args, exp.run, args.montecarlo)
+    run = resolve_run(exp.run, _run_flags(args), simulate=args.montecarlo)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     analytic = alpha_sweep(v0, alphas)
 
     mc_rows = {}
-    if gates and args.montecarlo:
+    if run.gates and args.montecarlo:
         from dataclasses import replace
 
         for a in alphas:
-            est = montecarlo.estimate_visibility(
-                exp.franson,
-                replace(exp.noise, alpha=a),
-                exp.detector,
-                n_gates=gates,
-                phases=np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False),
-                batches=batches,
-                seed=seed,
-            )
-            _warn_if_unphysical(est, f"alpha {_sci(a)}: ")
+            est = _estimate(exp, run, replace(exp.noise, alpha=a), f"alpha {_sci(a)}: ")
             mc_rows[a] = (est.v, est.sigma_v)
 
-    lines = ["alpha,V_analytic,V_montecarlo,sigma_mc"]
+    rows = []
     for a, v in analytic:
-        if a in mc_rows:
-            vm, sm = mc_rows[a]
-            lines.append(f"{_sci(a)},{_sci(v)},{_sci(vm)},{_sci(sm)}")
-        else:
-            lines.append(f"{_sci(a)},{_sci(v)},nan,nan")
-    csv_text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+        vm, sm = (_sci(x) for x in mc_rows[a]) if a in mc_rows else ("nan", "nan")
+        rows.append(f"{_sci(a)},{_sci(v)},{vm},{sm}\n")
+    _write_csv(args.out, "alpha,V_analytic,V_montecarlo,sigma_mc\n", rows)
 
     if len(alphas) >= 2:
         slope, intercept = np.polyfit(alphas, [v for _, v in analytic], 1)
@@ -244,38 +208,29 @@ def cmd_alpha_sweep(args) -> int:
 
 def cmd_montecarlo(args) -> int:
     exp = _load_experiment(args)
-    seed, gates, batches, phases = _apply_run_overrides(args, exp.run)
+    run = resolve_run(exp.run, _run_flags(args), simulate=True)
     if (args.events or args.histogram) and not np.isfinite(args.phase):
         raise ConfigurationError(f"--phase {args.phase} must be finite")
 
-    est = montecarlo.estimate_visibility(
-        exp.franson,
-        exp.noise,
-        exp.detector,
-        n_gates=gates,
-        phases=np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False),
-        batches=batches,
-        seed=seed,
-    )
-    _warn_if_unphysical(est)
+    est = _estimate(exp, run, exp.noise)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     v_pipeline = observed_visibility(v0, exp.noise)
 
     print(f"{'fringe_estimator':32s} {est.fit_method}")
     print(f"{'gates_per_phase':32s} {est.n_gates_per_phase}")
-    print(f"{'batches':32s} {batches}")
+    print(f"{'batches':32s} {run.batches}")
     print(f"{'V_montecarlo':32s} {_sci(est.v)}")
     print(f"{'sigma_V':32s} {_sci(est.sigma_v)}")
     print(f"{'V_analytic_pipeline':32s} {_sci(v_pipeline)}")
     print(f"{'deviation_sigmas':32s} {_sci((est.v - v_pipeline) / est.sigma_v if est.sigma_v else 0.0)}")
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            header = ",".join(f"offset_{o:+d}" for o in est.offsets)
-            fh.write(f"phi_rad,{header}\n")
-            for j, phi in enumerate(est.phases):
-                row = ",".join(str(int(c)) for c in est.per_phase_histogram[j])
-                fh.write(f"{_sci(phi)},{row}\n")
+        offsets = ",".join(f"offset_{o:+d}" for o in est.offsets)
+        rows = (
+            f"{_sci(phi)},{','.join(str(int(c)) for c in counts)}\n"
+            for phi, counts in zip(est.phases, est.per_phase_histogram)
+        )
+        _write_csv(args.out, f"phi_rad,{offsets}\n", rows)
         print(f"{'per_phase_csv':32s} {args.out}")
 
     if args.events or args.histogram:
@@ -283,8 +238,8 @@ def cmd_montecarlo(args) -> int:
             exp.franson,
             exp.noise,
             exp.detector,
-            n_gates=gates,
-            seed=seed,
+            n_gates=run.gates,
+            seed=run.seed,
             phi_tilde=args.phase,
         )
         if args.events:
@@ -418,9 +373,6 @@ def main(argv=None) -> int:
     except StatisticsError as exc:
         print(f"error: statistics: {exc}", file=sys.stderr)
         return EXIT_STATISTICS
-    except (ConfigurationError, ContractViolationError, DataError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PHYSICS
     except FransonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PHYSICS

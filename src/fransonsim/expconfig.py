@@ -11,7 +11,7 @@ the built-in fibers plus an optional catalog file.
 import configparser
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .designer import DesignProblem
 from .dispersion import (
@@ -23,7 +23,7 @@ from .dispersion import (
 )
 from .errors import ConfigParseError, ConfigurationError
 from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, FransonConfig, MZIConfig
-from .montecarlo import MAX_GATES, MAX_PHASES, DetectorModel
+from .montecarlo import MAX_GATES, MAX_PHASES, MAX_STREAMS, DetectorModel
 from .noise import NoiseModel
 from .spectra import (
     DEFAULT_GRID_POINTS,
@@ -46,6 +46,53 @@ class RunSettings:
     batches: int = 20
     phases: int = 32
     method: str = COMPLEX_INTEGRAL
+
+
+# a run setting's (minimum, cap, checked only when a Monte Carlo runs), in the
+# order resolve_run checks them; None where there is no bound
+_RUN_BOUNDS = {
+    "gates": (None, MAX_GATES, False),
+    "seed": (0, None, False),
+    "phases": (3, MAX_PHASES, False),
+    "batches": (2, None, True),
+}
+
+
+def resolve_run(run: RunSettings, flags=None, simulate=False) -> RunSettings:
+    """``run`` with ``flags`` laid over it, checked against _RUN_BOUNDS.
+
+    ``flags`` maps seed, gates, batches and phases to a value, or to None
+    when unset. With ``simulate`` a Monte Carlo runs unless gates is 0; it
+    then also needs a gate per phase and at most MAX_STREAMS streams. An
+    error names a value ``--name`` if a flag gave it, else ``[run] name =``.
+    """
+    flags = {name: value for name, value in (flags or {}).items() if value is not None}
+    run = replace(run, **flags)
+
+    def key(name):
+        return f"--{name}" if name in flags else f"[run] {name} ="
+
+    monte_carlo = simulate and run.gates != 0
+    for name, (low, cap, only_monte_carlo) in _RUN_BOUNDS.items():
+        if only_monte_carlo and not monte_carlo:
+            continue
+        value = getattr(run, name)
+        if low is not None and value < low:
+            raise ConfigurationError(f"{key(name)} {value} is below the minimum of {low}")
+        if cap is not None and value > cap:
+            raise ConfigurationError(f"{key(name)} {value} exceeds the cap of {cap}")
+    if not monte_carlo:
+        return run
+    if run.gates // run.phases < 1:
+        raise ConfigurationError(
+            f"{key('gates')} {run.gates} gives no gate per phase at {key('phases')} {run.phases}"
+        )
+    if run.batches * run.phases > MAX_STREAMS:
+        raise ConfigurationError(
+            f"{key('batches')} {run.batches} at {key('phases')} {run.phases} asks for "
+            f"{run.batches * run.phases} streams, over the cap of {MAX_STREAMS}"
+        )
+    return run
 
 
 @dataclass(frozen=True)
@@ -195,12 +242,6 @@ def _check_cap(value: int, cap: int, key: str) -> int:
     return value
 
 
-def _check_min(value: int, low: int, key: str) -> int:
-    if value < low:
-        raise ConfigurationError(f"{key} = {value} is below the minimum of {low}")
-    return value
-
-
 def _read_file(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -341,17 +382,9 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
     method = run_sec.get("method", COMPLEX_INTEGRAL).strip().lower() if run_sec else COMPLEX_INTEGRAL
     if method not in (COMPLEX_INTEGRAL, PHASE_SWEEP):
         raise ConfigParseError(f"[run] unknown method {method!r}", line=_line(run_sec, "method"))
-    run = RunSettings(
-        seed=_check_min(_getint(run_sec, "seed", 12345), 0, "[run] seed"),
-        gates=_check_cap(_getint(run_sec, "gates", 1_000_000), MAX_GATES, "[run] gates"),
-        batches=_getint(run_sec, "batches", 20),
-        phases=_check_cap(
-            _check_min(_getint(run_sec, "phases", 32), 3, "[run] phases"),
-            MAX_PHASES,
-            "[run] phases",
-        ),
-        method=method,
-    )
+    # each bounded setting from the file, or RunSettings' default for it
+    settings = {name: _getint(run_sec, name, getattr(RunSettings, name)) for name in _RUN_BOUNDS}
+    run = resolve_run(RunSettings(method=method, **settings))
 
     return Experiment(franson=franson, noise=noise, detector=detector, run=run)
 

@@ -74,6 +74,10 @@ MAX_GATES = 2**26
 # largest phase grid a run may ask for, as for a fringe's points: the grid and
 # its (phase, offset) histogram rows are built before any stream runs
 MAX_PHASES = 2**16
+# largest batches x phases a run may ask for, the streams of one estimate: its
+# histogram is allocated before any stream runs, 56 B per stream at k = 3
+# (3.5 MiB at the cap); c08 runs 3,200
+MAX_STREAMS = 2**16
 # largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
 # 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
 MAX_HISTOGRAM_CELLS = 2**23

@@ -4,7 +4,6 @@ import math
 import re
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,12 +13,18 @@ from fransonsim import (
     PRESET_NAMES,
     ConfigParseError,
     ConfigurationError,
+    ContractViolationError,
+    DataError,
+    DomainError,
+    FransonError,
+    InfeasibleDesignError,
+    StatisticsError,
     load_fiber_catalog,
     parse_experiment,
     preset_experiment,
 )
 from fransonsim.cli import main
-from fransonsim.expconfig import parse_experiment_file, parse_problem_file
+from fransonsim.expconfig import parse_experiment_file, parse_problem_file, resolve_run
 
 from tests.helpers import loop_fringe_csv, run_python
 
@@ -416,6 +421,31 @@ class TestCli:
         cfg.write_text(FULL_CONFIG.replace("delta_t_ns = 4.77\nphase_rad = 0.0\nlong = SMF:2875.0", "delta_t_ns = 4.80\nphase_rad = 0.0\nlong = SMF:2875.0"))
         assert main(["visibility", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ConfigParseError, 2, "error: "),
+            (InfeasibleDesignError, 4, "error: infeasible design: "),
+            (StatisticsError, 5, "error: statistics: "),
+            (ConfigurationError, 3, "error: "),
+            (ContractViolationError, 3, "error: "),
+            (DataError, 3, "error: "),
+            (DomainError, 3, "error: "),
+            (FransonError, 3, "error: "),
+            (OSError, 2, "error: "),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_error_exit_codes(self, monkeypatch, capsys, error, code, prefix):
+        def fail(name):
+            raise error("boom")
+
+        monkeypatch.setattr(fransonsim.cli, "preset_summary", fail)
+        assert main(["presets", "list"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"{prefix}boom\n"
+        assert captured.out == ""
+
 
 class TestRunMethod:
     """[run] method chooses the reported extrema; --method overrides it."""
@@ -578,8 +608,11 @@ class TestInputValidation:
             ("", "", ["--seed", "-1"], "--seed"),
             ("phases = 16", "phases = -3", [], "[run] phases"),
             ("seed = 7", "seed = -4", [], "[run] seed"),
+            ("", "", ["--batches", "1"], "--batches 1 is below the minimum of 2"),
+            ("batches = 5", "batches = 1", [], "[run] batches = 1 is below the minimum of 2"),
         ],
-        ids=["flag-phases-0", "flag-phases-neg", "flag-seed-neg", "file-phases-neg", "file-seed-neg"],
+        ids=["flag-phases-0", "flag-phases-neg", "flag-seed-neg", "file-phases-neg", "file-seed-neg",
+             "flag-batches-1", "file-batches-1"],
     )
     def test_run_settings_out_of_range(self, tmp_path, capsys, command, old, new, flags, key):
         cfg = tmp_path / "run.ini"
@@ -587,6 +620,34 @@ class TestInputValidation:
         assert main(command + ["--config", str(cfg), "--gates", "3200"] + flags) == 3
         captured = capsys.readouterr()
         assert key in captured.err
+        assert captured.out == ""
+
+
+    def test_batches_minimum_only_when_simulating(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "run.ini", FULL_CONFIG.replace("batches = 5", "batches = 1"))
+        assert parse_experiment_file(cfg).run.batches == 1
+        assert main(["visibility", "--config", str(cfg)]) == 0
+        assert main(["alpha-sweep", "--config", str(cfg), "--alphas", "0.1,0.2"]) == 0
+        assert main(["alpha-sweep", "--config", str(cfg), "--montecarlo", "--gates", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_file_checks_name_gates_before_seed(self):
+        text = FULL_CONFIG.replace("seed = 7", "seed = -4").replace("gates = 100000", "gates = 67108865")
+        with pytest.raises(ConfigurationError, match=r"^\[run\] gates = 67108865 exceeds the cap"):
+            parse_experiment(text)
+
+    @pytest.mark.parametrize("montecarlo", [[], ["--montecarlo", "--gates", "3200"]],
+                             ids=["analytic", "mc"])
+    @pytest.mark.parametrize("alphas", ["0.1,0.1", "0.2,0.1,0.10", "0.1,1e-1,0.3"])
+    def test_repeated_alpha_rejected(self, monkeypatch, capsys, montecarlo, alphas):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(fransonsim.montecarlo, "estimate_visibility", no_estimate)
+        argv = ["alpha-sweep", "--preset", "fig4a", "--alphas", alphas] + montecarlo
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: alpha 0.1 is repeated in {alphas!r}\n"
         assert captured.out == ""
 
 
@@ -663,13 +724,16 @@ class TestRunGrid:
 
     def test_streams_cap_is_inclusive(self):
         run = parse_experiment(FULL_CONFIG).run
-        args = SimpleNamespace(seed=None, gates=None, batches=4096, phases=None)
-        assert fransonsim.cli._apply_run_overrides(args, run) == (7, 100_000, 4096, 16)
-        args.batches = 4097
+        flags = dict(seed=None, gates=None, batches=4096, phases=None)
+        resolved = resolve_run(run, flags, simulate=True)
+        assert (resolved.seed, resolved.gates, resolved.batches, resolved.phases) == (
+            7, 100_000, 4096, 16
+        )
+        flags["batches"] = 4097
         with pytest.raises(ConfigurationError, match="--batches 4097"):
-            fransonsim.cli._apply_run_overrides(args, run)
+            resolve_run(run, flags, simulate=True)
         # the cap binds only when a Monte Carlo runs
-        assert fransonsim.cli._apply_run_overrides(args, run, simulate=False)[2] == 4097
+        assert resolve_run(run, flags, simulate=False).batches == 4097
 
     @pytest.mark.parametrize("export", ["--events", "--histogram"])
     @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
