@@ -175,7 +175,10 @@ def cmd_alpha_sweep(args) -> int:
     if repeated:
         raise ConfigParseError(f"alpha {repeated[0]!r} is repeated in {args.alphas!r}")
 
-    run = resolve_run(exp.run, _run_flags(args), simulate=args.montecarlo)
+    # gates 0 asks for the analytic columns alone, with nan Monte Carlo ones
+    run = resolve_run(exp.run, _run_flags(args))
+    if args.montecarlo and run.gates:
+        run = resolve_run(exp.run, _run_flags(args), simulate=True)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     analytic = alpha_sweep(v0, alphas)
 

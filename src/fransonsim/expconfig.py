@@ -62,9 +62,10 @@ def resolve_run(run: RunSettings, flags=None, simulate=False) -> RunSettings:
     """``run`` with ``flags`` laid over it, checked against _RUN_BOUNDS.
 
     ``flags`` maps seed, gates, batches and phases to a value, or to None
-    when unset. With ``simulate`` a Monte Carlo runs unless gates is 0; it
-    then also needs a gate per phase and at most MAX_STREAMS streams. An
-    error names a value ``--name`` if a flag gave it, else ``[run] name =``.
+    when unset. With ``simulate`` a Monte Carlo runs, which also needs a
+    gate per phase (so gates 0 is refused) and at most MAX_STREAMS streams.
+    An error names a value ``--name`` if a flag gave it, else
+    ``[run] name =``.
     """
     flags = {name: value for name, value in (flags or {}).items() if value is not None}
     run = replace(run, **flags)
@@ -72,16 +73,15 @@ def resolve_run(run: RunSettings, flags=None, simulate=False) -> RunSettings:
     def key(name):
         return f"--{name}" if name in flags else f"[run] {name} ="
 
-    monte_carlo = simulate and run.gates != 0
     for name, (low, cap, only_monte_carlo) in _RUN_BOUNDS.items():
-        if only_monte_carlo and not monte_carlo:
+        if only_monte_carlo and not simulate:
             continue
         value = getattr(run, name)
         if low is not None and value < low:
             raise ConfigurationError(f"{key(name)} {value} is below the minimum of {low}")
         if cap is not None and value > cap:
             raise ConfigurationError(f"{key(name)} {value} exceeds the cap of {cap}")
-    if not monte_carlo:
+    if not simulate:
         return run
     if run.gates // run.phases < 1:
         raise ConfigurationError(

@@ -30,20 +30,23 @@ geometric gaps between dark counts and one uniform per click for
 afterpulses. The gaps give each gate a birth (or a dark count) independently
 with probability alpha (or dark_prob), at most one per gate, as one uniform
 per gate would, but with draws in proportion to the events rather than the
-gates (see _bernoulli_gates). tests/test_montecarlo.py holds a frozen copy of
-the stream code to check the order against, and a copy of the earlier
-one-uniform-per-gate sampler to check the law against.
+gates (see _bernoulli_gates). A gap is the value ``rng.geometric`` returns,
+but below p = 1/3 it is taken as NumPy itself takes it, from one
+exponential draw, and inverted for a whole block at once (_draw_gaps).
+tests/test_montecarlo.py holds a frozen copy of the stream code to check
+the order against, and a copy of the earlier one-uniform-per-gate sampler to
+check the law against.
 
 One engine, _simulate_segments, simulates several streams at once as
-segments of shared gate arrays; the draws stay per generator, in the order
-above, and the merges, afterpulse selection and coincidence count run once
-over all segments. simulate_run is the one-segment case. estimate_visibility
-maps one task per (batch, group of _PHASE_GROUP consecutive phases) over a
-pool of one thread per available core, as NumPy's bulk work releases the
-GIL. A task owns its generators and returns its histogram rows, which are
-read in task order, so the output does not depend on the core count. A task
-holds one stream's pair uniforms at a time plus its group's events, and at
-most _QUEUED_PER_THREAD tasks per thread are submitted at once.
+segments of shared gate arrays: the draws stay per generator, in the order
+above, and the array work between two kinds of draws runs once per chunk of
+streams or once over all of them. simulate_run is the one-segment case.
+estimate_visibility maps tasks, each a run of one batch's phases sized by
+its expected events, over a pool of one thread per available core, as
+NumPy's bulk work releases the GIL. A task owns its generators and returns
+its histogram rows, which are read in task order, so the output does not
+depend on the core count; at most _QUEUED_PER_THREAD tasks per thread are
+submitted at once.
 """
 
 import math
@@ -59,10 +62,16 @@ from .interference import FransonConfig, fringe_rates
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
-# phases per estimate_visibility task. A task holds its group's clicks at
-# once: on the dense alpha-sweep, 8 ran as fast as 32 (a whole batch) at the
-# peak RSS of one stream per task, while 32 raised it by 3 MB on 2 threads
-_PHASE_GROUP = 8
+# expected events (pairs and dark counts) of an estimate_visibility task, its
+# consecutive phases' streams: fig4a's sparse batch (750 pairs per stream at
+# 10M gates) is one task, and a dense one (6,250 pairs per stream at alpha 0.2
+# and 31,250 gates) four tasks of 8 streams; with fewer streams per task the
+# dense alpha-sweep ran slower on 2 threads
+_TASK_EVENTS = 2**16
+# expected pairs whose births and pair flags a task holds at once: 2 dense
+# streams. On 2 threads 2**15 ran the dense alpha-sweep faster still, but
+# raised its peak RSS by about 1 MB
+_CHUNK_PAIRS = 2**14
 # tasks queued or running per pool thread: enough to keep every thread busy
 # while the caller reads rows in task order, and few enough that the pool's
 # futures (about 2 KB each) do not grow with the number of tasks
@@ -208,92 +217,198 @@ def _merge_gates(*arrays):
     A sort plus a drop of adjacent repeats: np.unique hashes integers first,
     which costs about ten times as much at stream sizes.
     """
-    gates = np.sort(np.concatenate(arrays))
+    gates = np.concatenate(arrays)
+    gates.sort()
     first = np.empty(len(gates), dtype=bool)
     first[:1] = True
     np.not_equal(gates[1:], gates[:-1], out=first[1:])
     return gates[first]
 
 
+def _gap_block(n, p):
+    """Gaps drawn at once for a Bernoulli(p) process on n gates: int(n p + 4 sqrt(n p)) + 16."""
+    if p == 0:
+        return 0
+    mean = n * p
+    return int(mean + 4 * math.sqrt(mean)) + 16
+
+
+def _draw_gaps(rng, p, out):
+    """Fill the float64 row out with the draws of len(out) geometric(p) gaps, for _geometric.
+
+    Below p = 1/3 NumPy's ``rng.geometric(p)`` is the inversion
+    ceil(-E / log1p(-p)) of one ``standard_exponential`` draw E, and from
+    1/3 up a search over one uniform. So below 1/3 this draws E alone, and
+    _geometric inverts whole blocks of rows at once, with log1p(-p) taken
+    once; from 1/3 up it calls ``rng.geometric``. Gaps and generator states
+    equal those of ``rng.geometric`` bit for bit, as checked on NumPy 2.4.6
+    (tests/test_montecarlo.py, TestExponentialGaps).
+    """
+    if p < 1 / 3:
+        rng.standard_exponential(out=out)
+    else:
+        out[:] = rng.geometric(p, len(out))
+
+
+def _geometric(gaps, p):
+    """Rows of _draw_gaps, in place, as the gaps ``rng.geometric(p)`` returns, each at least 1.
+
+    The inversion returns 0 for an exponential of exactly 0, which is
+    raised to 1 so that no gate repeats. A gap past the float range is inf
+    here and INT64_MAX in NumPy, and either ends its row's gates below n.
+    """
+    if p < 1 / 3:
+        with np.errstate(over="ignore"):  # at tiny p a gap overflows to inf
+            np.divide(gaps, -math.log1p(-p), out=gaps)
+        np.ceil(gaps, out=gaps)
+    return np.maximum(gaps, 1, out=gaps)
+
+
+def _gap_gates(gaps, p, first):
+    """Gates of rows of _draw_gaps, in place: cumulative gaps, row j's first counted from first[j].
+
+    The sums stay in float64, exact below 2**53. A running sum never falls,
+    so every gate below n is exact, and the first gate at or past n, inf
+    included, ends the row.
+    """
+    _geometric(gaps, p)
+    gaps[:, 0] += first
+    return np.cumsum(gaps, axis=1, out=gaps)
+
+
+def _gap_hits(gaps, rngs, n, p, starts):
+    """Bernoulli(p) hits on [0, n) of the rows of _draw_gaps, row j drawn from rngs[j].
+
+    Returns the int64 hits of all rows in row order, row j's offset by
+    starts[j], and each row's hit count. A row whose gates all fall below
+    n continues from its last gate with further blocks of the same size
+    from its generator, until a gate reaches n; the rest of the last block
+    is discarded (Devroye 1986, ch. X).
+    """
+    if p == 0:
+        return np.empty(0, dtype=np.int64), np.zeros(len(rngs), dtype=np.int64)
+    ends = starts + n
+    gates = _gap_gates(gaps, p, starts - 1)
+    counts = (gates < ends[:, None]).sum(axis=1)
+    # a row's hits are its first counts[j] gates
+    hits = np.concatenate([row[:c] for row, c in zip(gates, counts.tolist())],
+                          dtype=np.int64, casting="unsafe")
+    full = np.flatnonzero(counts == gaps.shape[1]).tolist()
+    if not full:
+        return hits, counts
+    parts = np.split(hits, np.cumsum(counts)[:-1])
+    row = np.empty_like(gaps[:1])
+    for j in full:  # rare: a block ended before gate n
+        last, more = gates[j, -1], [parts[j]]
+        while last < ends[j]:
+            _draw_gaps(rngs[j], p, row[0])
+            g = _gap_gates(row, p, last)[0]
+            more.append(g[g < ends[j]].astype(np.int64))
+            last = g[-1]
+        parts[j] = np.concatenate(more)
+        counts[j] = len(parts[j])
+    return np.concatenate(parts), counts
+
+
+def _gap_rows(rngs, n, p):
+    """One row of _gap_block(n, p) gaps per generator, from _draw_gaps."""
+    gaps = np.empty((len(rngs), _gap_block(n, p)))
+    if p:
+        for rng, row in zip(rngs, gaps):
+            _draw_gaps(rng, p, row)
+    return gaps
+
+
 def _bernoulli_gates(rng, n, p):
     """Sorted int64 gates in [0, n), each present independently with probability p.
 
     The gaps between successive hits, the first counted from gate -1, are
-    geometric(p) (Devroye 1986, ch. X), so draws and memory grow with the
-    hits, not with n. Gaps come in blocks of int(n p + 4 sqrt(n p)) + 16
-    draws of ``rng.geometric``, until a gate reaches n; the rest of the last
-    block is discarded. Each gap is clipped to [1, n + 1]: NumPy's geometric
-    returns 0 when its exponential draw is exactly 0 and INT64_MAX when p is
-    so small that the gap overflows, and neither clip moves a gate below n.
-    A block then sums to at most block * (n + 1), within int64 for n < 2**31.
+    geometric(p), so draws and memory grow with the hits, not with n: the
+    one-stream case of _gap_hits.
     """
-    if p == 0:
-        return np.empty(0, dtype=np.int64)
-    mean = n * p
-    block = int(mean + 4 * math.sqrt(mean)) + 16
-    hits, last = [], -1
-    while True:
-        gates = rng.geometric(p, block)
-        np.maximum(gates, 1, out=gates)
-        np.minimum(gates, n + 1, out=gates)
-        gates[0] += last
-        gates.cumsum(out=gates)
-        end = gates.searchsorted(n)
-        hits.append(gates[:end])
-        if end < block:  # a gate reached n
-            return hits[0] if len(hits) == 1 else np.concatenate(hits)
-        last = int(gates[-1])
+    return _gap_hits(_gap_rows([rng], n, p), [rng], n, p, np.zeros(1, dtype=np.int64))[0]
+
+
+def _even_slices(n, most):
+    """range(n) cut into the fewest slices of at most most items, equal to within one."""
+    parts = -(-n // most)
+    edges = [n * i // parts for i in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
 def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
     """Simulate len(rngs) acquisitions of n_gates each as segments of shared arrays.
 
     Stream j draws from rngs[j] at coincidence rate rates[j], in the pinned
-    order of the module docstring; only the array work between two kinds of
-    draws is shared. Its gates are offset by j * stride, with stride =
-    n_gates + k + 1 for the counting window k = max(3, m): a photon (at most
-    m gates late) or an afterpulse (1 gate late) that would fall past the
-    stream's last gate is dropped, and no window of +-k gates reaches from
-    one segment into the next. Returns the sorted signal and idler gates and
-    the stride.
+    order of the module docstring. Per stream this makes its draw calls,
+    into preallocated rows, and compares its five-row fill with the limits
+    of the pair flags; the rest runs once per chunk of consecutive streams
+    with about _CHUNK_PAIRS expected pairs (births and flags) or once over
+    all streams (dark counts, afterpulses). Stream j's gates are offset by
+    j * stride, with stride = n_gates + k + 1 for the counting window
+    k = max(3, m): a photon (at most m gates late) or an afterpulse (1 gate
+    late) that would fall past the stream's last gate is dropped, and no
+    window of +-k gates reaches from one segment into the next. Returns the
+    sorted signal and idler gates and the stride.
     """
     m = gate_offset(cfg, det)
     stride = n_gates + max(3, m) + 1
-    starts = range(0, len(rngs) * stride, stride)
-    eta = det.efficiency
-
-    def per_gate(p):  # each stream's gates whose uniform falls below p
-        return np.concatenate(
-            [_bernoulli_gates(rng, n_gates, p) + s for rng, s in zip(rngs, starts)]
-        )
+    starts = np.arange(len(rngs)) * stride
+    rates = np.asarray(rates, dtype=float)
+    eta, alpha, dark_p = det.efficiency, noise.alpha, det.dark_prob
+    # each stream's dark count gaps, the signal's and then the idler's
+    dark = np.empty((len(rngs), _gap_block(n_gates, dark_p)))
 
     def inside(gates):  # drop what fell past the last gate of its segment
         return gates[gates % stride < n_gates]
 
-    def photons(rng, start, c_rate):  # one stream's pairs: births, then one fill
-        pair_g = _bernoulli_gates(rng, n_gates, noise.alpha) + start
-        # in C order the fill's rows are the draws of five successive
-        # rng.random(n_pairs) calls: outcome class, interference survival,
-        # short-short vs long-long placement, signal and idler detection
-        u, v, w, ds, di = rng.random((5, len(pair_g)))
-        sl = u < 0.25
-        ls = (u >= 0.25) & (u < 0.5)
-        late = (u >= 0.5) & (v < c_rate) & (w < 0.5)  # interfering pair lands long-long
-        emitted = (u < 0.5) | (v < c_rate)  # split paths, or same path and not lost
-        return (
-            (pair_g + m * (ls | late))[emitted & (ds < eta)],
-            (pair_g + m * (sl | late))[emitted & (di < eta)],
-        )
+    def photons(chunk):  # births, then per stream one fill and the signal's dark gaps
+        births = _gap_rows(rngs[chunk], n_gates, alpha)
+        pair_g, n_pairs = _gap_hits(births, rngs[chunk], n_gates, alpha, starts[chunk])
+        del births  # not held next to the flags
+        # a stream's fill is five successive rng.random(n_pairs) calls, drawn
+        # as rows in C order, three and then two at a time, each compared
+        # with its limit: outcome class (below 0.5 the photons take split
+        # paths), interference survival (the stream's rate), long-long
+        # placement, signal and idler detection. The class is also compared
+        # with 0.25, below which the signal takes the short path
+        limits = np.array([[0.5], [0.0], [0.5], [eta], [eta]])
+        flags = np.empty((6, len(pair_g)), dtype=bool)
+        fill = np.empty(3 * n_pairs.max(initial=0))
+        ends = np.cumsum(n_pairs).tolist()
+        for rng, a, b, rate, row in zip(rngs[chunk], [0] + ends, ends, rates[chunk], dark[chunk]):
+            limits[1] = rate
+            u = fill[: 3 * (b - a)].reshape(3, b - a)
+            rng.random(out=u)
+            np.less(u, limits[:3], out=flags[:3, a:b])
+            np.less(u[0], 0.25, out=flags[5, a:b])
+            u = u[:2]
+            rng.random(out=u)
+            np.less(u, limits[3:], out=flags[3:5, a:b])
+            if dark_p:
+                _draw_gaps(rng, dark_p, row)
+        split, survive, late, det_s, det_i, sl = flags
+        late &= survive
+        late &= ~split  # an interfering pair lands long-long
+        survive |= split  # emitted: split paths, or same path and not lost
+        det_s &= survive
+        det_i &= survive
+        sl |= late  # the idler's long path; the signal's is sl ^ split
+        return tuple(np.compress(keep, pair_g) + m * np.compress(keep, shift)
+                     for keep, shift in ((det_s, sl ^ split), (det_i, sl)))
 
-    # a stream's pair masks are built stream by stream, so that a task holds
-    # the uniforms of one stream's pairs, not of its group's
-    sig, idl = zip(*map(photons, rngs, starts, rates))
-    edges = np.arange(len(rngs) + 1) * stride
+    chunks = _even_slices(len(rngs), max(1, int(_CHUNK_PAIRS // max(n_gates * alpha, 1.0))))
+    sig, idl = zip(*map(photons, chunks))
     detectors = []
     for gates in (sig, idl):  # signal first: dark counts, then afterpulses
-        base = _merge_gates(inside(np.concatenate(gates)), per_gate(det.dark_prob))
-        per_stream = np.diff(np.searchsorted(base, edges)).tolist()
-        u = np.concatenate([rng.random(n) for rng, n in zip(rngs, per_stream)])
+        darks, _ = _gap_hits(dark, rngs, n_gates, dark_p, starts)
+        base = _merge_gates(inside(np.concatenate(gates)), darks)
+        ends = np.searchsorted(base, starts + stride).tolist()
+        u = np.empty(len(base))
+        for j, (rng, a, b) in enumerate(zip(rngs, [0] + ends, ends)):
+            rng.random(out=u[a:b])
+            if dark_p and not detectors:  # the idler's dark gaps follow the signal's afterpulses
+                _draw_gaps(rng, dark_p, dark[j])
         detectors.append(_merge_gates(base, inside(base[u < det.afterpulse_prob] + 1)))
     return detectors[0], detectors[1], stride
 
@@ -329,13 +444,16 @@ def _count_segments(sig, idl, k, stride=None, n_segments=1):
     Every signal-idler pair with |idler - signal| <= k counts once, in the
     row of the signal gate's segment (gate // stride); segments must lie
     more than k gates apart. Two binary searches per signal gate find its
-    window of idler gates; the windows are expanded into one array of pairs,
-    binned once by segment * (2k + 1) + offset + k.
+    window of idler gates; the nonempty windows are expanded into one array
+    of pairs, binned once by segment * (2k + 1) + offset + k.
     """
     # signed, so that sig - k cannot wrap below gate 0
     sig, idl = sig.astype(np.int64, copy=False), idl.astype(np.int64, copy=False)
     lo = np.searchsorted(idl, sig - k, side="left")
-    n = np.searchsorted(idl, sig + k, side="right") - lo
+    n = np.searchsorted(idl, sig + k, side="right")
+    n -= lo
+    some = np.flatnonzero(n)  # most signal gates of a sparse stream see no idler
+    sig, lo, n = sig[some], lo[some], n[some]
     # idl[idx] runs through every signal gate's window in turn
     idx = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
     key = k - sig
@@ -444,13 +562,17 @@ def estimate_visibility(
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
-    its own substream derived from (seed, batch, phase). One task simulates
-    and counts a batch's streams for _PHASE_GROUP consecutive phases as
-    segments and returns their rows; the tasks run on a thread pool in a
-    window of _QUEUED_PER_THREAD per thread (_ordered_map) and their rows are
-    read in task order, so the result does not depend on the core count and
-    the lowest failed task's error is raised. A histogram over
-    MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
+    its own substream derived from (seed, batch, phase), its gaps from
+    exponential draws as NumPy's geometric takes them. One task simulates
+    and counts a run of a batch's consecutive phases as segments and
+    returns their rows; a batch is cut into the fewest runs of at most
+    _TASK_EVENTS expected pairs and dark counts, equal to within one phase,
+    and each task draws its pairs in chunks of about _CHUNK_PAIRS. The tasks
+    run on a thread pool in a window of _QUEUED_PER_THREAD per thread
+    (_ordered_map) and their rows are read in task order, so the result
+    does not depend on the core count and the lowest failed task's error is
+    raised. A histogram over MAX_HISTOGRAM_CELLS cells is refused before it
+    is allocated.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -470,8 +592,9 @@ def estimate_visibility(
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    groups = range(0, len(phases), _PHASE_GROUP)
-    tasks = ((b, slice(g, g + _PHASE_GROUP)) for b in range(batches) for g in groups)
+    events = per_phase * (noise.alpha + 2 * det.dark_prob)  # expected, per stream
+    groups = _even_slices(len(phases), max(1, int(_TASK_EVENTS // max(events, 1.0))))
+    tasks = ((b, group) for b in range(batches) for group in groups)
 
     def simulate(task):
         b, group = task

@@ -221,6 +221,13 @@ class TestPresetFidelity:
 
 
 class TestCli:
+    def test_import_leaves_pool_and_scipy_unloaded(self):
+        # the Monte Carlo imports its thread pool when an estimate runs:
+        # concurrent.futures costs about 10 ms of every command's start-up
+        code = ("import sys, fransonsim.cli; "
+                "print([m for m in ('concurrent.futures', 'scipy') if m in sys.modules])")
+        assert run_python(code).strip() == "[]"
+
     def test_presets_list(self, capsys):
         assert main(["presets", "list"]) == 0
         out = capsys.readouterr().out
@@ -800,6 +807,28 @@ class TestRunGrid:
         assert main(argv) == 0
         assert main(argv + ["--montecarlo", "--gates", "0"]) == 0
         assert "nan" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old, new, flags, key", [
+        ("", "", ["--gates", "0"], "--gates 0"),
+        ("gates = 100000", "gates = 0", [], "[run] gates = 0"),
+    ], ids=["flag", "file"])
+    def test_montecarlo_names_zero_gates(self, tmp_path, monkeypatch, capsys, old, new, flags,
+                                         key):
+        # gates 0 skips the Monte Carlo of alpha-sweep, but montecarlo has
+        # nothing else to run
+        def no_stream(*args):
+            raise AssertionError("a stream ran")
+
+        monkeypatch.setattr(fransonsim.montecarlo, "_simulate_segments", no_stream)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        assert main(["montecarlo", "--config", str(cfg), "--batches", "2"] + flags) == 3
+        captured = capsys.readouterr()
+        assert f"{key} gives no gate per phase" in captured.err
+        assert captured.out == ""
+        argv = ["alpha-sweep", "--config", str(cfg), "--alphas", "0.1,0.2", "--montecarlo"]
+        assert main(argv + flags) == 0
+        assert capsys.readouterr().out.count(",nan,nan") == 2
 
 
 class TestRelativePaths:

@@ -4,6 +4,7 @@ import json
 import math
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -489,9 +490,9 @@ class TestBernoulliGates:
             def __init__(self):
                 self.rng, self.draws = np.random.default_rng(3), 0
 
-            def geometric(self, p, size):
-                self.draws += size
-                return self.rng.geometric(p, size)
+            def standard_exponential(self, out):
+                self.draws += len(out)
+                return self.rng.standard_exponential(out=out)
 
         rng = CountingRng()
         n = 2**22
@@ -501,26 +502,65 @@ class TestBernoulliGates:
         assert rng.draws < 2 * hits + 100
 
     def test_zero_and_overflowing_gaps(self):
-        # NumPy's geometric returns 0 when its exponential draw is exactly 0,
-        # and INT64_MAX when the gap overflows; neither may repeat a gate or
-        # wrap the running sum
-        big = np.iinfo(np.int64).max
-        rng = SimpleNamespace(geometric=lambda p, size: np.resize([0, 0, 3, big, big], size))
-        assert _bernoulli_gates(rng, 10, 0.5).tolist() == [0, 1, 4]
-        rng = SimpleNamespace(geometric=lambda p, size: np.full(size, big))
-        assert _bernoulli_gates(rng, 2**26, 1e-300).tolist() == []
+        # an exponential of exactly 0 inverts to a gap of 0, and one of 1e308
+        # overflows the division to inf; neither may repeat a gate, wrap the
+        # running sum or warn. At p = 0.2 an exponential of 0.5 is a gap of 3
+        def exponentials(*values):
+            return SimpleNamespace(standard_exponential=lambda out: np.copyto(
+                out, np.resize(values, len(out))))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _bernoulli_gates(exponentials(0, 0, 0.5, 1e308, 1e308), 10, 0.2).tolist() == [
+                0, 1, 4]
+            assert _bernoulli_gates(exponentials(1.0), 2**26, 1e-300).tolist() == []
 
     def test_later_blocks_continue_from_the_last_hit(self):
-        # at p = 1e-9 a block holds 16 gaps; gaps of 1 need 7 blocks for 100 gates
+        # at p = 1e-9 a block holds 16 gaps, and an exponential of 1e-10 is a
+        # gap of 1; gaps of 1 need 7 blocks for 100 gates
         blocks = []
 
-        def geometric(p, size):
-            blocks.append(size)
-            return np.ones(size, dtype=np.int64)
+        def standard_exponential(out):
+            blocks.append(len(out))
+            out[:] = 1e-10
 
-        gates = _bernoulli_gates(SimpleNamespace(geometric=geometric), 100, 1e-9)
+        rng = SimpleNamespace(standard_exponential=standard_exponential)
+        gates = _bernoulli_gates(rng, 100, 1e-9)
         assert gates.tolist() == list(range(100))
         assert blocks == [16] * 7
+
+
+class TestExponentialGaps:
+    """Below p = 1/3 the gaps invert NumPy's own exponential draws, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "p", [5e-324, 1e-300, 2e-6, 0.0024, 0.1, 0.2, float(np.nextafter(1 / 3, 0))]
+    )
+    def test_same_gaps_and_state_as_geometric(self, p):
+        n, size = montecarlo.MAX_GATES, 5_000
+        for seed in range(20):
+            engine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            gaps = np.empty((1, size))
+            montecarlo._draw_gaps(engine, p, gaps[0])
+            montecarlo._geometric(gaps, p)
+            expected = numpy_rng.geometric(p, size)
+            # the engine's clip to [1, n + 1], on both sides
+            assert np.array_equal(np.clip(gaps[0], 1, n + 1), np.clip(expected, 1, n + 1))
+            assert engine.bit_generator.state == numpy_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p", [1 / 3, 0.5, 1.0])
+    def test_search_range_draws_geometric(self, p):
+        # from p = 1/3 up NumPy searches over one uniform instead of inverting
+        # an exponential, so the engine calls rng.geometric itself
+        rng = np.random.default_rng(5)
+        calls = []
+        spy = SimpleNamespace(
+            geometric=lambda p, size: calls.append(size) or rng.geometric(p, size))
+        gaps = np.empty((1, 1_000))
+        montecarlo._draw_gaps(spy, p, gaps[0])
+        montecarlo._geometric(gaps, p)
+        assert calls == [1_000]
+        assert np.array_equal(gaps[0], np.random.default_rng(5).geometric(p, 1_000))
 
 
 LAW_P = [0.0, 5e-324, 1e-300, 2e-6, 0.0024, 0.2, 0.5, 1.0]
@@ -795,18 +835,27 @@ class TestParallelStreams:
 
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
-        # 3 phases fill less than one group and 33 leave a group of one;
-        # one phase per task simulates every stream as its own segment
+        # tasks of 1, at most 5 and all phases of a batch (3 phases fill less
+        # than one task of 5), and chunks of one stream, of 2 streams (800
+        # pairs each) or of a whole task; one phase per task simulates every
+        # stream as its own segment
         cfg, noise, det = fig4c_at(0.2)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-        results = []
-        for workers, group in ((1, 1), (1, montecarlo._PHASE_GROUP), (2, montecarlo._PHASE_GROUP),
-                               (3, 5), (7, 32)):
+        events = 4_000 * (noise.alpha + 2 * det.dark_prob)  # expected, per stream
+        results, sizes = [], []
+        real = montecarlo._simulate_segments
+        monkeypatch.setattr(montecarlo, "_simulate_segments",
+                            lambda *args: sizes.append(len(args[4])) or real(*args))
+        for workers, per_task, chunk in ((1, 1, 2**14), (1, 5, 1), (2, 5, 2_000),
+                                         (3, n_phases, 1), (7, n_phases, 2**40)):
             monkeypatch.setattr(montecarlo, "_worker_count", lambda w=workers: w)
-            monkeypatch.setattr(montecarlo, "_PHASE_GROUP", group)
+            monkeypatch.setattr(montecarlo, "_TASK_EVENTS", (per_task + 0.5) * events)
+            monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
+            sizes.clear()
             results.append(estimate_visibility(
                 cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
             ))
+            assert max(sizes) == min(per_task, n_phases) and sum(sizes) == 3 * n_phases
         ref = results[0]
         for est in results[1:]:
             assert est.v == ref.v
@@ -814,20 +863,34 @@ class TestParallelStreams:
             assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
             assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
 
+    @pytest.mark.parametrize("preset, alpha, n_gates, size", [
+        ("fig4a", 0.0024, 10_000_000, 32),  # 750 pairs per stream: a batch is one task
+        ("fig4c", 0.2, 1_000_000, 8),  # 6,250 pairs per stream
+        ("fig4c", 0.1, 1_000_000, 16),
+    ])
+    def test_tasks_sized_by_expected_pairs(self, monkeypatch, preset, alpha, n_gates, size):
+        exp = preset_experiment(preset)
+        sizes = []
+        monkeypatch.setattr(montecarlo, "_simulate_segments",
+                            lambda cfg, noise, det, n, rngs, rates: sizes.append(len(rngs))
+                            or (EMPTY, EMPTY, n + 4))
+        monkeypatch.setattr(montecarlo, "_count_segments",
+                            lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
+        estimate_visibility(exp.franson, replace(exp.noise, alpha=alpha), exp.detector,
+                            n_gates=n_gates, batches=2, seed=1)
+        assert sizes == [size] * (64 // size)
+
     def test_task_memory_grows_with_its_group_events(self, monkeypatch):
-        # A task holds one stream's pair uniforms and Bernoulli buffer at a
-        # time, plus its group's clicks as int64 gates. Above a one-stream
-        # task, its peak may grow by four int64 copies of the clicks of 8
-        # streams (8 phases per task reach 14 bytes per click); 32 streams
-        # per task, a whole batch, take 74 bytes per click of 8 at alpha 0.2.
+        # A task holds one chunk's pair flags and one stream's uniforms at a
+        # time, plus its streams' clicks as int64 gates. Above a task of one
+        # stream, its peak may grow by four int64 copies of the clicks of 8
+        # streams; at alpha 0.2 a task of 8 streams holds 4 chunks of 2
         cfg, noise, det = fig4c_at(0.2)
-        group = montecarlo._PHASE_GROUP
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
         per_phase = 31_250
         clicks = len(simulate_run(cfg, noise, det, 8 * per_phase, seed=2))  # 8 streams' worth
 
-        def peak(group):
-            monkeypatch.setattr(montecarlo, "_PHASE_GROUP", group)
+        def peak():
             estimate_visibility(cfg, noise, det, n_gates=32 * per_phase, batches=2, seed=1)
             tracemalloc.start()
             try:
@@ -836,7 +899,17 @@ class TestParallelStreams:
             finally:
                 tracemalloc.stop()
 
-        assert peak(group) - peak(1) < 4 * 8 * clicks
+        sizes = []
+        real = montecarlo._simulate_segments
+        monkeypatch.setattr(montecarlo, "_simulate_segments",
+                            lambda *args: sizes.append(len(args[4])) or real(*args))
+        grouped = peak()
+        assert set(sizes) == {8}
+        monkeypatch.setattr(montecarlo, "_TASK_EVENTS", 1)  # one stream per task
+        sizes.clear()
+        alone = peak()
+        assert set(sizes) == {1}
+        assert grouped - alone < 4 * 8 * clicks
 
     def test_queued_tasks_do_not_grow_with_the_task_count(self, monkeypatch):
         # 5,000 tasks of 3 phases each, with streams and counts stubbed so
@@ -865,15 +938,16 @@ class TestParallelStreams:
         assert peak < histogram + 1_000_000
 
     def test_tasks_run_concurrently(self, monkeypatch):
-        # the first two tasks, phase groups 0 and 1 of batch 0, each wait at
-        # their first stream for the other: the estimate finishes only if
-        # two pool threads run them at once (a timeout breaks the barrier)
+        # the first two tasks, batches 0 and 1 (24 pairs per stream, so a
+        # batch is one task), each wait at their first stream for the other:
+        # the estimate finishes only if two pool threads run them at once (a
+        # timeout breaks the barrier)
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
         barrier = threading.Barrier(2, timeout=30)
         met = []
 
         def check(task):
-            if task in ((0, 0), (0, montecarlo._PHASE_GROUP)):
+            if task in ((0, 0), (1, 0)):
                 met.append((task, barrier.wait()))
 
         check_streams(monkeypatch, 7, 2, check)
@@ -949,17 +1023,17 @@ def check_streams(monkeypatch, seed, batches, check):
 
 
 class TestParallelErrors:
-    ARGS = dict(n_gates=320_000, batches=2, seed=7)
+    # 24 pairs per stream: each batch is one task
+    ARGS = dict(n_gates=320_000, batches=3, seed=7)
 
     @pytest.mark.parametrize("workers", [1, 3, 7])
     def test_lowest_failed_task_reaches_caller(self, monkeypatch, workers):
-        # a later task, the one that starts with phase group 1 of batch 1,
-        # fails first whenever another thread can run it, yet the caller sees
-        # (1, 5), the failure a single thread meets first
+        # a later task, batch 2's, fails first whenever another thread can
+        # run it, yet the caller sees (1, 5), the failure a single thread
+        # meets first
         monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
         later_failed = threading.Event()
-        later = (1, montecarlo._PHASE_GROUP)
-        assert later[1] > 5
+        later = (2, 0)
 
         def check(task):
             if task == later:
@@ -969,7 +1043,7 @@ class TestParallelErrors:
                 assert workers == 1 or later_failed.wait(timeout=30)
                 inject_failure(task)
 
-        check_streams(monkeypatch, 7, 2, check)
+        check_streams(monkeypatch, 7, 3, check)
         threads_before = threading.active_count()
         with pytest.raises(ContractViolationError, match=r"task \(1, 5\)"):
             estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
