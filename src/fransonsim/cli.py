@@ -15,6 +15,7 @@ go to stderr.
 import argparse
 import functools
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     InfeasibleDesignError,
     StatisticsError,
 )
-from .expconfig import parse_experiment_file, parse_problem_file, resolve_run
+from .expconfig import RunSettings, parse_experiment_file, parse_problem_file, resolve_run
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
@@ -47,6 +48,9 @@ EXIT_STATISTICS = 5
 # quadrature unless the fringe amplitude's error bound fixes its printed rate
 MAX_FRINGE_POINTS = 2**16
 
+# the run settings a flag may set: RunSettings' int fields, in field order
+_RUN_FLAGS = tuple(f.name for f in fields(RunSettings) if f.type is int)
+
 
 def _sci(x: float) -> str:
     """Fixed scientific notation, 9 significant digits."""
@@ -54,18 +58,18 @@ def _sci(x: float) -> str:
 
 
 def _load_experiment(args):
-    if getattr(args, "preset", None) and getattr(args, "config", None):
+    if args.preset and args.config:
         raise ConfigParseError("give either --preset or --config, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         return preset_experiment(args.preset)
-    if getattr(args, "config", None):
+    if args.config:
         return parse_experiment_file(args.config)
     raise ConfigParseError("one of --preset or --config is required")
 
 
 def _run_flags(args):
-    """The seed, gates, batches and phases flags, None where not given."""
-    return {name: getattr(args, name) for name in ("seed", "gates", "batches", "phases")}
+    """The run-setting flags, None where not given."""
+    return {name: getattr(args, name) for name in _RUN_FLAGS}
 
 
 def _warn_if_unphysical(est, label=""):
@@ -184,8 +188,6 @@ def cmd_alpha_sweep(args) -> int:
 
     mc_rows = {}
     if run.gates and args.montecarlo:
-        from dataclasses import replace
-
         for a in alphas:
             est = _estimate(exp, run, replace(exp.noise, alpha=a), f"alpha {_sci(a)}: ")
             mc_rows[a] = (est.v, est.sigma_v)
@@ -281,8 +283,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_presets(args) -> int:
-    if args.action != "list":
-        raise ConfigParseError(f"unknown presets action {args.action!r}")
+    # argparse accepts no action but "list"
     for name in PRESET_NAMES:
         print(f"{name:8s} {preset_summary(name)}")
     return EXIT_OK
@@ -292,10 +293,13 @@ def _add_experiment_args(p, with_run=False):
     p.add_argument("--preset", choices=PRESET_NAMES, help="bundled scenario")
     p.add_argument("--config", help="experiment file path")
     if with_run:
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--gates", type=int, default=None)
-        p.add_argument("--batches", type=int, default=None)
-        p.add_argument("--phases", type=int, default=None)
+        for name in _RUN_FLAGS:
+            p.add_argument(f"--{name}", type=int, default=None)
+
+
+def _add_points_arg(p, help_text=None):
+    """--points for a fringe CSV: 256 phases unless given, checked by _check_fringe_points."""
+    p.add_argument("--points", type=int, default=256, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--sigma-v", type=float, default=0.002, help="visibility uncertainty for Bell significance")
     p.add_argument("--out", help="write per-phase fringe CSV here")
-    p.add_argument("--points", type=int, default=256, help="fringe CSV phase points")
+    _add_points_arg(p, help_text="fringe CSV phase points")
     p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("fringe", help="coincidence rate vs phase as CSV")
     _add_experiment_args(p)
-    p.add_argument("--points", type=int, default=256)
+    _add_points_arg(p)
     p.add_argument("--out", help="CSV path (stdout when omitted)")
     p.set_defaults(func=cmd_fringe)
 

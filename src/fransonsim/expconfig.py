@@ -6,12 +6,21 @@ experiment file has the sections [spectrum], [signal_arm], [idler_arm],
 design problem one [problem] section. Fibers, in experiment stacks of
 comma-separated `NAME:length_mm` segments and in problems, are named from
 the built-in fibers plus an optional catalog file.
+
+A section that fills a model takes its keys, their types, their defaults
+and which of them are required from the model's dataclass fields
+(`_fields`): [signal_arm] and [idler_arm] fill MZIConfig, [noise]
+NoiseModel, [detector] DetectorModel, the integer [run] settings
+RunSettings, a catalog section FiberSpec and [problem] DesignProblem. An
+omitted key takes its field's default; a field without one is a required
+key. [spectrum] fills no model, and four [run] keys set fields of other
+objects under other names; their keys are listed here.
 """
 
 import configparser
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .designer import DesignProblem
 from .dispersion import (
@@ -26,6 +35,7 @@ from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, FransonConfig, MZIConfi
 from .montecarlo import MAX_GATES, MAX_PHASES, MAX_STREAMS, DetectorModel
 from .noise import NoiseModel
 from .spectra import (
+    DEFAULT_CENTER_NM,
     DEFAULT_GRID_POINTS,
     FLATTOP,
     GAUSSIAN,
@@ -105,6 +115,12 @@ class Experiment:
     run: RunSettings = field(default_factory=RunSettings)
 
 
+def _keys(model) -> set:
+    """The keys of a section that fills ``model``: its field names."""
+    return {f.name for f in fields(model)}
+
+
+# [spectrum] fills no model; [run] also sets four fields of other objects
 _KNOWN_KEYS = {
     "spectrum": {
         "model",
@@ -116,36 +132,15 @@ _KNOWN_KEYS = {
         "filter_fwhm_nm",
         "filter_shape",
     },
-    "signal_arm": {"delta_t_ns", "phase_rad", "long", "short"},
-    "idler_arm": {"delta_t_ns", "phase_rad", "long", "short"},
-    "noise": {"alpha"},
-    "detector": {
-        "efficiency",
-        "gate_rate_mhz",
-        "dark_prob",
-        "afterpulse_prob",
-        "jitter_rms_ps",
-    },
-    "run": {
-        "seed",
-        "gates",
-        "batches",
-        "phases",
-        "method",
-        "pump_phase_offset_rad",
-        "source_d_beta2_ps2",
-        "source_d_beta3_ps3",
-        "fiber_catalog",
-    },
+    "signal_arm": _keys(MZIConfig),
+    "idler_arm": _keys(MZIConfig),
+    "noise": _keys(NoiseModel),
+    "detector": _keys(DetectorModel),
+    "run": _keys(RunSettings)
+    | {"pump_phase_offset_rad", "source_d_beta2_ps2", "source_d_beta3_ps3", "fiber_catalog"},
 }
 
 _REQUIRED_SECTIONS = ("spectrum", "signal_arm", "idler_arm")
-
-_FIBER_KEYS = {"beta2_fs2_per_mm", "beta3_fs3_per_mm", "group_index"}
-
-_PROBLEM_KEYS = {
-    "target_d_beta2_l_ps2", "delta_t_ns", "short_fiber", "short_length_mm", "long_fibers"
-}
 
 _INLINE_COMMENT = re.compile(r"\s[#;]")
 
@@ -212,28 +207,42 @@ def _line(sec, key: str | None = None) -> int | None:
     return _find_line(sec.parser.text, sec.name, key)
 
 
-def _getfloat(sec, key, default=None):
+def _required(sec, key) -> str:
+    """The text of ``key`` in ``sec``; an error on the section's line when it is missing."""
     if key not in sec:
-        if default is None:
-            raise ConfigParseError(f"[{sec.name}] missing required key {key!r}", line=_line(sec))
-        return default
-    try:
-        return float(sec[key])
-    except ValueError:
-        raise ConfigParseError(
-            f"[{sec.name}] {key} = {sec[key]!r} is not a number", line=_line(sec, key)
-        )
+        raise ConfigParseError(f"[{sec.name}] missing required key {key!r}", line=_line(sec))
+    return sec[key]
 
 
-def _getint(sec, key, default):
-    if key not in sec:
+# the numeric types a key reads as, and what an error calls a value that is not one
+_NUMBER = {int: "an integer", float: "a number"}
+
+
+def _number(sec, key, default=None, kind=float):
+    """``key`` of ``sec`` as a ``kind``; ``default`` when it is missing, unless None."""
+    what = _NUMBER[kind]
+    if key not in sec and default is not None:
         return default
+    text = _required(sec, key)
     try:
-        return int(sec[key])
+        return kind(text)
     except ValueError:
-        raise ConfigParseError(
-            f"[{sec.name}] {key} = {sec[key]!r} is not an integer", line=_line(sec, key)
-        )
+        raise ConfigParseError(f"[{sec.name}] {key} = {text!r} is not {what}", line=_line(sec, key))
+
+
+def _fields(sec, model, skip=()) -> dict:
+    """Keyword arguments for ``model`` from the keys of ``sec`` that name its fields.
+
+    The fields are read in their order, each as a number of its type (int
+    or float). A field without a default is a required key; an omitted key
+    is left out, so it takes the field's default. The fields named in
+    ``skip`` are the caller's to read.
+    """
+    return {
+        f.name: _number(sec, f.name, kind=f.type)
+        for f in fields(model)
+        if f.name not in skip and (f.name in sec or f.default is MISSING)
+    }
 
 
 def _check_cap(value: int, cap: int, key: str) -> int:
@@ -253,14 +262,10 @@ def load_fiber_catalog(path) -> dict:
     Required key: beta2_fs2_per_mm. Optional: beta3_fs3_per_mm, group_index.
     Returns {name: FiberSpec}; the built-in fibers are not implied.
     """
-    cp = _read_ini(_read_file(path), str(path), lambda name: _FIBER_KEYS)
+    keys = _keys(FiberSpec) - {"name"}
+    cp = _read_ini(_read_file(path), str(path), lambda name: keys)
     return {
-        name: FiberSpec(
-            name=name,
-            beta2_fs2_per_mm=_getfloat(cp[name], "beta2_fs2_per_mm"),
-            beta3_fs3_per_mm=_getfloat(cp[name], "beta3_fs3_per_mm", 0.0),
-            group_index=_getfloat(cp[name], "group_index", 1.468),
-        )
+        name: FiberSpec(name=name, **_fields(cp[name], FiberSpec, skip=("name",)))
         for name in cp.sections()
     }
 
@@ -328,24 +333,24 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
     # spectrum
     sec = cp["spectrum"]
     model = sec.get("model", SINC2).strip().lower()
-    center = _getfloat(sec, "center_wavelength_nm", 1560.0)
+    center = _number(sec, "center_wavelength_nm", DEFAULT_CENTER_NM)
     points = _check_cap(
-        _getint(sec, "points", DEFAULT_GRID_POINTS), MAX_GRID_POINTS, "[spectrum] points"
+        _number(sec, "points", DEFAULT_GRID_POINTS, int), MAX_GRID_POINTS, "[spectrum] points"
     )
-    span = _getfloat(sec, "span_radps") if "span_radps" in sec else None
+    span = _number(sec, "span_radps") if "span_radps" in sec else None
     if model == TABULATED:
         if "file" not in sec:
             raise ConfigParseError("[spectrum] tabulated model needs a file", line=_line(sec))
         rows = read_spectrum_csv(path(sec["file"]))
         spectrum = load_tabulated(rows, center_nm=center, n_points=points)
     elif model in (SINC2, GAUSSIAN):
-        fwhm = _getfloat(sec, "fwhm_nm")
+        fwhm = _number(sec, "fwhm_nm")
         spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
     else:
         raise ConfigParseError(f"[spectrum] unknown model {model!r}", line=_line(sec, "model"))
     if "filter_fwhm_nm" in sec:
         shape = sec.get("filter_shape", FLATTOP).strip().lower()
-        spectrum = apply_bandpass(spectrum, _getfloat(sec, "filter_fwhm_nm"), shape)
+        spectrum = apply_bandpass(spectrum, _number(sec, "filter_fwhm_nm"), shape)
 
     # arms
     def arm(section):
@@ -353,38 +358,28 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
         return MZIConfig(
             long=_parse_stack(s, "long", catalog),
             short=_parse_stack(s, "short", catalog),
-            delta_t_ns=_getfloat(s, "delta_t_ns"),
-            phase_rad=_getfloat(s, "phase_rad", 0.0),
+            **_fields(s, MZIConfig, skip=("long", "short")),
         )
 
     franson = FransonConfig(
         signal_arm=arm("signal_arm"),
         idler_arm=arm("idler_arm"),
         spectrum=spectrum,
-        pump_phase_offset_rad=_getfloat(run_sec, "pump_phase_offset_rad", 0.0),
+        pump_phase_offset_rad=_number(run_sec, "pump_phase_offset_rad", 0.0),
         source_common_dispersion=DifferentialDispersion(
-            _getfloat(run_sec, "source_d_beta2_ps2", 0.0),
-            _getfloat(run_sec, "source_d_beta3_ps3", 0.0),
+            _number(run_sec, "source_d_beta2_ps2", 0.0),
+            _number(run_sec, "source_d_beta3_ps3", 0.0),
         ),
     )
 
-    noise = NoiseModel(alpha=_getfloat(cp["noise"], "alpha") if "noise" in cp else 0.0)
+    # without a [noise] section no pairs are generated
+    noise = NoiseModel(**_fields(cp["noise"], NoiseModel)) if "noise" in cp else NoiseModel(0.0)
+    detector = DetectorModel(**_fields(cp["detector"] if "detector" in cp else {}, DetectorModel))
 
-    det_sec = cp["detector"] if "detector" in cp else {}
-    detector = DetectorModel(
-        efficiency=_getfloat(det_sec, "efficiency", 0.20),
-        gate_rate_mhz=_getfloat(det_sec, "gate_rate_mhz", 628.5),
-        dark_prob=_getfloat(det_sec, "dark_prob", 2e-6),
-        afterpulse_prob=_getfloat(det_sec, "afterpulse_prob", 0.06),
-        jitter_rms_ps=_getfloat(det_sec, "jitter_rms_ps", 100.0),
-    )
-
-    method = run_sec.get("method", COMPLEX_INTEGRAL).strip().lower() if run_sec else COMPLEX_INTEGRAL
+    method = run_sec.get("method", RunSettings.method).strip().lower()
     if method not in (COMPLEX_INTEGRAL, PHASE_SWEEP):
         raise ConfigParseError(f"[run] unknown method {method!r}", line=_line(run_sec, "method"))
-    # each bounded setting from the file, or RunSettings' default for it
-    settings = {name: _getint(run_sec, name, getattr(RunSettings, name)) for name in _RUN_BOUNDS}
-    run = resolve_run(RunSettings(method=method, **settings))
+    run = resolve_run(RunSettings(method=method, **_fields(run_sec, RunSettings, skip=("method",))))
 
     return Experiment(franson=franson, noise=noise, detector=detector, run=run)
 
@@ -401,19 +396,15 @@ def parse_problem_file(path, catalog_path=None) -> DesignProblem:
     ``catalog_path``, if one is given.
     """
     catalog = _catalog(catalog_path)
-    cp = _read_ini(_read_file(path), str(path), {"problem": _PROBLEM_KEYS}.get)
+    cp = _read_ini(_read_file(path), str(path), {"problem": _keys(DesignProblem)}.get)
     if "problem" not in cp:
         raise ConfigParseError(f"{path}: missing [problem] section")
     sec = cp["problem"]
-    missing = sorted(_PROBLEM_KEYS - set(sec))
-    if missing:
-        raise ConfigParseError(f"[problem] missing required key {missing[0]!r}", line=_line(sec))
     return DesignProblem(
-        target_d_beta2_l_ps2=_getfloat(sec, "target_d_beta2_l_ps2"),
-        delta_t_ns=_getfloat(sec, "delta_t_ns"),
-        short_fiber=_fiber(sec["short_fiber"], catalog, sec, "short_fiber"),
+        **_fields(sec, DesignProblem, skip=("short_fiber", "long_fibers")),
+        short_fiber=_fiber(_required(sec, "short_fiber"), catalog, sec, "short_fiber"),
         long_fibers=tuple(
-            _fiber(name, catalog, sec, "long_fibers") for name in sec["long_fibers"].split(",")
+            _fiber(name, catalog, sec, "long_fibers")
+            for name in _required(sec, "long_fibers").split(",")
         ),
-        short_length_mm=_getfloat(sec, "short_length_mm"),
     )

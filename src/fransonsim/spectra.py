@@ -34,6 +34,8 @@ SINC2 = "sinc2"
 GAUSSIAN = "gaussian"
 TABULATED = "tabulated"
 
+# degenerate wavelength lambda0 of a spectrum that names none
+DEFAULT_CENTER_NM = 1560.0
 DEFAULT_GRID_POINTS = 2**14 + 1
 # largest grid an experiment file may ask for: 64 times the default, so
 # 65,537-point convergence checks fit with room to spare, and a few arrays
@@ -135,7 +137,7 @@ def _build(model, center_nm, fwhm_nm, values, passband=1.0) -> JointSpectrum:
 def make_spectrum(
     model: str,
     fwhm_nm: float,
-    center_nm: float = 1560.0,
+    center_nm: float = DEFAULT_CENTER_NM,
     span_radps: float | None = None,
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> JointSpectrum:
@@ -200,7 +202,7 @@ def make_spectrum(
 
 def load_tabulated(
     rows,
-    center_nm: float = 1560.0,
+    center_nm: float = DEFAULT_CENTER_NM,
     n_points: int = DEFAULT_GRID_POINTS,
 ) -> JointSpectrum:
     """Build a spectrum from measured (wavelength_nm, intensity) samples.
@@ -289,28 +291,18 @@ def apply_bandpass(
         grid = symmetric_grid(half, len(spectrum.omega))
         dens = np.interp(grid, spectrum.omega, spectrum.density)
         w = simpson_weights(grid)
-        fraction = float(w @ dens)  # incoming density is unit-normalized
-        out = _build(
-            spectrum.model,
-            spectrum.center_wavelength_nm,
-            spectrum.fwhm_nm,
-            (grid, dens),
-            passband=spectrum.passband_fraction * fraction,
-        )
-        return out
-
-    if shape == GAUSSIAN:
+    elif shape == GAUSSIAN:
         sigma_f = 2.0 * half / GAUSSIAN_FWHM_PER_SIGMA
-        trans = np.exp(-(spectrum.omega**2) / (2.0 * sigma_f**2))
-        dens = spectrum.density * trans
-        fraction = float(spectrum.weights @ dens)
-        out = _build(
-            spectrum.model,
-            spectrum.center_wavelength_nm,
-            spectrum.fwhm_nm,
-            (spectrum.omega, dens),
-            passband=spectrum.passband_fraction * fraction,
-        )
-        return out
+        grid, w = spectrum.omega, spectrum.weights
+        dens = spectrum.density * np.exp(-(grid**2) / (2.0 * sigma_f**2))
+    else:
+        raise ConfigurationError(f"unknown filter shape {shape!r}")
 
-    raise ConfigurationError(f"unknown filter shape {shape!r}")
+    fraction = float(w @ dens)  # incoming density is unit-normalized
+    return _build(
+        spectrum.model,
+        spectrum.center_wavelength_nm,
+        spectrum.fwhm_nm,
+        (grid, dens),
+        passband=spectrum.passband_fraction * fraction,
+    )

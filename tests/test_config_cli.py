@@ -1,5 +1,6 @@
 """Input file parsing, preset fidelity, CLI behavior and exit codes."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -24,7 +25,18 @@ from fransonsim import (
     preset_experiment,
 )
 from fransonsim.cli import main
-from fransonsim.expconfig import parse_experiment_file, parse_problem_file, resolve_run
+from fransonsim.designer import DesignProblem
+from fransonsim.dispersion import DifferentialDispersion, FiberSpec
+from fransonsim.expconfig import (
+    RunSettings,
+    parse_experiment_file,
+    parse_problem_file,
+    resolve_run,
+)
+from fransonsim.interference import FransonConfig, MZIConfig
+from fransonsim.montecarlo import DetectorModel
+from fransonsim.noise import NoiseModel
+from fransonsim.spectra import JointSpectrum
 
 from tests.helpers import loop_fringe_csv, run_python
 
@@ -954,3 +966,136 @@ class TestReadmeExamples:
     def test_catalog(self, tmp_path):
         catalog = load_fiber_catalog(_write(tmp_path, "fibers.ini", _readme_example("[DSF]")))
         assert catalog["DSF"].beta2_fs2_per_mm == -2.6
+
+
+# every key each section accepts, copied from the reader as a literal so that
+# a new model field cannot become an input key unnoticed
+SCHEMA = {
+    "experiment": {
+        "spectrum": {
+            "model", "fwhm_nm", "center_wavelength_nm", "span_radps", "points", "file",
+            "filter_fwhm_nm", "filter_shape",
+        },
+        "signal_arm": {"delta_t_ns", "phase_rad", "long", "short"},
+        "idler_arm": {"delta_t_ns", "phase_rad", "long", "short"},
+        "noise": {"alpha"},
+        "detector": {
+            "efficiency", "gate_rate_mhz", "dark_prob", "afterpulse_prob", "jitter_rms_ps",
+        },
+        "run": {
+            "seed", "gates", "batches", "phases", "method", "pump_phase_offset_rad",
+            "source_d_beta2_ps2", "source_d_beta3_ps3", "fiber_catalog",
+        },
+    },
+    "catalog": {"DSF": {"beta2_fs2_per_mm", "beta3_fs3_per_mm", "group_index"}},
+    "problem": {
+        "problem": {
+            "target_d_beta2_l_ps2", "delta_t_ns", "short_fiber", "short_length_mm", "long_fibers",
+        },
+    },
+}
+
+# a key the schema might accept by mistake: any accepted key, any field of a
+# model an input fills, and one key no section has
+SCHEMA_CANDIDATES = sorted(
+    {key for kind in SCHEMA.values() for keys in kind.values() for key in keys}
+    | {
+        f.name
+        for model in (
+            DetectorModel, RunSettings, MZIConfig, NoiseModel, FiberSpec, DesignProblem,
+            FransonConfig, DifferentialDispersion, JointSpectrum,
+        )
+        for f in dataclasses.fields(model)
+    }
+    | {"colour"}
+)
+
+SCHEMA_PARSERS = {
+    "experiment": parse_experiment_file,
+    "catalog": load_fiber_catalog,
+    "problem": parse_problem_file,
+}
+
+# an input with every optional key omitted: each section absent, or present and empty
+MINIMAL_EXPERIMENT = """\
+[spectrum]
+fwhm_nm = 1.6
+
+[signal_arm]
+delta_t_ns = 4.77
+
+[idler_arm]
+delta_t_ns = 4.77
+"""
+
+
+class TestSchema:
+    """Each file kind accepts exactly its keys, and defaults come from the models."""
+
+    @pytest.mark.parametrize(
+        "kind, section", [(kind, section) for kind in SCHEMA for section in SCHEMA[kind]]
+    )
+    def test_accepted_keys(self, tmp_path, kind, section):
+        accepted = set()
+        for key in SCHEMA_CANDIDATES:
+            path = _write(tmp_path, f"{kind}.ini", f"[{section}]\n{key} = x\n")
+            try:
+                SCHEMA_PARSERS[kind](path)
+            except ConfigParseError as exc:
+                if f"[{section}] has unknown key" in str(exc):
+                    continue
+            except (FransonError, OSError):
+                pass
+            accepted.add(key)
+        assert accepted == SCHEMA[kind][section]
+
+    @pytest.mark.parametrize("empty_sections", [False, True], ids=["absent", "empty"])
+    def test_omitted_keys_take_the_model_defaults(self, empty_sections):
+        text = MINIMAL_EXPERIMENT + ("[noise]\n[detector]\n[run]\n" if empty_sections else "")
+        if empty_sections:
+            # [noise] alpha is required once the section is there
+            text = text.replace("[noise]\n", "[noise]\nalpha = 0.0\n")
+        exp = parse_experiment(text)
+        assert exp.detector == DetectorModel()
+        assert exp.run == RunSettings()
+        assert exp.noise == NoiseModel(0.0)
+        assert exp.franson.signal_arm.phase_rad == 0.0
+        assert exp.franson.idler_arm.phase_rad == 0.0
+        assert exp.franson.spectrum.center_wavelength_nm == 1560.0
+
+    def test_catalog_fiber_defaults(self, tmp_path):
+        path = _write(tmp_path, "fibers.ini", "[DSF]\nbeta2_fs2_per_mm = -2.6\n")
+        assert load_fiber_catalog(path) == {"DSF": FiberSpec("DSF", -2.6)}
+
+    @pytest.mark.parametrize(
+        "kind, text, section, key",
+        [("problem", PROBLEM, "problem", key) for key in sorted(SCHEMA["problem"]["problem"])]
+        + [
+            ("experiment", FULL_CONFIG, "signal_arm", "delta_t_ns"),
+            ("experiment", FULL_CONFIG, "idler_arm", "delta_t_ns"),
+            ("experiment", FULL_CONFIG, "noise", "alpha"),
+            ("catalog", CATALOG, "DSF", "beta2_fs2_per_mm"),
+        ],
+    )
+    def test_required_key_named_on_the_section_line(self, tmp_path, kind, text, section, key):
+        lines = text.splitlines(keepends=True)
+        header = lines.index(f"[{section}]\n")
+        # drop the first line of the section that sets the key
+        drop = next(i for i in range(header, len(lines)) if lines[i].startswith(f"{key} ="))
+        path = _write(tmp_path, f"{kind}.ini", "".join(lines[:drop] + lines[drop + 1:]))
+        with pytest.raises(ConfigParseError) as exc_info:
+            SCHEMA_PARSERS[kind](path)
+        assert exc_info.value.line == header + 1
+        assert str(exc_info.value) == f"line {header + 1}: [{section}] missing required key {key!r}"
+
+    def test_non_integer_run_setting(self, tmp_path, capsys):
+        cfg = _write(tmp_path, "run.ini", FULL_CONFIG.replace("gates = 100000", "gates = 1e6"))
+        assert main(["montecarlo", "--config", str(cfg)]) == 2
+        line = FULL_CONFIG.splitlines().index("gates = 100000") + 1
+        assert capsys.readouterr().err == (
+            f"error: line {line}: [run] gates = '1e6' is not an integer\n"
+        )
+
+    def test_non_integer_run_flag(self, capsys):
+        assert main(["montecarlo", "--preset", "fig4a", "--gates", "1e6"]) == 2
+        assert "argument --gates: invalid int value: '1e6'" in capsys.readouterr().err
