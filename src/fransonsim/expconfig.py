@@ -61,7 +61,7 @@ class RunSettings:
 # a run setting's (minimum, cap, checked only when a Monte Carlo runs), in the
 # order resolve_run checks them; None where there is no bound
 _RUN_BOUNDS = {
-    "gates": (None, MAX_GATES, False),
+    "gates": (0, MAX_GATES, False),
     "seed": (0, None, False),
     "phases": (3, MAX_PHASES, False),
     "batches": (2, None, True),

@@ -41,17 +41,14 @@ One engine, _simulate_segments, simulates several streams at once as
 segments of shared gate arrays: the draws stay per generator, in the order
 above, and the array work between two kinds of draws runs once per chunk of
 streams or once over all of them. simulate_run is the one-segment case.
-estimate_visibility maps tasks, each a run of one batch's phases sized by
-its expected events, over a pool of one thread per available core, as
-NumPy's bulk work releases the GIL. A task owns its generators and returns
-its histogram rows, which are read in task order, so the output does not
-depend on the core count; at most _QUEUED_PER_THREAD tasks per thread are
-submitted at once.
+estimate_visibility runs tasks, each a run of one batch's consecutive phases
+sized by its expected events, one after another on the calling thread. A
+task owns its generators and writes its histogram rows before the next
+starts, so the output is a function of the inputs alone and a failed task
+raises before any later task runs.
 """
 
 import math
-import os
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,19 +60,14 @@ from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
 # expected events (pairs and dark counts) of an estimate_visibility task, its
-# consecutive phases' streams: fig4a's sparse batch (750 pairs per stream at
-# 10M gates) is one task, and a dense one (6,250 pairs per stream at alpha 0.2
-# and 31,250 gates) four tasks of 8 streams; with fewer streams per task the
-# dense alpha-sweep ran slower on 2 threads
+# consecutive phases' streams: this bounds the clicks a task holds at once.
+# fig4a's sparse batch (750 pairs per stream at 10M gates) is one task, and a
+# dense one (6,250 pairs per stream at alpha 0.2 and 31,250 gates) four tasks
+# of 8 streams
 _TASK_EVENTS = 2**16
 # expected pairs whose births and pair flags a task holds at once: 2 dense
-# streams. On 2 threads 2**15 ran the dense alpha-sweep faster still, but
-# raised its peak RSS by about 1 MB
+# streams
 _CHUNK_PAIRS = 2**14
-# tasks queued or running per pool thread: enough to keep every thread busy
-# while the caller reads rows in task order, and few enough that the pool's
-# futures (about 2 KB each) do not grow with the number of tasks
-_QUEUED_PER_THREAD = 4
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
 # 1 GiB at the cap
@@ -515,39 +507,6 @@ def _fit_fringe(phases, counts):
     return float(np.hypot(a1, a2) / a0)
 
 
-def _worker_count() -> int:
-    """Threads an estimate runs on: the cores this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _ordered_map(pool, fn, items, window):
-    """Yield (item, fn(item)) in item order, with at most window calls submitted to pool at once.
-
-    A call that raised raises when its turn comes, after every earlier one
-    has returned, so the error is the one a single thread meets first; the
-    calls submitted after it are cancelled if they have not started.
-    """
-    queued = deque()
-
-    def oldest():
-        item, future = queued.popleft()
-        return item, future.result()
-
-    try:
-        for item in items:
-            queued.append((item, pool.submit(fn, item)))
-            if len(queued) == window:
-                yield oldest()
-        while queued:
-            yield oldest()
-    finally:
-        for _, future in queued:
-            future.cancel()
-
-
 def estimate_visibility(
     cfg: FransonConfig,
     noise: NoiseModel,
@@ -565,14 +524,12 @@ def estimate_visibility(
     its own substream derived from (seed, batch, phase), its gaps from
     exponential draws as NumPy's geometric takes them. One task simulates
     and counts a run of a batch's consecutive phases as segments and
-    returns their rows; a batch is cut into the fewest runs of at most
+    writes their rows; a batch is cut into the fewest runs of at most
     _TASK_EVENTS expected pairs and dark counts, equal to within one phase,
     and each task draws its pairs in chunks of about _CHUNK_PAIRS. The tasks
-    run on a thread pool in a window of _QUEUED_PER_THREAD per thread
-    (_ordered_map) and their rows are read in task order, so the result
-    does not depend on the core count and the lowest failed task's error is
-    raised. A histogram over MAX_HISTOGRAM_CELLS cells is refused before it
-    is allocated.
+    run in order on the calling thread, so the first failed task's error is
+    raised and no later task starts. A histogram over MAX_HISTOGRAM_CELLS
+    cells is refused before it is allocated.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -594,24 +551,14 @@ def estimate_visibility(
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
     events = per_phase * (noise.alpha + 2 * det.dark_prob)  # expected, per stream
     groups = _even_slices(len(phases), max(1, int(_TASK_EVENTS // max(events, 1.0))))
-    tasks = ((b, group) for b in range(batches) for group in groups)
-
-    def simulate(task):
-        b, group = task
-        rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))[group]]
-        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates[group])
-        for name, gates in (("signal", signal), ("idler", idler)):
-            _check_gates(name, gates, per_phase, stride, len(rngs))
-        return _count_segments(signal, idler, k, stride, len(rngs))
-
-    # imported here: at module level it adds about 10 ms and up to 1 MB to
-    # every run
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = min(_worker_count(), batches * len(groups))
-    with ThreadPoolExecutor(workers) as pool:
-        for (b, group), rows in _ordered_map(pool, simulate, tasks, workers * _QUEUED_PER_THREAD):
-            hists[b, group] = rows
+    for b in range(batches):
+        for group in groups:
+            rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))[group]]
+            signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs,
+                                                       rates[group])
+            for name, gates in (("signal", signal), ("idler", idler)):
+                _check_gates(name, gates, per_phase, stride, len(rngs))
+            hists[b, group] = _count_segments(signal, idler, k, stride, len(rngs))
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

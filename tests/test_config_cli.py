@@ -234,8 +234,8 @@ class TestPresetFidelity:
 
 class TestCli:
     def test_import_leaves_pool_and_scipy_unloaded(self):
-        # the Monte Carlo imports its thread pool when an estimate runs:
-        # concurrent.futures costs about 10 ms of every command's start-up
+        # no command needs a thread pool, and concurrent.futures alone would
+        # add about 10 ms to every command's start-up
         code = ("import sys, fransonsim.cli; "
                 "print([m for m in ('concurrent.futures', 'scipy') if m in sys.modules])")
         assert run_python(code).strip() == "[]"
@@ -629,9 +629,11 @@ class TestInputValidation:
             ("seed = 7", "seed = -4", [], "[run] seed"),
             ("", "", ["--batches", "1"], "--batches 1 is below the minimum of 2"),
             ("batches = 5", "batches = 1", [], "[run] batches = 1 is below the minimum of 2"),
+            ("", "", ["--gates", "-5"], "--gates -5 is below the minimum of 0"),
+            ("gates = 100000", "gates = -5", [], "[run] gates = -5 is below the minimum of 0"),
         ],
         ids=["flag-phases-0", "flag-phases-neg", "flag-seed-neg", "file-phases-neg", "file-seed-neg",
-             "flag-batches-1", "file-batches-1"],
+             "flag-batches-1", "file-batches-1", "flag-gates-neg", "file-gates-neg"],
     )
     def test_run_settings_out_of_range(self, tmp_path, capsys, command, old, new, flags, key):
         cfg = tmp_path / "run.ini"
@@ -641,6 +643,17 @@ class TestInputValidation:
         assert key in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, key", [
+        (["visibility", "--config", "RUN"], "[run] gates = -5 is below the minimum of 0"),
+        (["alpha-sweep", "--preset", "fig4a", "--gates", "-5", "--alphas", "0.1"],
+         "--gates -5 is below the minimum of 0"),
+    ], ids=["visibility-file", "alpha-sweep-flag"])
+    def test_gates_minimum_without_monte_carlo(self, tmp_path, capsys, argv, key):
+        cfg = _write(tmp_path, "run.ini", FULL_CONFIG.replace("gates = 100000", "gates = -5"))
+        assert main([str(cfg) if a == "RUN" else a for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert key in captured.err
+        assert captured.out == ""
 
     def test_batches_minimum_only_when_simulating(self, tmp_path, capsys):
         cfg = _write(tmp_path, "run.ini", FULL_CONFIG.replace("batches = 5", "batches = 1"))

@@ -15,13 +15,10 @@ and dark counts came to be drawn as geometric gaps; the RNG draw order is
 pinned in tests/test_montecarlo.py. A change that keeps the physics, the
 arithmetic and the RNG draw order keeps every digest; a change that alters
 a printed digit must say so and re-capture them. The commands run in one fresh interpreter with BLAS pinned
-to one thread (see ``tests.helpers.run_python``). The Monte Carlo runs use
-every core the child may run on; the ``montecarlo fig4a`` run is repeated in
-a child pinned to one core and must give the same digest.
+to one thread (see ``tests.helpers.run_python``).
 """
 
 import json
-import os
 
 import pytest
 
@@ -65,21 +62,6 @@ digests["alpha-sweep fig4c --montecarlo"] = hashlib.sha256(stdout_of(sweep)).hex
 print(json.dumps(digests))
 """
 
-# DRIVER's "montecarlo fig4a" run in a child pinned to one core, where an
-# estimate runs all its tasks on a pool of one thread.
-MC_ARGV = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2", "--seed", "7"]
-ONE_CORE_DRIVER = f"""
-import contextlib, hashlib, io, json, os
-os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
-from fransonsim import montecarlo
-from fransonsim.cli import main
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    rc = main({MC_ARGV!r})
-print(json.dumps({{"rc": rc, "workers": montecarlo._worker_count(),
-                  "digest": hashlib.sha256(buf.getvalue().encode()).hexdigest()}}))
-"""
-
 DIGESTS = {
     "alpha-sweep fig4c --montecarlo": "410e7dce577c6f72733ecdf910bac51de1374bc70938a13752a7608d462f965b",
     "fringe fig4a": "3c795c0e7fad8ff02304bfe51d1ca9ad2238f61f129f528a44264b2cfbee6956",
@@ -110,10 +92,3 @@ def digests():
 def test_output_digest(digests, output):
     assert digests[output] == DIGESTS[output]
 
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_montecarlo_digest_on_one_core():
-    run = json.loads(run_python(ONE_CORE_DRIVER))
-    assert run["rc"] == 0
-    assert run["workers"] == 1
-    assert run["digest"] == DIGESTS["montecarlo fig4a"]

@@ -307,10 +307,9 @@ def quadrature_rate_histograms(cfg, noise, det, n_gates, phases, batches, seed):
 
 
 def record_task_rows(monkeypatch):
-    """Run estimates on one worker and return the list their task rows are appended to."""
+    """Return the list that estimates append their task rows to."""
     rows = []
     real = montecarlo._count_segments
-    monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
     monkeypatch.setattr(montecarlo, "_count_segments",
                         lambda *args: rows.append(real(*args)) or rows[-1])
     return rows
@@ -355,7 +354,6 @@ class TestRatesFromAmplitude:
         phases = np.linspace(0.0, 2.0 * np.pi, 37, endpoint=False)
         seen = []
         real = montecarlo._simulate_segments
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
         monkeypatch.setattr(montecarlo, "_simulate_segments",
                             lambda *args: seen.append(args[5]) or real(*args))
         estimate_visibility(exp.franson, noise, exp.detector, n_gates=37_000,
@@ -818,21 +816,6 @@ def fig4c_at(alpha):
 
 
 class TestParallelStreams:
-    def test_output_independent_of_worker_count(self, monkeypatch):
-        cfg, noise, det = fig4c_at(0.2)
-        results = {}
-        for workers in (1, 2, 3, 7):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda w=workers: w)
-            results[workers] = estimate_visibility(
-                cfg, noise, det, n_gates=320_000, batches=3, seed=4
-            )
-        ref = results[1]
-        for est in results.values():
-            assert est.v == ref.v
-            assert est.sigma_v == ref.sigma_v
-            assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
-            assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
-
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
         # tasks of 1, at most 5 and all phases of a batch (3 phases fill less
@@ -846,9 +829,8 @@ class TestParallelStreams:
         real = montecarlo._simulate_segments
         monkeypatch.setattr(montecarlo, "_simulate_segments",
                             lambda *args: sizes.append(len(args[4])) or real(*args))
-        for workers, per_task, chunk in ((1, 1, 2**14), (1, 5, 1), (2, 5, 2_000),
-                                         (3, n_phases, 1), (7, n_phases, 2**40)):
-            monkeypatch.setattr(montecarlo, "_worker_count", lambda w=workers: w)
+        for per_task, chunk in ((1, 2**14), (5, 1), (5, 2_000), (n_phases, 1),
+                                (n_phases, 2**40)):
             monkeypatch.setattr(montecarlo, "_TASK_EVENTS", (per_task + 0.5) * events)
             monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
             sizes.clear()
@@ -886,7 +868,6 @@ class TestParallelStreams:
         # stream, its peak may grow by four int64 copies of the clicks of 8
         # streams; at alpha 0.2 a task of 8 streams holds 4 chunks of 2
         cfg, noise, det = fig4c_at(0.2)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 1)
         per_phase = 31_250
         clicks = len(simulate_run(cfg, noise, det, 8 * per_phase, seed=2))  # 8 streams' worth
 
@@ -911,18 +892,17 @@ class TestParallelStreams:
         assert set(sizes) == {1}
         assert grouped - alone < 4 * 8 * clicks
 
-    def test_queued_tasks_do_not_grow_with_the_task_count(self, monkeypatch):
+    def test_memory_does_not_grow_with_the_task_count(self, monkeypatch):
         # 5,000 tasks of 3 phases each, with streams and counts stubbed so
-        # that only the estimate's own bookkeeping allocates. Submitting
-        # every task up front held a future and its rows per task, about
-        # 2 KB each: a peak of 11 MB next to the 0.84 MB histogram.
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
+        # that only the estimate's own bookkeeping allocates: anything kept
+        # per task (its rows, its generators), at 200 bytes or more each,
+        # would push the peak more than 1 MB past the 0.84 MB histogram
         monkeypatch.setattr(montecarlo, "_simulate_segments",
                             lambda cfg, noise, det, n, rngs, rates: (EMPTY, EMPTY, n + 4))
         monkeypatch.setattr(montecarlo, "_count_segments",
                             lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
         cfg, noise, det = fig4c_at(0.5)
-        cfg.amplitude  # cached before tracing, as is the pool's module
+        cfg.amplitude  # cached before tracing
         estimate_visibility(cfg, noise, det, n_gates=300, batches=2, seed=1)
         phases = np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False)
         batches = 5_000
@@ -936,23 +916,6 @@ class TestParallelStreams:
         assert est.per_phase_histogram.tolist() == [[batches] * 7] * 3
         histogram = batches * len(phases) * 7 * 8
         assert peak < histogram + 1_000_000
-
-    def test_tasks_run_concurrently(self, monkeypatch):
-        # the first two tasks, batches 0 and 1 (24 pairs per stream, so a
-        # batch is one task), each wait at their first stream for the other:
-        # the estimate finishes only if two pool threads run them at once (a
-        # timeout breaks the barrier)
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 2)
-        barrier = threading.Barrier(2, timeout=30)
-        met = []
-
-        def check(task):
-            if task in ((0, 0), (1, 0)):
-                met.append((task, barrier.wait()))
-
-        check_streams(monkeypatch, 7, 2, check)
-        estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=7)
-        assert sorted(arrival for _, arrival in met) == [0, 1]
 
 
 class TestSegments:
@@ -1026,32 +989,27 @@ class TestParallelErrors:
     # 24 pairs per stream: each batch is one task
     ARGS = dict(n_gates=320_000, batches=3, seed=7)
 
-    @pytest.mark.parametrize("workers", [1, 3, 7])
-    def test_lowest_failed_task_reaches_caller(self, monkeypatch, workers):
-        # a later task, batch 2's, fails first whenever another thread can
-        # run it, yet the caller sees (1, 5), the failure a single thread
-        # meets first
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: workers)
-        later_failed = threading.Event()
-        later = (2, 0)
+    def test_tasks_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # batch 1's task fails at its sixth stream: the caller sees that
+        # error, every stream before it was checked in task order on the
+        # caller's thread, and batch 2's task never starts
+        caller = threading.get_ident()
+        checked, threads = [], set()
 
         def check(task):
-            if task == later:
-                later_failed.set()
-                inject_failure(task)
+            checked.append(task)
+            threads.add(threading.get_ident())
             if task == (1, 5):
-                assert workers == 1 or later_failed.wait(timeout=30)
                 inject_failure(task)
 
         check_streams(monkeypatch, 7, 3, check)
-        threads_before = threading.active_count()
         with pytest.raises(ContractViolationError, match=r"task \(1, 5\)"):
             estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
-        assert threading.active_count() == threads_before
+        assert checked == [(0, j) for j in range(32)] + [(1, j) for j in range(6)]
+        assert (2, 0) not in checked
+        assert threads == {caller}
 
     def test_cli_exits_with_contract_code(self, monkeypatch, capsys):
-        monkeypatch.setattr(montecarlo, "_worker_count", lambda: 3)
-
         def check(task):
             if task == (1, 5):
                 inject_failure(task)
