@@ -989,24 +989,25 @@ class TestParallelErrors:
     # 24 pairs per stream: each batch is one task
     ARGS = dict(n_gates=320_000, batches=3, seed=7)
 
-    def test_tasks_run_in_order_on_the_calling_thread(self, monkeypatch):
-        # batch 1's task fails at its sixth stream: the caller sees that
-        # error, every stream before it was checked in task order on the
-        # caller's thread, and batch 2's task never starts
+    @pytest.mark.parametrize("stream", [1, 3, 7])
+    def test_lowest_failed_task_reaches_caller(self, monkeypatch, stream):
+        # batch 1's task fails at the given stream and batch 2's task would
+        # fail too: the caller sees batch 1's error, every stream before it
+        # was checked in task order on the caller's thread, and batch 2's
+        # task never starts
         caller = threading.get_ident()
         checked, threads = [], set()
 
         def check(task):
             checked.append(task)
             threads.add(threading.get_ident())
-            if task == (1, 5):
+            if task in ((1, stream), (2, 0)):
                 inject_failure(task)
 
         check_streams(monkeypatch, 7, 3, check)
-        with pytest.raises(ContractViolationError, match=r"task \(1, 5\)"):
+        with pytest.raises(ContractViolationError, match=rf"task \(1, {stream}\)"):
             estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
-        assert checked == [(0, j) for j in range(32)] + [(1, j) for j in range(6)]
-        assert (2, 0) not in checked
+        assert checked == [(0, j) for j in range(32)] + [(1, j) for j in range(stream + 1)]
         assert threads == {caller}
 
     def test_cli_exits_with_contract_code(self, monkeypatch, capsys):
