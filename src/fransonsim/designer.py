@@ -42,8 +42,8 @@ class DesignProblem:
             raise ConfigurationError(
                 f"exactly 2 long-path fiber types required, got {len(self.long_fibers)}"
             )
-        if not (self.delta_t_ns > 0):
-            raise ConfigurationError(f"delta_t must be positive, got {self.delta_t_ns}")
+        if not (0 < self.delta_t_ns < np.inf):
+            raise ConfigurationError(f"delta_t must be positive and finite, got {self.delta_t_ns}")
         if self.short_length_mm < 0:
             raise DomainError(f"short length must be >= 0, got {self.short_length_mm}")
 

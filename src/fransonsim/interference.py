@@ -48,8 +48,8 @@ class MZIConfig:
     phase_rad: float = 0.0
 
     def __post_init__(self):
-        if not (self.delta_t_ns > 0):
-            raise ConfigurationError(f"delta_t must be positive, got {self.delta_t_ns}")
+        if not (0 < self.delta_t_ns < math.inf):
+            raise ConfigurationError(f"delta_t must be positive and finite, got {self.delta_t_ns}")
         if not math.isfinite(self.phase_rad):
             raise ConfigurationError("arm phase must be finite")
 

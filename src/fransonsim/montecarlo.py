@@ -41,11 +41,10 @@ One engine, _simulate_segments, simulates several streams at once as
 segments of shared gate arrays: the draws stay per generator, in the order
 above, and the array work between two kinds of draws runs once per chunk of
 streams or once over all of them. simulate_run is the one-segment case.
-estimate_visibility runs tasks, each a run of one batch's consecutive phases
-sized by its expected events, one after another on the calling thread. A
-task owns its generators and writes its histogram rows before the next
-starts, so the output is a function of the inputs alone and a failed task
-raises before any later task runs.
+estimate_visibility simulates all of a batch's phases in one engine call and
+counts them in one pass, batch after batch on the calling thread, so the
+output is a function of the inputs alone and a failed batch raises before
+any later batch runs.
 """
 
 import math
@@ -59,18 +58,14 @@ from .interference import FransonConfig, fringe_rates
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
-# expected events (pairs and dark counts) of an estimate_visibility task, its
-# consecutive phases' streams: this bounds the clicks a task holds at once.
-# fig4a's sparse batch (750 pairs per stream at 10M gates) is one task, and a
-# dense one (6,250 pairs per stream at alpha 0.2 and 31,250 gates) four tasks
-# of 8 streams
-_TASK_EVENTS = 2**16
-# expected pairs whose births and pair flags a task holds at once: 2 dense
-# streams
+# expected pairs whose births and pair flags an engine call holds at once: 2
+# dense streams
 _CHUNK_PAIRS = 2**14
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
-# 1 GiB at the cap
+# 1 GiB at the cap. An estimate holds one batch's clicks, which is less than
+# an export of the same gates holds, since it draws its pair flags a chunk at
+# a time
 MAX_GATES = 2**26
 # largest phase grid a run may ask for, as for a fringe's points: the grid and
 # its (phase, offset) histogram rows are built before any stream runs
@@ -102,16 +97,16 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise DomainError(f"efficiency must be in [0, 1], got {self.efficiency}")
-        if not (self.gate_rate_mhz > 0):
-            raise DomainError(f"gate rate must be positive, got {self.gate_rate_mhz}")
+        if not (0 < self.gate_rate_mhz < math.inf):
+            raise DomainError(f"gate rate must be positive and finite, got {self.gate_rate_mhz}")
         if not (0.0 <= self.dark_prob <= 1.0):
             raise DomainError(f"dark_prob must be in [0, 1], got {self.dark_prob}")
         if not (0.0 <= self.afterpulse_prob < 1.0):
             raise DomainError(
                 f"afterpulse_prob must be in [0, 1), got {self.afterpulse_prob}"
             )
-        if self.jitter_rms_ps < 0:
-            raise DomainError(f"jitter must be >= 0, got {self.jitter_rms_ps}")
+        if not (0 <= self.jitter_rms_ps < math.inf):
+            raise DomainError(f"jitter must be >= 0 and finite, got {self.jitter_rms_ps}")
 
     def gate_period_ns(self) -> float:
         return 1e3 / self.gate_rate_mhz
@@ -522,14 +517,12 @@ def estimate_visibility(
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
     its own substream derived from (seed, batch, phase), its gaps from
-    exponential draws as NumPy's geometric takes them. One task simulates
-    and counts a run of a batch's consecutive phases as segments and
-    writes their rows; a batch is cut into the fewest runs of at most
-    _TASK_EVENTS expected pairs and dark counts, equal to within one phase,
-    and each task draws its pairs in chunks of about _CHUNK_PAIRS. The tasks
-    run in order on the calling thread, so the first failed task's error is
-    raised and no later task starts. A histogram over MAX_HISTOGRAM_CELLS
-    cells is refused before it is allocated.
+    exponential draws as NumPy's geometric takes them. One engine call
+    simulates all of a batch's phases as segments, drawing its pairs in
+    chunks of about _CHUNK_PAIRS, and one pass counts them into the batch's
+    rows. The batches run in order on the calling thread, so the first
+    failed batch's error is raised and no later batch starts. A histogram
+    over MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -549,16 +542,12 @@ def estimate_visibility(
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    events = per_phase * (noise.alpha + 2 * det.dark_prob)  # expected, per stream
-    groups = _even_slices(len(phases), max(1, int(_TASK_EVENTS // max(events, 1.0))))
     for b in range(batches):
-        for group in groups:
-            rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))[group]]
-            signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs,
-                                                       rates[group])
-            for name, gates in (("signal", signal), ("idler", idler)):
-                _check_gates(name, gates, per_phase, stride, len(rngs))
-            hists[b, group] = _count_segments(signal, idler, k, stride, len(rngs))
+        rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))]
+        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates)
+        for name, gates in (("signal", signal), ("idler", idler)):
+            _check_gates(name, gates, per_phase, stride, len(rngs))
+        hists[b] = _count_segments(signal, idler, k, stride, len(rngs))
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

@@ -53,9 +53,9 @@ def wavelength_to_detuning(wavelength_nm: float, center_nm: float) -> float:
     Exact conversion 2*pi*c*(1/lambda - 1/lambda0); shorter wavelengths map
     to positive detunings.
     """
-    if wavelength_nm <= 0 or center_nm <= 0:
+    if not (0 < wavelength_nm < np.inf and 0 < center_nm < np.inf):
         raise DomainError(
-            f"wavelengths must be positive, got {wavelength_nm}, {center_nm}"
+            f"wavelengths must be positive and finite, got {wavelength_nm}, {center_nm}"
         )
     return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * (1.0 / wavelength_nm - 1.0 / center_nm)
 
@@ -66,8 +66,10 @@ def width_nm_to_radps(width_nm: float, center_nm: float) -> float:
     Used for widths (FWHM, spans, filter bandwidths) so that symmetric
     profiles in detuning correspond to the quoted nm figures.
     """
-    if width_nm <= 0 or center_nm <= 0:
-        raise DomainError(f"widths must be positive, got {width_nm} at {center_nm}")
+    if not (0 < width_nm < np.inf and 0 < center_nm < np.inf):
+        raise DomainError(
+            f"widths and centers must be positive and finite, got {width_nm} at {center_nm}"
+        )
     return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * width_nm / center_nm**2
 
 

@@ -417,9 +417,11 @@ class TestCli:
         "problem, catalog",
         [
             (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = -1"), None),
+            # an infinite delay once read as an infeasible design of inf mm (exit 4)
+            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = inf"), None),
             (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "0.5")),
         ],
-        ids=["problem", "catalog"],
+        ids=["problem", "problem-delay-inf", "catalog"],
     )
     def test_design_input_validation_exit_code(self, tmp_path, capsys, problem, catalog):
         # physical validation exits 3 for every input file kind, as for experiment files
@@ -582,6 +584,31 @@ class TestInputValidation:
         assert main([command, "--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert "pump_phase_offset_rad" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, old, new", [
+        pytest.param("montecarlo", "gate_rate_mhz = 628.5", "gate_rate_mhz = inf",
+                     id="gate-rate-inf"),
+        pytest.param("montecarlo", "jitter_rms_ps = 100.0", "jitter_rms_ps = nan",
+                     id="jitter-nan"),
+        # both arms, so that the delays' mismatch is inf - inf = nan
+        pytest.param("montecarlo", "delta_t_ns = 4.77", "delta_t_ns = inf",
+                     id="montecarlo-delay-inf"),
+        pytest.param("visibility", "delta_t_ns = 4.77", "delta_t_ns = inf",
+                     id="visibility-delay-inf"),
+        # sinc^2 at the default span: its first zero would lie at pi / 0
+        pytest.param("visibility", "fwhm_nm = 1.6\ncenter_wavelength_nm = 1560\nspan_radps = 11.6",
+                     "fwhm_nm = inf", id="sinc2-fwhm-inf"),
+        pytest.param("visibility", "center_wavelength_nm = 1560\nspan_radps = 11.6",
+                     "center_wavelength_nm = inf", id="sinc2-center-inf"),
+    ])
+    def test_non_finite_input_exits_3(self, tmp_path, capsys, command, old, new):
+        assert old in FULL_CONFIG
+        cfg = tmp_path / "input.ini"
+        cfg.write_text(FULL_CONFIG.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(

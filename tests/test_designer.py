@@ -166,11 +166,12 @@ class TestErrors:
             )
 
     def test_bad_delta_t(self):
-        with pytest.raises(ConfigurationError):
-            DesignProblem(
-                target_d_beta2_l_ps2=0.0,
-                delta_t_ns=0.0,
-                short_fiber=SMF,
-                long_fibers=(LEAF, SMF),
-                short_length_mm=1900.0,
-            )
+        for delta_t in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigurationError):
+                DesignProblem(
+                    target_d_beta2_l_ps2=0.0,
+                    delta_t_ns=delta_t,
+                    short_fiber=SMF,
+                    long_fibers=(LEAF, SMF),
+                    short_length_mm=1900.0,
+                )

@@ -914,8 +914,10 @@ class TestQuadrature:
 
 class TestValidation:
     def test_delta_t_positive(self):
-        with pytest.raises(ConfigurationError):
-            MZIConfig(long=PathStack(()), short=PathStack(()), delta_t_ns=0.0)
+        # an infinite delay in both arms would pass the match check as inf - inf = nan
+        for delta_t in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                MZIConfig(long=PathStack(()), short=PathStack(()), delta_t_ns=delta_t)
 
     def test_arm_delay_mismatch(self):
         with pytest.raises(ConfigurationError):

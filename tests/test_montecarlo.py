@@ -67,6 +67,16 @@ class TestGateOffset:
         with pytest.raises(ConfigurationError):
             gate_offset(cfg, DetectorModel())
 
+    @pytest.mark.parametrize("field, value", [
+        ("gate_rate_mhz", math.inf),  # a gate period of 0 ns
+        ("gate_rate_mhz", math.nan),
+        ("jitter_rms_ps", math.inf),
+        ("jitter_rms_ps", math.nan),
+    ])
+    def test_non_finite_detector_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            DetectorModel(**{field: value})
+
 
 class TestSimulateRun:
     def test_silent_without_pairs_or_darks(self):
@@ -306,8 +316,8 @@ def quadrature_rate_histograms(cfg, noise, det, n_gates, phases, batches, seed):
     ])
 
 
-def record_task_rows(monkeypatch):
-    """Return the list that estimates append their task rows to."""
+def record_batch_rows(monkeypatch):
+    """Return the list that estimates append each batch's histogram rows to."""
     rows = []
     real = montecarlo._count_segments
     monkeypatch.setattr(montecarlo, "_count_segments",
@@ -323,7 +333,7 @@ class TestRatesFromAmplitude:
         exp = preset_experiment(preset)
         noise = replace(exp.noise, alpha=0.2)
         phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        rows = record_task_rows(monkeypatch)
+        rows = record_batch_rows(monkeypatch)
         for seed in range(100):
             rows.clear()
             est = estimate_visibility(exp.franson, noise, exp.detector, n_gates=16_000,
@@ -337,7 +347,7 @@ class TestRatesFromAmplitude:
     def test_alpha_sweep_matches_quadrature_rates(self, monkeypatch, capsys):
         argv = ["alpha-sweep", "--preset", "fig4c", "--montecarlo", "--alphas", "0.1,0.2",
                 "--gates", "64000", "--batches", "3", "--seed", "4"]
-        rows = record_task_rows(monkeypatch)
+        rows = record_batch_rows(monkeypatch)
         assert main(argv) == 0
         new_out, new_rows = capsys.readouterr().out, np.concatenate(rows)
         rows.clear()
@@ -818,84 +828,84 @@ def fig4c_at(alpha):
 class TestParallelStreams:
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
-        # tasks of 1, at most 5 and all phases of a batch (3 phases fill less
-        # than one task of 5), and chunks of one stream, of 2 streams (800
-        # pairs each) or of a whole task; one phase per task simulates every
-        # stream as its own segment
+        # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
+        # pairs or of a whole batch, against every stream simulated and
+        # counted alone as its own one-segment engine call
         cfg, noise, det = fig4c_at(0.2)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-        events = 4_000 * (noise.alpha + 2 * det.dark_prob)  # expected, per stream
-        results, sizes = [], []
-        real = montecarlo._simulate_segments
-        monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda *args: sizes.append(len(args[4])) or real(*args))
-        for per_task, chunk in ((1, 2**14), (5, 1), (5, 2_000), (n_phases, 1),
-                                (n_phases, 2**40)):
-            monkeypatch.setattr(montecarlo, "_TASK_EVENTS", (per_task + 0.5) * events)
+        results = []
+        for chunk in (2**14, 1, 2_000, 2**40):
             monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
-            sizes.clear()
             results.append(estimate_visibility(
                 cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
             ))
-            assert max(sizes) == min(per_task, n_phases) and sum(sizes) == 3 * n_phases
         ref = results[0]
         for est in results[1:]:
             assert est.v == ref.v
             assert est.sigma_v == ref.sigma_v
             assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
             assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
+        rates = interference.fringe_rates(cfg, phases)
+        alone = np.array([
+            [count_coincidences(montecarlo._simulate_stream(
+                cfg, noise, det, 4_000, np.random.default_rng([4, b, j]), rate)).counts
+             for j, rate in enumerate(rates)]
+            for b in range(3)
+        ])
+        assert np.array_equal(ref.per_phase_histogram, alone.sum(axis=0))
+        assert ref.batch_visibilities.tolist() == [
+            montecarlo._fit_fringe(phases, hist[:, 3]) for hist in alone
+        ]
 
-    @pytest.mark.parametrize("preset, alpha, n_gates, size", [
-        ("fig4a", 0.0024, 10_000_000, 32),  # 750 pairs per stream: a batch is one task
-        ("fig4c", 0.2, 1_000_000, 8),  # 6,250 pairs per stream
-        ("fig4c", 0.1, 1_000_000, 16),
+    @pytest.mark.parametrize("preset, alpha, n_gates", [
+        ("fig4a", 0.0024, 10_000_000),  # 750 pairs per stream
+        ("fig4c", 0.2, 1_000_000),  # 6,250 pairs per stream
+        ("fig4c", 0.1, 1_000_000),
     ])
-    def test_tasks_sized_by_expected_pairs(self, monkeypatch, preset, alpha, n_gates, size):
+    def test_one_engine_call_per_batch(self, monkeypatch, preset, alpha, n_gates):
         exp = preset_experiment(preset)
-        sizes = []
+        calls = []
         monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda cfg, noise, det, n, rngs, rates: sizes.append(len(rngs))
+                            lambda cfg, noise, det, n, rngs, rates: calls.append((rngs, rates))
                             or (EMPTY, EMPTY, n + 4))
         monkeypatch.setattr(montecarlo, "_count_segments",
                             lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
         estimate_visibility(exp.franson, replace(exp.noise, alpha=alpha), exp.detector,
                             n_gates=n_gates, batches=2, seed=1)
-        assert sizes == [size] * (64 // size)
+        phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
+        assert len(calls) == 2
+        for b, (rngs, rates) in enumerate(calls):
+            assert [rng.bit_generator.state for rng in rngs] == [
+                np.random.default_rng([1, b, j]).bit_generator.state for j in range(32)
+            ]
+            assert np.array_equal(rates, interference.fringe_rates(exp.franson, phases))
 
-    def test_task_memory_grows_with_its_group_events(self, monkeypatch):
-        # A task holds one chunk's pair flags and one stream's uniforms at a
-        # time, plus its streams' clicks as int64 gates. Above a task of one
-        # stream, its peak may grow by four int64 copies of the clicks of 8
-        # streams; at alpha 0.2 a task of 8 streams holds 4 chunks of 2
-        cfg, noise, det = fig4c_at(0.2)
-        per_phase = 31_250
-        clicks = len(simulate_run(cfg, noise, det, 8 * per_phase, seed=2))  # 8 streams' worth
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    def test_estimate_peak_below_an_export_of_its_gates(self, alpha):
+        # An estimate holds one batch's clicks as segments and its pair flags
+        # a chunk at a time; an export of the same gates holds every pair's
+        # flags at once, then its stream and the pairs its count expands
+        cfg, noise, det = fig4c_at(alpha)
+        n_gates = 32 * 31_250
 
-        def peak():
-            estimate_visibility(cfg, noise, det, n_gates=32 * per_phase, batches=2, seed=1)
+        def peak(run):
+            run()
             tracemalloc.start()
             try:
-                estimate_visibility(cfg, noise, det, n_gates=32 * per_phase, batches=2, seed=1)
+                run()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        sizes = []
-        real = montecarlo._simulate_segments
-        monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda *args: sizes.append(len(args[4])) or real(*args))
-        grouped = peak()
-        assert set(sizes) == {8}
-        monkeypatch.setattr(montecarlo, "_TASK_EVENTS", 1)  # one stream per task
-        sizes.clear()
-        alone = peak()
-        assert set(sizes) == {1}
-        assert grouped - alone < 4 * 8 * clicks
+        estimate = peak(lambda: estimate_visibility(cfg, noise, det, n_gates=n_gates,
+                                                    batches=2, seed=1))
+        export = peak(lambda: count_coincidences(simulate_run(cfg, noise, det, n_gates, seed=1)))
+        assert estimate < export
 
     def test_memory_does_not_grow_with_the_task_count(self, monkeypatch):
-        # 5,000 tasks of 3 phases each, with streams and counts stubbed so
+        # 5,000 batches of 3 phases each, with streams and counts stubbed so
         # that only the estimate's own bookkeeping allocates: anything kept
-        # per task (its rows, its generators), at 200 bytes or more each,
+        # per batch (its rows, its generators), at 200 bytes or more each,
         # would push the peak more than 1 MB past the 0.84 MB histogram
         monkeypatch.setattr(montecarlo, "_simulate_segments",
                             lambda cfg, noise, det, n, rngs, rates: (EMPTY, EMPTY, n + 4))
@@ -959,18 +969,18 @@ class TestSegments:
             montecarlo._check_gates("signal", np.array([9, 22]), 4, stride=9, n_segments=2)
 
 
-def inject_failure(task):
-    raise ContractViolationError(f"injected failure in task {task}")
+def inject_failure(stream):
+    raise ContractViolationError(f"injected failure in stream {stream}")
 
 
 def check_streams(monkeypatch, seed, batches, check):
-    """Call check((batch, phase)) before every stream; a check that raises fails the task.
+    """Call check((batch, phase)) before every stream; a check that raises fails the batch.
 
     A stream is recognised by its generator's initial state, which the
-    (seed, batch, phase) substream fixes. A task checks its group's streams
-    in phase order before it simulates any of them.
+    (seed, batch, phase) substream fixes. A batch's engine call checks its
+    streams in phase order before it simulates any of them.
     """
-    tasks = {
+    streams = {
         np.random.default_rng([seed, b, j]).bit_generator.state["state"]["state"]: (b, j)
         for b in range(batches)
         for j in range(32)
@@ -979,44 +989,42 @@ def check_streams(monkeypatch, seed, batches, check):
 
     def simulate(cfg, noise, det, n_gates, rngs, rates):
         for rng in rngs:
-            check(tasks[rng.bit_generator.state["state"]["state"]])
+            check(streams[rng.bit_generator.state["state"]["state"]])
         return real(cfg, noise, det, n_gates, rngs, rates)
 
     monkeypatch.setattr(montecarlo, "_simulate_segments", simulate)
 
 
 class TestParallelErrors:
-    # 24 pairs per stream: each batch is one task
-    ARGS = dict(n_gates=320_000, batches=3, seed=7)
+    ARGS = dict(n_gates=320_000, batches=3, seed=7)  # 24 pairs per stream
 
     @pytest.mark.parametrize("stream", [1, 3, 7])
     def test_lowest_failed_task_reaches_caller(self, monkeypatch, stream):
-        # batch 1's task fails at the given stream and batch 2's task would
-        # fail too: the caller sees batch 1's error, every stream before it
-        # was checked in task order on the caller's thread, and batch 2's
-        # task never starts
+        # batch 1 fails at the given stream and batch 2 would fail too: the
+        # caller sees batch 1's error, every stream before it was checked in
+        # batch order on the caller's thread, and batch 2 never starts
         caller = threading.get_ident()
         checked, threads = [], set()
 
-        def check(task):
-            checked.append(task)
+        def check(key):
+            checked.append(key)
             threads.add(threading.get_ident())
-            if task in ((1, stream), (2, 0)):
-                inject_failure(task)
+            if key in ((1, stream), (2, 0)):
+                inject_failure(key)
 
         check_streams(monkeypatch, 7, 3, check)
-        with pytest.raises(ContractViolationError, match=rf"task \(1, {stream}\)"):
+        with pytest.raises(ContractViolationError, match=rf"stream \(1, {stream}\)"):
             estimate_visibility(*fig4c_at(0.0024), **self.ARGS)
         assert checked == [(0, j) for j in range(32)] + [(1, j) for j in range(stream + 1)]
         assert threads == {caller}
 
     def test_cli_exits_with_contract_code(self, monkeypatch, capsys):
-        def check(task):
-            if task == (1, 5):
-                inject_failure(task)
+        def check(key):
+            if key == (1, 5):
+                inject_failure(key)
 
         check_streams(monkeypatch, 7, 2, check)
         argv = ["montecarlo", "--preset", "fig4a", "--gates", "320000", "--batches", "2",
                 "--seed", "7"]
         assert main(argv) == 3
-        assert "injected failure in task (1, 5)" in capsys.readouterr().err
+        assert "injected failure in stream (1, 5)" in capsys.readouterr().err

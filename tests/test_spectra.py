@@ -52,7 +52,10 @@ class TestWavelengthToDetuning:
         # exact conversion is slightly asymmetric vs the linearized width
         assert abs(om) < wavelength_to_detuning(1558.4, 1560.0)
 
-    @pytest.mark.parametrize("lam,center", [(0.0, 1560.0), (-1.0, 1560.0), (1560.0, 0.0)])
+    @pytest.mark.parametrize("lam,center", [
+        (0.0, 1560.0), (-1.0, 1560.0), (1560.0, 0.0),
+        (math.inf, 1560.0), (1560.0, math.inf), (math.nan, 1560.0), (1560.0, math.nan),
+    ])
     def test_nonpositive_wavelength_rejected(self, lam, center):
         with pytest.raises(DomainError):
             wavelength_to_detuning(lam, center)
@@ -120,8 +123,14 @@ class TestMakeSpectrum:
             assert s.is_normalized()
 
     def test_bad_fwhm(self):
+        # an infinite sinc^2 width, or center, would put its first zero at pi / 0
+        for model in (SINC2, GAUSSIAN):
+            for fwhm, center in ((-1.6, 1560.0), (math.inf, 1560.0), (math.nan, 1560.0),
+                                 (1.6, math.inf), (1.6, math.nan)):
+                with pytest.raises(DomainError):
+                    make_spectrum(model, fwhm, center)
         with pytest.raises(DomainError):
-            make_spectrum(SINC2, -1.6)
+            width_nm_to_radps(1.6, math.inf)
 
     def test_unknown_model(self):
         with pytest.raises(ConfigurationError):
@@ -232,8 +241,9 @@ class TestBandpass:
 
     def test_bad_width(self):
         s = make_spectrum(SINC2, 1.6)
-        with pytest.raises(DomainError):
-            apply_bandpass(s, 0.0, FLATTOP)
+        for width in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                apply_bandpass(s, width, FLATTOP)
 
     def test_bad_shape(self):
         s = make_spectrum(SINC2, 1.6)
