@@ -44,8 +44,14 @@ class DesignProblem:
             )
         if not (0 < self.delta_t_ns < np.inf):
             raise ConfigurationError(f"delta_t must be positive and finite, got {self.delta_t_ns}")
-        if self.short_length_mm < 0:
-            raise DomainError(f"short length must be >= 0, got {self.short_length_mm}")
+        if not (0 <= self.short_length_mm < np.inf):
+            raise DomainError(
+                f"short_length_mm must be >= 0 and finite, got {self.short_length_mm}"
+            )
+        if not np.isfinite(self.target_d_beta2_l_ps2):
+            raise DomainError(
+                f"target_d_beta2_l_ps2 must be finite, got {self.target_d_beta2_l_ps2}"
+            )
 
 
 @dataclass(frozen=True)

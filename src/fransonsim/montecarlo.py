@@ -44,7 +44,9 @@ streams or once over all of them. simulate_run is the one-segment case.
 estimate_visibility simulates all of a batch's phases in one engine call and
 counts them in one pass, batch after batch on the calling thread, so the
 output is a function of the inputs alone and a failed batch raises before
-any later batch runs.
+any later batch runs. Its stream generators are seeded in one vectorized
+pass over every (batch, phase) stream (_seed_words), and each starts in the
+state default_rng([seed, batch, phase]) would give it, bit for bit.
 """
 
 import math
@@ -71,8 +73,8 @@ MAX_GATES = 2**26
 # its (phase, offset) histogram rows are built before any stream runs
 MAX_PHASES = 2**16
 # largest batches x phases a run may ask for, the streams of one estimate: its
-# histogram is allocated before any stream runs, 56 B per stream at k = 3
-# (3.5 MiB at the cap); c08 runs 3,200
+# histogram, 56 B per stream at k = 3, and its seed words, 32 B per stream, are
+# allocated before any stream runs (5.5 MiB at the cap); c08 runs 3,200
 MAX_STREAMS = 2**16
 # largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
 # 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
@@ -189,7 +191,12 @@ class CoincidenceHistogram:
 def gate_offset(cfg: FransonConfig, det: DetectorModel) -> int:
     """Whole number of gates spanned by the path delay difference."""
     ratio = cfg.signal_arm.delta_t_ns / det.gate_period_ns()
-    m = round(ratio)
+    m = round(min(ratio, MAX_HISTOGRAM_CELLS))  # round() of an infinite ratio would overflow
+    if 2 * max(3, m) + 1 > MAX_HISTOGRAM_CELLS:
+        raise ConfigurationError(
+            f"path delay of {ratio:.4g} gates needs histogram rows of more than the "
+            f"cap of {MAX_HISTOGRAM_CELLS} cells (2m + 1 at gate offset m)"
+        )
     if m < 1 or abs(ratio - m) > GATE_RATIO_TOL:
         raise ConfigurationError(
             f"path delay of {ratio:.4f} gates is not a whole gate count "
@@ -400,6 +407,107 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
     return detectors[0], detectors[1], stride
 
 
+# NumPy's SeedSequence: hashmix and mix multipliers, and the shift of both
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(seed, b, j):
+    """The words SeedSequence([seed, b, j]).generate_state(4, np.uint64) of every (b, j) at once.
+
+    b and j are integer arrays below 2**32 that broadcast together; the
+    result has their shape plus an axis of 4 uint64 words, 32 B per
+    stream. It runs SeedSequence's algorithm (numpy/random/bit_generator.pyx)
+    in uint32 arrays, one row per word of its 4-word pool: the entropy is
+    seed's 32-bit words from the lowest ([0] for 0), then b, then j, each
+    hashed into the pool, the pool mixed with itself, any entropy past the
+    fourth word mixed in, and the pool hashed out to 8 words, read in pairs
+    as little-endian uint64. tests/test_montecarlo.py checks it against
+    NumPy's own words, and every generator state built from them against
+    default_rng's.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    b, j = np.broadcast_arrays(np.asarray(b, dtype=np.uint32), np.asarray(j, dtype=np.uint32))
+    entropy += [b, j]
+    # each hashmix call takes the next constant of one running sequence
+    hash_const = _INIT_A
+    pool = np.empty((4,) + b.shape, dtype=np.uint32)
+    h, shifted = np.empty(b.shape, dtype=np.uint32), np.empty(b.shape, dtype=np.uint32)
+
+    def hashmix(value):  # into h
+        nonlocal hash_const
+        np.bitwise_xor(value, hash_const, out=h, dtype=np.uint32)
+        hash_const = hash_const * _MULT_A & _MASK32
+        np.multiply(h, hash_const, out=h)
+        np.right_shift(h, _XSHIFT, out=shifted)
+        np.bitwise_xor(h, shifted, out=h)
+
+    def mix(x):  # x = mix(x, h), in place
+        x *= _MIX_MULT_L
+        np.multiply(h, _MIX_MULT_R, out=h)
+        x -= h
+        np.right_shift(x, _XSHIFT, out=shifted)
+        x ^= shifted
+
+    for dst in range(4):
+        hashmix(entropy[dst] if dst < len(entropy) else 0)
+        pool[dst] = h
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashmix(pool[src])
+                mix(pool[dst])
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            hashmix(entropy[src])
+            mix(pool[dst])
+    out = np.empty(b.shape + (8,), dtype=np.uint32)
+    hash_const = _INIT_B
+    for dst in range(8):
+        word = out[..., dst]
+        np.bitwise_xor(pool[dst % 4], hash_const, out=word)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= hash_const
+        np.right_shift(word, _XSHIFT, out=shifted)
+        word ^= shifted
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _batch_generators(seed, batches, n_streams):
+    """An iterator over batches of n_streams generators, stream j of batch b as default_rng([seed, b, j]).
+
+    The seed words of every stream come from one _seed_words call, made
+    here; a batch's generators are built when the iterator reaches it. A
+    stream's generator is Generator(PCG64) seeded from its row of words
+    through a minimal ISeedSequence, so that PCG64 does its own seeding
+    from the words SeedSequence would have given it and starts in the same
+    state. numpy.random is imported here, not with the module, to keep it
+    out of the CLI's start-up.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A stream's seed words, for PCG64's one call generate_state(4, np.uint64)."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(n_streams))
+    return ([Generator(PCG64(Words(w))) for w in row] for row in words)
+
+
 def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
     """One acquisition at coincidence rate c_rate: the one-segment case of the engine."""
     signal, idler, _ = _simulate_segments(cfg, noise, det, n_gates, [rng], [c_rate])
@@ -516,8 +624,11 @@ def estimate_visibility(
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Every (batch, phase) stream draws from
-    its own substream derived from (seed, batch, phase), its gaps from
-    exponential draws as NumPy's geometric takes them. One engine call
+    its own generator, in the state default_rng([seed, batch, phase]) gives,
+    its gaps from exponential draws as NumPy's geometric takes them. The
+    seed words of all streams are computed in one vectorized pass before
+    the histogram is allocated, and a batch's generators are built from
+    them when the batch starts. One engine call
     simulates all of a batch's phases as segments, drawing its pairs in
     chunks of about _CHUNK_PAIRS, and one pass counts them into the batch's
     rows. The batches run in order on the calling thread, so the first
@@ -541,9 +652,10 @@ def estimate_visibility(
         raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
+    # the seed words' temporaries are freed before the histogram is allocated
+    generators = _batch_generators(seed, batches, len(phases))
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    for b in range(batches):
-        rngs = [np.random.default_rng([int(seed), b, j]) for j in range(len(phases))]
+    for b, rngs in enumerate(generators):
         signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates)
         for name, gates in (("signal", signal), ("idler", idler)):
             _check_gates(name, gates, per_phase, stride, len(rngs))

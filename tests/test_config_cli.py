@@ -235,9 +235,10 @@ class TestPresetFidelity:
 class TestCli:
     def test_import_leaves_pool_and_scipy_unloaded(self):
         # no command needs a thread pool, and concurrent.futures alone would
-        # add about 10 ms to every command's start-up
-        code = ("import sys, fransonsim.cli; "
-                "print([m for m in ('concurrent.futures', 'scipy') if m in sys.modules])")
+        # add about 10 ms to every command's start-up; numpy.random, which
+        # only the Monte Carlo needs, about 15 ms
+        code = ("import sys, fransonsim.cli; print([m for m in "
+                "('concurrent.futures', 'scipy', 'numpy.random') if m in sys.modules])")
         assert run_python(code).strip() == "[]"
 
     def test_presets_list(self, capsys):
@@ -414,22 +415,30 @@ class TestCli:
         assert main(["design", "--problem", str(prob)]) == 3
 
     @pytest.mark.parametrize(
-        "problem, catalog",
+        "problem, catalog, key",
         [
-            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = -1"), None),
+            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = -1"), None, "delta_t"),
             # an infinite delay once read as an infeasible design of inf mm (exit 4)
-            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = inf"), None),
-            (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "0.5")),
+            (PROBLEM.replace("delta_t_ns = 4.77", "delta_t_ns = inf"), None, "delta_t"),
+            # both once failed later as "differential dispersion must be finite"
+            (PROBLEM.replace("short_length_mm = 1900.0", "short_length_mm = inf"), None,
+             "short_length_mm"),
+            (PROBLEM.replace("= 0.022018", "= nan"), None, "target_d_beta2_l_ps2"),
+            (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "0.5"),
+             "group index"),
         ],
-        ids=["problem", "problem-delay-inf", "catalog"],
+        ids=["problem", "problem-delay-inf", "problem-short-inf", "problem-target-nan",
+             "catalog"],
     )
-    def test_design_input_validation_exit_code(self, tmp_path, capsys, problem, catalog):
+    def test_design_input_validation_exit_code(self, tmp_path, capsys, problem, catalog, key):
         # physical validation exits 3 for every input file kind, as for experiment files
         argv = ["design", "--problem", str(_write(tmp_path, "problem.ini", problem))]
         if catalog:
             argv += ["--catalog", str(_write(tmp_path, "fibers.ini", catalog))]
         assert main(argv) == 3
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "broken.ini"
@@ -837,6 +846,19 @@ class TestRunGrid:
         captured = capsys.readouterr()
         assert "1600 streams at gate offset m = 3000" in captured.err
         assert f"exceed the histogram cap of {2**23} cells" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("delay", ["4.77", "1e300"])
+    def test_gate_offset_past_the_histogram_cap(self, tmp_path, capsys, delay):
+        # at 1e300 MHz the message once printed m as an integer of 298 digits,
+        # and with a delay of 1e300 ns the ratio of inf died in round() (exit 1)
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text(FULL_CONFIG.replace("gate_rate_mhz = 628.5", "gate_rate_mhz = 1e300")
+                       .replace("delta_t_ns = 4.77", f"delta_t_ns = {delay}"))
+        assert main(["montecarlo", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "histogram rows" in captured.err
+        assert len(captured.err) < 200
         assert captured.out == ""
 
     def test_histogram_cells_capped_before_the_histogram(self, tmp_path, capsys):

@@ -67,6 +67,25 @@ class TestGateOffset:
         with pytest.raises(ConfigurationError):
             gate_offset(cfg, DetectorModel())
 
+    @pytest.mark.parametrize("gate_rate_mhz, delta_t_ns", [
+        (1e300, 4.77),
+        (1e300, 1e300),  # a ratio of inf, which round() cannot take
+        (1e3 * 2**22 / 4.77, 4.77),  # m = 2**22: rows of 2**23 + 1 cells
+    ])
+    def test_offset_past_the_histogram_cap_rejected(self, gate_rate_mhz, delta_t_ns):
+        cfg = FransonConfig(
+            signal_arm=arm_with_dispersion(delta_t_ns=delta_t_ns),
+            idler_arm=arm_with_dispersion(delta_t_ns=delta_t_ns),
+            spectrum=make_spectrum(GAUSSIAN, 1.6),
+        )
+        with pytest.raises(ConfigurationError, match="histogram rows") as err:
+            gate_offset(cfg, DetectorModel(gate_rate_mhz=gate_rate_mhz))
+        assert len(str(err.value)) < 200
+
+    def test_largest_offset_under_the_histogram_cap_accepted(self):
+        det = DetectorModel(gate_rate_mhz=1e3 * (2**22 - 1) / 4.77)
+        assert gate_offset(dispersion_free_config(), det) == 2**22 - 1
+
     @pytest.mark.parametrize("field, value", [
         ("gate_rate_mhz", math.inf),  # a gate period of 0 ns
         ("gate_rate_mhz", math.nan),
@@ -926,6 +945,57 @@ class TestParallelStreams:
         assert est.per_phase_histogram.tolist() == [[batches] * 7] * 3
         histogram = batches * len(phases) * 7 * 8
         assert peak < histogram + 1_000_000
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 9, 20260810]
+
+
+class TestStreamSeeds:
+    # streams (b, j) as default_rng([seed, b, j]) seeds them; 2**64 + 3 is
+    # three entropy words, five with b and j, past the 4-word pool
+    B = np.array([0, 1, 2, 99, 2**16 - 1])
+    J = np.array([0, 1, 31, 32, 2**16 - 1])
+
+    def seed_sequence_words(self, seed):
+        return np.array([
+            [np.random.SeedSequence([seed, int(b), int(j)]).generate_state(4, np.uint64)
+             for j in self.J]
+            for b in self.B
+        ])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_match_seed_sequence(self, seed):
+        words = montecarlo._seed_words(seed, self.B[:, None], self.J)
+        assert words.dtype == np.uint64 and words.shape == (5, 5, 4)
+        assert np.array_equal(words, self.seed_sequence_words(seed))
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**130 - 1))
+    @example(seed=2**128)
+    def test_words_match_seed_sequence_for_any_seed(self, seed):
+        words = montecarlo._seed_words(seed, self.B[:, None], self.J)
+        assert np.array_equal(words, self.seed_sequence_words(seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_start_in_default_rng_states(self, seed):
+        batches = list(montecarlo._batch_generators(seed, 3, 4))
+        assert [len(rngs) for rngs in batches] == [4, 4, 4]
+        for b, rngs in enumerate(batches):
+            for j, rng in enumerate(rngs):
+                ref = np.random.default_rng([seed, b, j])
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(rng.random(5), ref.random(5))
+
+    def test_estimate_makes_no_default_rng_call(self, monkeypatch):
+        def no_default_rng(seed=None):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=3)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=-1)
 
 
 class TestSegments:
