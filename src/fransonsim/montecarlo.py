@@ -17,22 +17,23 @@ fringe amplitude Z without a quadrature (interference.fringe_rates), so the
 offset-0 fringe follows the full dispersive spectral integral while the +-m
 side peaks stay phase independent. Detector imperfections: independent
 per-photon detection efficiency, per-gate dark counts, and a
-single-gate-delayed afterpulse after any detection (no cascades). Detector
-timing jitter is carried in the model for reference but does not move events
-between gates; at 100 ps rms against the 1.59 ns gate period it cannot.
+single-gate-delayed afterpulse after any detection (no cascades).
 
 Streams are reproducible: a run is a pure function of (config, seed). The
 draw order is pinned, since every seeded output depends on it. Each stream
 has its own generator and draws, in this order: geometric gaps between pair
 births; five uniforms per pair (outcome class, interference survival,
-placement, signal and idler detection); then per detector, signal first,
-geometric gaps between dark counts and one uniform per click for
-afterpulses. The gaps give each gate a birth (or a dark count) independently
-with probability alpha (or dark_prob), at most one per gate, as one uniform
-per gate would, but with draws in proportion to the events rather than the
-gates (see _bernoulli_gates). A gap is the value ``rng.geometric`` returns,
-but below p = 1/3 it is taken as NumPy itself takes it, from one
-exponential draw, and inverted for a whole block at once (_draw_gaps).
+placement, signal and idler detection), as one fill; then per detector,
+signal first, geometric gaps between dark counts and one uniform per click
+for afterpulses. The gaps give each gate a birth (or a dark count)
+independently with probability alpha (or dark_prob), at most one per gate,
+as one uniform per gate would, but with draws in proportion to the events
+rather than the gates (see _bernoulli_gates). They are drawn in blocks, and
+a stream whose block ends below its last gate draws another (_gap_hits); at
+a rate of 0 a block holds no gaps and draws nothing. A gap is the value
+``rng.geometric`` returns, but below p = 1/3 it is taken as NumPy itself
+takes it, from one exponential draw, and inverted for a whole block of
+streams at once (_draw_gaps, _geometric).
 tests/test_montecarlo.py holds a frozen copy of the stream code to check
 the order against, and a copy of the earlier one-uniform-per-gate sampler to
 check the law against.
@@ -94,7 +95,6 @@ class DetectorModel:
     gate_rate_mhz: float = 628.5
     dark_prob: float = 2e-6
     afterpulse_prob: float = 0.06
-    jitter_rms_ps: float = 100.0
 
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
@@ -107,8 +107,6 @@ class DetectorModel:
             raise DomainError(
                 f"afterpulse_prob must be in [0, 1), got {self.afterpulse_prob}"
             )
-        if not (0 <= self.jitter_rms_ps < math.inf):
-            raise DomainError(f"jitter must be >= 0 and finite, got {self.jitter_rms_ps}")
 
     def gate_period_ns(self) -> float:
         return 1e3 / self.gate_rate_mhz
@@ -236,7 +234,8 @@ def _draw_gaps(rng, p, out):
     _geometric inverts whole blocks of rows at once, with log1p(-p) taken
     once; from 1/3 up it calls ``rng.geometric``. Gaps and generator states
     equal those of ``rng.geometric`` bit for bit, as checked on NumPy 2.4.6
-    (tests/test_montecarlo.py, TestExponentialGaps).
+    (tests/test_montecarlo.py, TestExponentialGaps). An empty row, the
+    block of a rate of 0, leaves the generator's state as it was.
     """
     if p < 1 / 3:
         rng.standard_exponential(out=out)
@@ -258,58 +257,48 @@ def _geometric(gaps, p):
     return np.maximum(gaps, 1, out=gaps)
 
 
-def _gap_gates(gaps, p, first):
-    """Gates of rows of _draw_gaps, in place: cumulative gaps, row j's first counted from first[j].
-
-    The sums stay in float64, exact below 2**53. A running sum never falls,
-    so every gate below n is exact, and the first gate at or past n, inf
-    included, ends the row.
-    """
-    _geometric(gaps, p)
-    gaps[:, 0] += first
-    return np.cumsum(gaps, axis=1, out=gaps)
-
-
 def _gap_hits(gaps, rngs, n, p, starts):
     """Bernoulli(p) hits on [0, n) of the rows of _draw_gaps, row j drawn from rngs[j].
 
-    Returns the int64 hits of all rows in row order, row j's offset by
-    starts[j], and each row's hit count. A row whose gates all fall below
-    n continues from its last gate with further blocks of the same size
-    from its generator, until a gate reaches n; the rest of the last block
-    is discarded (Devroye 1986, ch. X).
+    Row j's gates lie in [starts[j], starts[j] + n), and starts increase by
+    at least n from row to row, so the rows are disjoint and in order.
+    Returns the sorted int64 hits of all rows and each row's hit count.
+    Each pass sums the open rows' gaps into gates in place, the first
+    counted from the row's last gate (starts[j] - 1 at first), and keeps
+    those below the row's end; a row whose block ended below its end draws
+    a further block of the same size from its generator. The rest of a
+    row's last block is discarded (Devroye 1986, ch. X). The sums stay in
+    float64, exact below 2**53: a running sum never falls, so every gate
+    kept is exact, and the first gate at or past the end, inf included,
+    closes the row.
     """
+    counts = np.zeros(len(rngs), dtype=np.int64)
     if p == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(len(rngs), dtype=np.int64)
-    ends = starts + n
-    gates = _gap_gates(gaps, p, starts - 1)
-    counts = (gates < ends[:, None]).sum(axis=1)
-    # a row's hits are its first counts[j] gates
-    hits = np.concatenate([row[:c] for row, c in zip(gates, counts.tolist())],
-                          dtype=np.int64, casting="unsafe")
-    full = np.flatnonzero(counts == gaps.shape[1]).tolist()
-    if not full:
-        return hits, counts
-    parts = np.split(hits, np.cumsum(counts)[:-1])
-    row = np.empty_like(gaps[:1])
-    for j in full:  # rare: a block ended before gate n
-        last, more = gates[j, -1], [parts[j]]
-        while last < ends[j]:
-            _draw_gaps(rngs[j], p, row[0])
-            g = _gap_gates(row, p, last)[0]
-            more.append(g[g < ends[j]].astype(np.int64))
-            last = g[-1]
-        parts[j] = np.concatenate(more)
-        counts[j] = len(parts[j])
-    return np.concatenate(parts), counts
+        return np.empty(0, dtype=np.int64), counts
+    rows, ends, last, hits = np.arange(len(rngs)), starts + n, starts - 1, []
+    while len(rows):
+        _geometric(gaps, p)
+        gaps[:, 0] += last
+        np.cumsum(gaps, axis=1, out=gaps)
+        below = gaps < ends[:, None]
+        hits.append(gaps[below])  # row by row, as the mask is read in row-major order
+        counts[rows] += below.sum(axis=1)
+        more = below[:, -1]
+        rows, ends, last = rows[more], ends[more], gaps[more, -1]
+        gaps = gaps[: len(rows)]
+        for j, row in zip(rows.tolist(), gaps):  # rare: a block ended below its row's end
+            _draw_gaps(rngs[j], p, row)
+    merged = np.concatenate(hits, dtype=np.int64, casting="unsafe")
+    if len(hits) > 1:  # a later pass's hits lie between the rows of the first
+        merged.sort()
+    return merged, counts
 
 
 def _gap_rows(rngs, n, p):
     """One row of _gap_block(n, p) gaps per generator, from _draw_gaps."""
     gaps = np.empty((len(rngs), _gap_block(n, p)))
-    if p:
-        for rng, row in zip(rngs, gaps):
-            _draw_gaps(rng, p, row)
+    for rng, row in zip(rngs, gaps):
+        _draw_gaps(rng, p, row)
     return gaps
 
 
@@ -323,22 +312,17 @@ def _bernoulli_gates(rng, n, p):
     return _gap_hits(_gap_rows([rng], n, p), [rng], n, p, np.zeros(1, dtype=np.int64))[0]
 
 
-def _even_slices(n, most):
-    """range(n) cut into the fewest slices of at most most items, equal to within one."""
-    parts = -(-n // most)
-    edges = [n * i // parts for i in range(parts + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
 def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
     """Simulate len(rngs) acquisitions of n_gates each as segments of shared arrays.
 
     Stream j draws from rngs[j] at coincidence rate rates[j], in the pinned
-    order of the module docstring. Per stream this makes its draw calls,
-    into preallocated rows, and compares its five-row fill with the limits
-    of the pair flags; the rest runs once per chunk of consecutive streams
-    with about _CHUNK_PAIRS expected pairs (births and flags) or once over
-    all streams (dark counts, afterpulses). Stream j's gates are offset by
+    order of the module docstring. Per stream this makes its draw calls into
+    preallocated rows: a block of birth gaps, one five-row fill, compared
+    with the limits of the pair flags in one call, and a block of dark count
+    gaps per detector, empty at dark_prob 0. The rest runs once per chunk of
+    consecutive streams with at most about _CHUNK_PAIRS expected pairs
+    (births and flags) or once over all streams (dark counts, afterpulses);
+    the chunks do not change a draw. Stream j's gates are offset by
     j * stride, with stride = n_gates + k + 1 for the counting window
     k = max(3, m): a photon (at most m gates late) or an afterpulse (1 gate
     late) that would fall past the stream's last gate is dropped, and no
@@ -361,26 +345,22 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
         pair_g, n_pairs = _gap_hits(births, rngs[chunk], n_gates, alpha, starts[chunk])
         del births  # not held next to the flags
         # a stream's fill is five successive rng.random(n_pairs) calls, drawn
-        # as rows in C order, three and then two at a time, each compared
-        # with its limit: outcome class (below 0.5 the photons take split
-        # paths), interference survival (the stream's rate), long-long
+        # as the rows of one C-order fill (PCG64 buffers no doubles), each
+        # compared with its limit: outcome class (below 0.5 the photons take
+        # split paths), interference survival (the stream's rate), long-long
         # placement, signal and idler detection. The class is also compared
         # with 0.25, below which the signal takes the short path
         limits = np.array([[0.5], [0.0], [0.5], [eta], [eta]])
         flags = np.empty((6, len(pair_g)), dtype=bool)
-        fill = np.empty(3 * n_pairs.max(initial=0))
+        fill = np.empty(5 * n_pairs.max(initial=0))
         ends = np.cumsum(n_pairs).tolist()
         for rng, a, b, rate, row in zip(rngs[chunk], [0] + ends, ends, rates[chunk], dark[chunk]):
             limits[1] = rate
-            u = fill[: 3 * (b - a)].reshape(3, b - a)
+            u = fill[: 5 * (b - a)].reshape(5, b - a)
             rng.random(out=u)
-            np.less(u, limits[:3], out=flags[:3, a:b])
+            np.less(u, limits, out=flags[:5, a:b])
             np.less(u[0], 0.25, out=flags[5, a:b])
-            u = u[:2]
-            rng.random(out=u)
-            np.less(u, limits[3:], out=flags[3:5, a:b])
-            if dark_p:
-                _draw_gaps(rng, dark_p, row)
+            _draw_gaps(rng, dark_p, row)
         split, survive, late, det_s, det_i, sl = flags
         late &= survive
         late &= ~split  # an interfering pair lands long-long
@@ -391,8 +371,8 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
         return tuple(np.compress(keep, pair_g) + m * np.compress(keep, shift)
                      for keep, shift in ((det_s, sl ^ split), (det_i, sl)))
 
-    chunks = _even_slices(len(rngs), max(1, int(_CHUNK_PAIRS // max(n_gates * alpha, 1.0))))
-    sig, idl = zip(*map(photons, chunks))
+    most = max(1, int(_CHUNK_PAIRS // max(n_gates * alpha, 1.0)))
+    sig, idl = zip(*(photons(slice(j, j + most)) for j in range(0, len(rngs), most)))
     detectors = []
     for gates in (sig, idl):  # signal first: dark counts, then afterpulses
         darks, _ = _gap_hits(dark, rngs, n_gates, dark_p, starts)
@@ -401,7 +381,7 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
         u = np.empty(len(base))
         for j, (rng, a, b) in enumerate(zip(rngs, [0] + ends, ends)):
             rng.random(out=u[a:b])
-            if dark_p and not detectors:  # the idler's dark gaps follow the signal's afterpulses
+            if not detectors:  # the idler's dark gaps follow the signal's afterpulses
                 _draw_gaps(rng, dark_p, dark[j])
         detectors.append(_merge_gates(base, inside(base[u < det.afterpulse_prob] + 1)))
     return detectors[0], detectors[1], stride

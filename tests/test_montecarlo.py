@@ -89,8 +89,6 @@ class TestGateOffset:
     @pytest.mark.parametrize("field, value", [
         ("gate_rate_mhz", math.inf),  # a gate period of 0 ns
         ("gate_rate_mhz", math.nan),
-        ("jitter_rms_ps", math.inf),
-        ("jitter_rms_ps", math.nan),
     ])
     def test_non_finite_detector_rejected(self, field, value):
         with pytest.raises(DomainError, match="finite"):
@@ -556,6 +554,30 @@ class TestBernoulliGates:
         assert gates.tolist() == list(range(100))
         assert blocks == [16] * 7
 
+    def test_rows_continue_and_merge_in_row_order(self):
+        # three rows of 100 gates from 0, 200 and 400 at p = 1e-9 (blocks of
+        # 16 gaps): rows 0 and 2 take gaps of 1, 1 and then an exponential
+        # of 1e308, which closes them in their first block; row 1 takes gaps
+        # of 1 only, so it alone draws further blocks, 7 in all
+        def fake(*values):
+            rng = SimpleNamespace(blocks=[])
+
+            def standard_exponential(out):
+                rng.blocks.append(len(out))
+                np.copyto(out, np.resize(values, len(out)))
+
+            rng.standard_exponential = standard_exponential
+            return rng
+
+        rngs = [fake(1e-10, 1e-10, 1e308), fake(1e-10), fake(1e-10, 1e-10, 1e308)]
+        n, p = 100, 1e-9
+        hits, counts = montecarlo._gap_hits(
+            montecarlo._gap_rows(rngs, n, p), rngs, n, p, np.array([0, 200, 400]))
+        assert hits.dtype == np.int64
+        assert hits.tolist() == [0, 1] + list(range(200, 300)) + [400, 401]
+        assert counts.tolist() == [2, 100, 2]
+        assert [rng.blocks for rng in rngs] == [[16], [16] * 7, [16]]
+
 
 class TestExponentialGaps:
     """Below p = 1/3 the gaps invert NumPy's own exponential draws, bit for bit."""
@@ -815,14 +837,16 @@ class TestDrawOrder:
         noise = SimpleNamespace(alpha=alpha)
         combos = [(c, e) for c in (0.0, 0.37, 1.0) for e in (0.0, 0.2, 1.0)]
         for i, (c_rate, eta) in enumerate(combos):
-            # darks at 1e-3 make photon/dark and afterpulse/detection
-            # collisions common enough for the merges to see repeats
-            det = DetectorModel(efficiency=eta, dark_prob=1e-3, afterpulse_prob=0.06)
             seed = [round(alpha * 1e6), n_gates, i]
-            # alone, and as the middle one of three segments at other rates
-            segments_match_reference(cfg, noise, det, n_gates, [seed], [c_rate])
-            seeds = [seed + [1], seed, seed + [2]]
-            segments_match_reference(cfg, noise, det, n_gates, seeds, [0.8, c_rate, 0.1])
+            # darks at 1e-3 make photon/dark and afterpulse/detection
+            # collisions common enough for the merges to see repeats; at 0
+            # each stream's dark gap blocks are empty and must draw nothing
+            for dark_prob in (1e-3, 0.0):
+                det = DetectorModel(efficiency=eta, dark_prob=dark_prob, afterpulse_prob=0.06)
+                # alone, and as the middle one of three segments at other rates
+                segments_match_reference(cfg, noise, det, n_gates, [seed], [c_rate])
+                seeds = [seed + [1], seed, seed + [2]]
+                segments_match_reference(cfg, noise, det, n_gates, seeds, [0.8, c_rate, 0.1])
 
     @given(
         parts=st.lists(
