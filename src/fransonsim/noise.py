@@ -56,7 +56,7 @@ def bell_significance(v: float, sigma_v: float) -> BellResult:
     """
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"visibility must be in [0, 1], got {v}")
-    if not (sigma_v > 0):
-        raise DomainError(f"sigma_v must be positive, got {sigma_v}")
+    if not (0 < sigma_v < np.inf):
+        raise DomainError(f"sigma_v must be positive and finite, got {sigma_v}")
     s = ROOT8 * v
     return BellResult(s_value=s, sigma_violation=(s - 2.0) / (ROOT8 * sigma_v))

@@ -90,3 +90,6 @@ class TestBellSignificance:
             bell_significance(0.9, 0.0)
         with pytest.raises(DomainError):
             bell_significance(1.1, 0.01)
+        for sigma_v in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                bell_significance(0.9, sigma_v)
