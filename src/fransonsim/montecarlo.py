@@ -20,40 +20,34 @@ per-photon detection efficiency, per-gate dark counts, and a
 single-gate-delayed afterpulse after any detection (no cascades).
 
 Streams are reproducible: a run is a pure function of (config, seed). The
-draw order is pinned, since every seeded output depends on it. One
-generator draws all of a run's streams, the phases of one estimate batch,
-and it draws in this order. First, chunk by chunk over consecutive streams,
-the pair births and pair uniforms: every stream's first block of geometric
-gaps between births, as one (streams, block) fill; then, pass by pass, one
-further block for every stream whose block ended below its last gate, in
-stream order, as one fill; then five uniforms per pair (outcome class,
-interference survival, placement, signal and idler detection), as one
-(5, pairs) fill with the pairs in stream order. Then per detector, signal
-first, the dark counts' geometric gaps, first blocks and further blocks as
-for the births, and one uniform per click, in gate order, for afterpulses.
-The chunks hold streams whose expected pairs sum to about _CHUNK_PAIRS, and
-the chunk rule is part of the order. A run of one stream (simulate_run and
-its exports) draws in the order it drew when each stream had its own
-generator. The gaps give each gate a birth (or a dark count) independently
-with probability alpha (or dark_prob), at most one per gate, as one uniform
-per gate would, but with draws in proportion to the events rather than the
-gates (see _bernoulli_gates). A stream whose block ends below its last gate
-draws another (_gap_hits); at a rate of 0 a block holds no gaps and draws
-nothing. A gap is the value ``rng.geometric`` returns, but below p = 1/3 it
-is taken as NumPy itself takes it, from one exponential draw, and inverted
-for a whole block of streams at once (_draw_gaps, _geometric).
-tests/test_montecarlo.py holds a frozen copy of the one-stream code and a
-test-only copy of the batch order to check the order against, and a copy of
-the earlier one-uniform-per-gate sampler to check the law against.
+draw order is pinned, since every seeded output depends on it. Each stream
+has its own generator and draws, in this order: geometric gaps between pair
+births; five uniforms per pair (outcome class, interference survival,
+placement, signal and idler detection), as one fill; then per detector,
+signal first, geometric gaps between dark counts and one uniform per click
+for afterpulses. The gaps give each gate a birth (or a dark count)
+independently with probability alpha (or dark_prob), at most one per gate,
+as one uniform per gate would, but with draws in proportion to the events
+rather than the gates (see _bernoulli_gates). They are drawn in blocks, and
+a stream whose block ends below its last gate draws another (_gap_hits); at
+a rate of 0 a block holds no gaps and draws nothing. A gap is the value
+``rng.geometric`` returns, but below p = 1/3 it is taken as NumPy itself
+takes it, from one exponential draw, and inverted for a whole block of
+streams at once (_draw_gaps, _geometric).
+tests/test_montecarlo.py holds a frozen copy of the stream code to check
+the order against, and a copy of the earlier one-uniform-per-gate sampler to
+check the law against.
 
 One engine, _simulate_segments, simulates several streams at once as
-segments of shared gate arrays, with the array work between two kinds of
-draws run once per chunk of streams or once over all of them.
-simulate_run is the one-segment case. estimate_visibility simulates all of
-a batch's phases in one engine call, from the batch's generator
-default_rng([seed, batch]), and counts them in one pass, batch after batch
-on the calling thread, so the output is a function of the inputs alone and
-a failed batch raises before any later batch runs.
+segments of shared gate arrays: the draws stay per generator, in the order
+above, and the array work between two kinds of draws runs once per chunk of
+streams or once over all of them. simulate_run is the one-segment case.
+estimate_visibility simulates all of a batch's phases in one engine call and
+counts them in one pass, batch after batch on the calling thread, so the
+output is a function of the inputs alone and a failed batch raises before
+any later batch runs. Its stream generators are seeded in one vectorized
+pass over every (batch, phase) stream (_seed_words), and each starts in the
+state default_rng([seed, batch, phase]) would give it, bit for bit.
 """
 
 import math
@@ -67,9 +61,8 @@ from .interference import FransonConfig, fringe_rates
 from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
-# expected pairs whose births and pair uniforms an engine call holds at once: 2
-# dense streams. The chunks are part of the pinned draw order, so another
-# value moves every seeded estimate of more than one chunk per batch
+# expected pairs whose births and pair flags an engine call holds at once: 2
+# dense streams
 _CHUNK_PAIRS = 2**14
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
@@ -81,8 +74,8 @@ MAX_GATES = 2**26
 # its (phase, offset) histogram rows are built before any stream runs
 MAX_PHASES = 2**16
 # largest batches x phases a run may ask for, the streams of one estimate: its
-# histogram, 56 B per stream at k = 3, is allocated before any stream runs
-# (3.5 MiB at the cap); c08 runs 3,200
+# histogram, 56 B per stream at k = 3, and its seed words, 32 B per stream, are
+# allocated before any stream runs (5.5 MiB at the cap); c08 runs 3,200
 MAX_STREAMS = 2**16
 # largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
 # 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
@@ -233,24 +226,21 @@ def _gap_block(n, p):
 
 
 def _draw_gaps(rng, p, out):
-    """Fill the float64 array out with the draws of out.size geometric(p) gaps, for _geometric.
+    """Fill the float64 row out with the draws of len(out) geometric(p) gaps, for _geometric.
 
     Below p = 1/3 NumPy's ``rng.geometric(p)`` is the inversion
     ceil(-E / log1p(-p)) of one ``standard_exponential`` draw E, and from
     1/3 up a search over one uniform. So below 1/3 this draws E alone, and
-    _geometric inverts the whole array at once, with log1p(-p) taken once;
-    from 1/3 up it calls ``rng.geometric``. Both fill out in row-major
-    order, so each row of a (rows, block) array gets the draws a call for
-    that row alone would make, after the rows before it. Gaps and generator
-    states equal those of ``rng.geometric`` bit for bit, as checked on
-    NumPy 2.4.6 (tests/test_montecarlo.py, TestExponentialGaps). An empty
-    array, the block of a rate of 0, leaves the generator's state as it
-    was.
+    _geometric inverts whole blocks of rows at once, with log1p(-p) taken
+    once; from 1/3 up it calls ``rng.geometric``. Gaps and generator states
+    equal those of ``rng.geometric`` bit for bit, as checked on NumPy 2.4.6
+    (tests/test_montecarlo.py, TestExponentialGaps). An empty row, the
+    block of a rate of 0, leaves the generator's state as it was.
     """
     if p < 1 / 3:
         rng.standard_exponential(out=out)
     else:
-        out[...] = rng.geometric(p, out.shape)
+        out[:] = rng.geometric(p, len(out))
 
 
 def _geometric(gaps, p):
@@ -267,41 +257,49 @@ def _geometric(gaps, p):
     return np.maximum(gaps, 1, out=gaps)
 
 
-def _gap_hits(rng, n, p, starts):
-    """Bernoulli(p) hits on [0, n) of len(starts) rows, all drawn from rng.
+def _gap_hits(gaps, rngs, n, p, starts):
+    """Bernoulli(p) hits on [0, n) of the rows of _draw_gaps, row j drawn from rngs[j].
 
     Row j's gates lie in [starts[j], starts[j] + n), and starts increase by
     at least n from row to row, so the rows are disjoint and in order.
     Returns the sorted int64 hits of all rows and each row's hit count.
-    Each pass fills one block of _gap_block(n, p) gaps for every open row
-    (_draw_gaps: all rows at first, then those whose block ended below
-    their end, in row order), sums each row's gaps into gates in place, the
-    first counted from the row's last gate (starts[j] - 1 at first), and
-    keeps those below the row's end. The rest of a row's last block is
-    discarded (Devroye 1986, ch. X). The sums stay in float64, exact below
-    2**53: a running sum never falls, so every gate kept is exact, and the
-    first gate at or past the end, inf included, closes the row.
+    Each pass sums the open rows' gaps into gates in place, the first
+    counted from the row's last gate (starts[j] - 1 at first), and keeps
+    those below the row's end; a row whose block ended below its end draws
+    a further block of the same size from its generator. The rest of a
+    row's last block is discarded (Devroye 1986, ch. X). The sums stay in
+    float64, exact below 2**53: a running sum never falls, so every gate
+    kept is exact, and the first gate at or past the end, inf included,
+    closes the row.
     """
-    counts = np.zeros(len(starts), dtype=np.int64)
+    counts = np.zeros(len(rngs), dtype=np.int64)
     if p == 0:
         return np.empty(0, dtype=np.int64), counts
-    gaps = np.empty((len(starts), _gap_block(n, p)))
-    rows, ends, last, hits = np.arange(len(starts)), starts + n, starts - 1, []
+    rows, ends, last, hits = np.arange(len(rngs)), starts + n, starts - 1, []
     while len(rows):
-        _draw_gaps(rng, p, gaps)
         _geometric(gaps, p)
         gaps[:, 0] += last
         np.cumsum(gaps, axis=1, out=gaps)
         below = gaps < ends[:, None]
         hits.append(gaps[below])  # row by row, as the mask is read in row-major order
         counts[rows] += below.sum(axis=1)
-        more = below[:, -1]  # rare: a block ended below its row's end
+        more = below[:, -1]
         rows, ends, last = rows[more], ends[more], gaps[more, -1]
         gaps = gaps[: len(rows)]
+        for j, row in zip(rows.tolist(), gaps):  # rare: a block ended below its row's end
+            _draw_gaps(rngs[j], p, row)
     merged = np.concatenate(hits, dtype=np.int64, casting="unsafe")
     if len(hits) > 1:  # a later pass's hits lie between the rows of the first
         merged.sort()
     return merged, counts
+
+
+def _gap_rows(rngs, n, p):
+    """One row of _gap_block(n, p) gaps per generator, from _draw_gaps."""
+    gaps = np.empty((len(rngs), _gap_block(n, p)))
+    for rng, row in zip(rngs, gaps):
+        _draw_gaps(rng, p, row)
+    return gaps
 
 
 def _bernoulli_gates(rng, n, p):
@@ -309,50 +307,61 @@ def _bernoulli_gates(rng, n, p):
 
     The gaps between successive hits, the first counted from gate -1, are
     geometric(p), so draws and memory grow with the hits, not with n: the
-    one-row case of _gap_hits.
+    one-stream case of _gap_hits.
     """
-    return _gap_hits(rng, n, p, np.zeros(1, dtype=np.int64))[0]
+    return _gap_hits(_gap_rows([rng], n, p), [rng], n, p, np.zeros(1, dtype=np.int64))[0]
 
 
-def _simulate_segments(cfg, noise, det, n_gates, rng, rates):
-    """Simulate len(rates) acquisitions of n_gates each as segments of shared arrays.
+def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
+    """Simulate len(rngs) acquisitions of n_gates each as segments of shared arrays.
 
-    Stream j runs at coincidence rate rates[j], and every draw comes from
-    rng, in the pinned order of the module docstring: births and pair
-    uniforms in chunks of consecutive streams with at most about
-    _CHUNK_PAIRS expected pairs (or of one stream), then each detector's
-    dark counts and afterpulses over all streams. Each kind of draw is one
-    call into rng per chunk or detector, besides the rare further gap
-    blocks. Stream j's gates are offset by j * stride, with
-    stride = n_gates + k + 1 for the counting window k = max(3, m): a photon
-    (at most m gates late) or an afterpulse (1 gate late) that would fall
-    past the stream's last gate is dropped, and no window of +-k gates
-    reaches from one segment into the next. Returns the sorted signal and
-    idler gates and the stride.
+    Stream j draws from rngs[j] at coincidence rate rates[j], in the pinned
+    order of the module docstring. Per stream this makes its draw calls into
+    preallocated rows: a block of birth gaps, one five-row fill, compared
+    with the limits of the pair flags in one call, and a block of dark count
+    gaps per detector, empty at dark_prob 0. The rest runs once per chunk of
+    consecutive streams with at most about _CHUNK_PAIRS expected pairs
+    (births and flags) or once over all streams (dark counts, afterpulses);
+    the chunks do not change a draw. Stream j's gates are offset by
+    j * stride, with stride = n_gates + k + 1 for the counting window
+    k = max(3, m): a photon (at most m gates late) or an afterpulse (1 gate
+    late) that would fall past the stream's last gate is dropped, and no
+    window of +-k gates reaches from one segment into the next. Returns the
+    sorted signal and idler gates and the stride.
     """
     m = gate_offset(cfg, det)
     stride = n_gates + max(3, m) + 1
+    starts = np.arange(len(rngs)) * stride
     rates = np.asarray(rates, dtype=float)
-    starts = np.arange(len(rates)) * stride
-    eta, alpha = det.efficiency, noise.alpha
+    eta, alpha, dark_p = det.efficiency, noise.alpha, det.dark_prob
+    # each stream's dark count gaps, the signal's and then the idler's
+    dark = np.empty((len(rngs), _gap_block(n_gates, dark_p)))
 
     def inside(gates):  # drop what fell past the last gate of its segment
         return gates[gates % stride < n_gates]
 
-    def photons(chunk):  # the chunk's births, then its pairs' five uniforms
-        pair_g, n_pairs = _gap_hits(rng, n_gates, alpha, starts[chunk])
-        # five rng.random(pairs) calls as the rows of one C-order fill (PCG64
-        # buffers no doubles), each compared with its limit: outcome class
-        # (below 0.5 the photons take split paths), interference survival
-        # (the pair's stream's rate), long-long placement, signal and idler
-        # detection. The class is also compared with 0.25, below which the
-        # signal takes the short path
-        u = rng.random((5, len(pair_g)))
-        split, survive, late, det_s, det_i = (
-            row < limit
-            for row, limit in zip(u, (0.5, np.repeat(rates[chunk], n_pairs), 0.5, eta, eta)))
-        sl = u[0] < 0.25
-        del u  # not held next to the gates
+    def photons(chunk):  # births, then per stream one fill and the signal's dark gaps
+        births = _gap_rows(rngs[chunk], n_gates, alpha)
+        pair_g, n_pairs = _gap_hits(births, rngs[chunk], n_gates, alpha, starts[chunk])
+        del births  # not held next to the flags
+        # a stream's fill is five successive rng.random(n_pairs) calls, drawn
+        # as the rows of one C-order fill (PCG64 buffers no doubles), each
+        # compared with its limit: outcome class (below 0.5 the photons take
+        # split paths), interference survival (the stream's rate), long-long
+        # placement, signal and idler detection. The class is also compared
+        # with 0.25, below which the signal takes the short path
+        limits = np.array([[0.5], [0.0], [0.5], [eta], [eta]])
+        flags = np.empty((6, len(pair_g)), dtype=bool)
+        fill = np.empty(5 * n_pairs.max(initial=0))
+        ends = np.cumsum(n_pairs).tolist()
+        for rng, a, b, rate, row in zip(rngs[chunk], [0] + ends, ends, rates[chunk], dark[chunk]):
+            limits[1] = rate
+            u = fill[: 5 * (b - a)].reshape(5, b - a)
+            rng.random(out=u)
+            np.less(u, limits, out=flags[:5, a:b])
+            np.less(u[0], 0.25, out=flags[5, a:b])
+            _draw_gaps(rng, dark_p, row)
+        split, survive, late, det_s, det_i, sl = flags
         late &= survive
         late &= ~split  # an interfering pair lands long-long
         survive |= split  # emitted: split paths, or same path and not lost
@@ -363,19 +372,125 @@ def _simulate_segments(cfg, noise, det, n_gates, rng, rates):
                      for keep, shift in ((det_s, sl ^ split), (det_i, sl)))
 
     most = max(1, int(_CHUNK_PAIRS // max(n_gates * alpha, 1.0)))
-    sig, idl = zip(*(photons(slice(j, j + most)) for j in range(0, len(rates), most)))
+    sig, idl = zip(*(photons(slice(j, j + most)) for j in range(0, len(rngs), most)))
     detectors = []
-    for gates in (sig, idl):  # signal first: dark counts, then one afterpulse uniform per click
-        darks, _ = _gap_hits(rng, n_gates, det.dark_prob, starts)
+    for gates in (sig, idl):  # signal first: dark counts, then afterpulses
+        darks, _ = _gap_hits(dark, rngs, n_gates, dark_p, starts)
         base = _merge_gates(inside(np.concatenate(gates)), darks)
-        after = base[rng.random(len(base)) < det.afterpulse_prob] + 1
-        detectors.append(_merge_gates(base, inside(after)))
+        ends = np.searchsorted(base, starts + stride).tolist()
+        u = np.empty(len(base))
+        for j, (rng, a, b) in enumerate(zip(rngs, [0] + ends, ends)):
+            rng.random(out=u[a:b])
+            if not detectors:  # the idler's dark gaps follow the signal's afterpulses
+                _draw_gaps(rng, dark_p, dark[j])
+        detectors.append(_merge_gates(base, inside(base[u < det.afterpulse_prob] + 1)))
     return detectors[0], detectors[1], stride
+
+
+# NumPy's SeedSequence: hashmix and mix multipliers, and the shift of both
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(seed, b, j):
+    """The words SeedSequence([seed, b, j]).generate_state(4, np.uint64) of every (b, j) at once.
+
+    b and j are integer arrays below 2**32 that broadcast together; the
+    result has their shape plus an axis of 4 uint64 words, 32 B per
+    stream. It runs SeedSequence's algorithm (numpy/random/bit_generator.pyx)
+    in uint32 arrays, one row per word of its 4-word pool: the entropy is
+    seed's 32-bit words from the lowest ([0] for 0), then b, then j, each
+    hashed into the pool, the pool mixed with itself, any entropy past the
+    fourth word mixed in, and the pool hashed out to 8 words, read in pairs
+    as little-endian uint64. tests/test_montecarlo.py checks it against
+    NumPy's own words, and every generator state built from them against
+    default_rng's.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    b, j = np.broadcast_arrays(np.asarray(b, dtype=np.uint32), np.asarray(j, dtype=np.uint32))
+    entropy += [b, j]
+    # each hashmix call takes the next constant of one running sequence
+    hash_const = _INIT_A
+    pool = np.empty((4,) + b.shape, dtype=np.uint32)
+    h, shifted = np.empty(b.shape, dtype=np.uint32), np.empty(b.shape, dtype=np.uint32)
+
+    def hashmix(value):  # into h
+        nonlocal hash_const
+        np.bitwise_xor(value, hash_const, out=h, dtype=np.uint32)
+        hash_const = hash_const * _MULT_A & _MASK32
+        np.multiply(h, hash_const, out=h)
+        np.right_shift(h, _XSHIFT, out=shifted)
+        np.bitwise_xor(h, shifted, out=h)
+
+    def mix(x):  # x = mix(x, h), in place
+        x *= _MIX_MULT_L
+        np.multiply(h, _MIX_MULT_R, out=h)
+        x -= h
+        np.right_shift(x, _XSHIFT, out=shifted)
+        x ^= shifted
+
+    for dst in range(4):
+        hashmix(entropy[dst] if dst < len(entropy) else 0)
+        pool[dst] = h
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashmix(pool[src])
+                mix(pool[dst])
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            hashmix(entropy[src])
+            mix(pool[dst])
+    out = np.empty(b.shape + (8,), dtype=np.uint32)
+    hash_const = _INIT_B
+    for dst in range(8):
+        word = out[..., dst]
+        np.bitwise_xor(pool[dst % 4], hash_const, out=word)
+        hash_const = hash_const * _MULT_B & _MASK32
+        word *= hash_const
+        np.right_shift(word, _XSHIFT, out=shifted)
+        word ^= shifted
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _batch_generators(seed, batches, n_streams):
+    """An iterator over batches of n_streams generators, stream j of batch b as default_rng([seed, b, j]).
+
+    The seed words of every stream come from one _seed_words call, made
+    here; a batch's generators are built when the iterator reaches it. A
+    stream's generator is Generator(PCG64) seeded from its row of words
+    through a minimal ISeedSequence, so that PCG64 does its own seeding
+    from the words SeedSequence would have given it and starts in the same
+    state. numpy.random is imported here, not with the module, to keep it
+    out of the CLI's start-up.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A stream's seed words, for PCG64's one call generate_state(4, np.uint64)."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(n_streams))
+    return ([Generator(PCG64(Words(w))) for w in row] for row in words)
 
 
 def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
     """One acquisition at coincidence rate c_rate: the one-segment case of the engine."""
-    signal, idler, _ = _simulate_segments(cfg, noise, det, n_gates, rng, [c_rate])
+    signal, idler, _ = _simulate_segments(cfg, noise, det, n_gates, [rng], [c_rate])
     return EventStream(signal_gates=signal, idler_gates=idler, n_gates=n_gates)
 
 
@@ -488,11 +603,14 @@ def estimate_visibility(
 
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
-    and fits the sinusoidal fringe. Batch b draws from one generator,
-    default_rng([seed, b]), made when the batch starts: one engine call
-    simulates all of its phases as segments, in the pinned order of the
-    module docstring, its births and pair uniforms in chunks of about
-    _CHUNK_PAIRS expected pairs, and one pass counts them into the batch's
+    and fits the sinusoidal fringe. Every (batch, phase) stream draws from
+    its own generator, in the state default_rng([seed, batch, phase]) gives,
+    its gaps from exponential draws as NumPy's geometric takes them. The
+    seed words of all streams are computed in one vectorized pass before
+    the histogram is allocated, and a batch's generators are built from
+    them when the batch starts. One engine call
+    simulates all of a batch's phases as segments, drawing its pairs in
+    chunks of about _CHUNK_PAIRS, and one pass counts them into the batch's
     rows. The batches run in order on the calling thread, so the first
     failed batch's error is raised and no later batch starts. A histogram
     over MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
@@ -514,16 +632,14 @@ def estimate_visibility(
         raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
-    seed = int(seed)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    # the seed words' temporaries are freed before the histogram is allocated
+    generators = _batch_generators(seed, batches, len(phases))
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    for b in range(batches):
-        rng = np.random.default_rng([seed, b])
-        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rng, rates)
+    for b, rngs in enumerate(generators):
+        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates)
         for name, gates in (("signal", signal), ("idler", idler)):
-            _check_gates(name, gates, per_phase, stride, len(phases))
-        hists[b] = _count_segments(signal, idler, k, stride, len(phases))
+            _check_gates(name, gates, per_phase, stride, len(rngs))
+        hists[b] = _count_segments(signal, idler, k, stride, len(rngs))
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

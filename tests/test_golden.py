@@ -11,11 +11,7 @@ rate quadrature each: the phase is then the integral method's, and c_min
 the direct quadrature at the minimum. The five Monte Carlo digests
 (``montecarlo fig4a`` stdout, its ``--out/--events/--histogram`` files and
 the ``alpha-sweep --montecarlo`` stdout) were re-captured when pair births
-and dark counts came to be drawn as geometric gaps. When each estimate batch
-came to draw all its streams from one generator, default_rng([seed, batch]),
-the three digests of estimates (``montecarlo fig4a`` stdout and ``--out``,
-``alpha-sweep --montecarlo``) were re-captured; the one-stream
-``--events``/``--histogram`` exports kept theirs. The RNG draw order is
+and dark counts came to be drawn as geometric gaps; the RNG draw order is
 pinned in tests/test_montecarlo.py. A change that keeps the physics, the
 arithmetic and the RNG draw order keeps every digest; a change that alters
 a printed digit must say so and re-capture them. The commands run in one fresh interpreter with BLAS pinned
@@ -67,15 +63,15 @@ print(json.dumps(digests))
 """
 
 DIGESTS = {
-    "alpha-sweep fig4c --montecarlo": "a123fbe924e794a956b3432f31a66d3dd1a3f05f72bed3f02a267e4f3f33eca0",
+    "alpha-sweep fig4c --montecarlo": "410e7dce577c6f72733ecdf910bac51de1374bc70938a13752a7608d462f965b",
     "fringe fig4a": "3c795c0e7fad8ff02304bfe51d1ca9ad2238f61f129f528a44264b2cfbee6956",
     "fringe fig4b": "1f6f1cbc0c2a8424b742e42f4933a24c19b67be34317edaabba07b98b9f894e8",
     "fringe fig4c": "063a77259d660dbb400ccbb0d4b68ab2fdf8ea721b30b03c10fcc5075202b4f1",
     "fringe fig4d": "183bb1d4ec9bfc3022e73aaf830a547fc036136cc2257a943c669da70be120c5",
-    "montecarlo fig4a": "8c1a83c6ed113a3137a9ed81cd36ac57f80ae4fa4bc283114f7c6236aba60d16",
+    "montecarlo fig4a": "5a509edaec356a2c10f5a712c984b359443dddfbe47332515de36dc90089da2a",
     "montecarlo fig4a --events": "f4d82ba48991ed34e8315273a71afa9607a1b43161979dfab235dc39d7efbcad",
     "montecarlo fig4a --histogram": "9e2832c80bc8d33a7d1aa7ee79484584a432ec829f7502a43c9d24d5a7ece49f",
-    "montecarlo fig4a --out": "b691ba5bbc54bda156e85d719836f4e174373a9aff04adc881cc513d657a384f",
+    "montecarlo fig4a --out": "9d7973f04bb92d36dec97ba1be841fdc3d0bdbc5c84bbd8c679d94eb56b85eef",
     "visibility --method sweep fig4a": "0d6f083b9cd14105ba8f8f4f57be6e6c3372550c1ab77f4c6b233b91332d817d",
     "visibility --method sweep fig4b": "a873734da4c24fcb8363ac1b402b125ad5a3384768b6d092e65ba210621379f1",
     "visibility --method sweep fig4c": "69bb9c5d218f22497913f82666e258c7e33a0e501dc0d90d140a0759997f903f",

@@ -313,23 +313,24 @@ PRESETS = ("fig4a", "fig4b", "fig4c", "fig4d")
 def quadrature_rate_histograms(cfg, noise, det, n_gates, phases, batches, seed):
     """Per-(batch, phase) offset histograms with one rate quadrature per phase.
 
-    The estimate as it was before its rates came from Z: every phase ran
-    coincidence_rate. Each batch's streams are simulated from the batch's
-    generator default_rng([seed, b]), and each stream is counted alone.
+    A frozen copy of the estimate before its rates came from Z: every phase
+    ran coincidence_rate, and each stream was simulated and counted alone.
     """
     k = max(3, gate_offset(cfg, det))
     per_phase = n_gates // len(phases)
     rates = [coincidence_rate(cfg, float(phi)) for phi in phases]
-    hists = []
-    for b in range(batches):
-        rng = np.random.default_rng([seed, b])
-        signal, idler, stride = montecarlo._simulate_segments(cfg, noise, det, per_phase, rng,
-                                                              rates)
-        hists.append([
-            count_coincidences(EventStream(*seg, n_gates=per_phase), window_offsets=k).counts
-            for seg in segments(signal, idler, stride, len(rates))
-        ])
-    return np.array(hists)
+    return np.array([
+        [
+            count_coincidences(
+                montecarlo._simulate_stream(
+                    cfg, noise, det, per_phase, np.random.default_rng([seed, b, j]), rate
+                ),
+                window_offsets=k,
+            ).counts
+            for j, rate in enumerate(rates)
+        ]
+        for b in range(batches)
+    ])
 
 
 def record_batch_rows(monkeypatch):
@@ -515,7 +516,7 @@ class TestBernoulliGates:
                 self.rng, self.draws = np.random.default_rng(3), 0
 
             def standard_exponential(self, out):
-                self.draws += out.size
+                self.draws += len(out)
                 return self.rng.standard_exponential(out=out)
 
         rng = CountingRng()
@@ -531,7 +532,7 @@ class TestBernoulliGates:
         # running sum or warn. At p = 0.2 an exponential of 0.5 is a gap of 3
         def exponentials(*values):
             return SimpleNamespace(standard_exponential=lambda out: np.copyto(
-                out, np.resize(values, out.shape)))
+                out, np.resize(values, len(out))))
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -545,8 +546,8 @@ class TestBernoulliGates:
         blocks = []
 
         def standard_exponential(out):
-            blocks.append(out.size)
-            out[...] = 1e-10
+            blocks.append(len(out))
+            out[:] = 1e-10
 
         rng = SimpleNamespace(standard_exponential=standard_exponential)
         gates = _bernoulli_gates(rng, 100, 1e-9)
@@ -555,24 +556,27 @@ class TestBernoulliGates:
 
     def test_rows_continue_and_merge_in_row_order(self):
         # three rows of 100 gates from 0, 200 and 400 at p = 1e-9 (blocks of
-        # 16 gaps), all from one generator: in the first (3, 16) block rows 0
-        # and 2 take gaps of 1, 1 and then an exponential of 1e308, which
-        # closes them; row 1 takes gaps of 1 only, so it alone is open for
-        # the further blocks, 6 of (1, 16)
-        blocks = []
+        # 16 gaps): rows 0 and 2 take gaps of 1, 1 and then an exponential
+        # of 1e308, which closes them in their first block; row 1 takes gaps
+        # of 1 only, so it alone draws further blocks, 7 in all
+        def fake(*values):
+            rng = SimpleNamespace(blocks=[])
 
-        def standard_exponential(out):
-            blocks.append(out.shape)
-            out[...] = 1e-10
-            if len(blocks) == 1:
-                out[[0, 2], 2] = 1e308
+            def standard_exponential(out):
+                rng.blocks.append(len(out))
+                np.copyto(out, np.resize(values, len(out)))
 
-        rng = SimpleNamespace(standard_exponential=standard_exponential)
-        hits, counts = montecarlo._gap_hits(rng, 100, 1e-9, np.array([0, 200, 400]))
+            rng.standard_exponential = standard_exponential
+            return rng
+
+        rngs = [fake(1e-10, 1e-10, 1e308), fake(1e-10), fake(1e-10, 1e-10, 1e308)]
+        n, p = 100, 1e-9
+        hits, counts = montecarlo._gap_hits(
+            montecarlo._gap_rows(rngs, n, p), rngs, n, p, np.array([0, 200, 400]))
         assert hits.dtype == np.int64
         assert hits.tolist() == [0, 1] + list(range(200, 300)) + [400, 401]
         assert counts.tolist() == [2, 100, 2]
-        assert blocks == [(3, 16)] + [(1, 16)] * 6
+        assert [rng.blocks for rng in rngs] == [[16], [16] * 7, [16]]
 
 
 class TestExponentialGaps:
@@ -601,11 +605,11 @@ class TestExponentialGaps:
         calls = []
         spy = SimpleNamespace(
             geometric=lambda p, size: calls.append(size) or rng.geometric(p, size))
-        gaps = np.empty((2, 500))
-        montecarlo._draw_gaps(spy, p, gaps)
+        gaps = np.empty((1, 1_000))
+        montecarlo._draw_gaps(spy, p, gaps[0])
         montecarlo._geometric(gaps, p)
-        assert calls == [(2, 500)]
-        assert np.array_equal(gaps.ravel(), np.random.default_rng(5).geometric(p, 1_000))
+        assert calls == [1_000]
+        assert np.array_equal(gaps[0], np.random.default_rng(5).geometric(p, 1_000))
 
 
 LAW_P = [0.0, 5e-324, 1e-300, 2e-6, 0.0024, 0.2, 0.5, 1.0]
@@ -806,121 +810,22 @@ def reference_stream(m, alpha, det, n_gates, rng, c_rate, bernoulli=gap_bernoull
     return signal, idler
 
 
-def reference_gap_rows(rng, n, p, n_rows, block):
-    """Per-gate Bernoulli(p) hits of n_rows streams of n gates, drawn from one generator.
-
-    The batch order of the gap draws, walked gap by gap: every row's first
-    block of block(n, p) geometric gaps comes from one (rows, block) call;
-    then every row whose block ended below n, in row order, draws one more
-    block in one call, until no row is open. As in gap_bernoulli, the first
-    gap counts from gate -1 and a zero gap counts as 1.
-    """
-    hits = [[] for _ in range(n_rows)]
-    gate = [-1] * n_rows
-    rows = list(range(n_rows)) if p else []
-    while rows:
-        still_open = []
-        for row, gaps in zip(rows, rng.geometric(p, (len(rows), block(n, p))).tolist()):
-            for gap in gaps:
-                gate[row] += max(gap, 1)
-                if gate[row] >= n:
-                    break
-                hits[row].append(gate[row])
-            else:
-                still_open.append(row)
-        rows = still_open
-    return [np.array(h, dtype=np.int64) for h in hits]
-
-
-def reference_block(n, p):
-    mean = n * p
-    return int(mean + 4 * math.sqrt(mean)) + 16
-
-
-def reference_batch(m, alpha, det, n_gates, rng, rates, chunk_pairs, block=reference_block):
-    """Signal and idler gates of each stream of a batch drawn from one generator rng.
-
-    A slow, plain copy of the pinned batch order, with each stream's gates
-    in [0, n_gates). Chunks of consecutive streams, as many as chunk_pairs
-    expected pairs allow and at least one, each draw their births
-    (reference_gap_rows) and then one (5, pairs) fill of uniforms, the
-    pairs in stream order. Then each detector, signal first, draws its dark
-    gaps over all streams and one afterpulse uniform per click, the clicks
-    in stream and then gate order. A stream's pair logic is
-    reference_stream's, so one stream draws exactly as reference_stream.
-    """
-    eta, n_streams = det.efficiency, len(rates)
-    most = max(1, int(chunk_pairs // max(n_gates * alpha, 1.0)))
-    photons = []
-    for first in range(0, n_streams, most):
-        chunk_rates = rates[first:first + most]
-        births = reference_gap_rows(rng, n_gates, alpha, len(chunk_rates), block)
-        uniforms = rng.random((5, sum(len(b) for b in births)))
-        used = 0
-        for pair_g, c_rate in zip(births, chunk_rates):
-            u, v, w, d_s, d_i = uniforms[:, used:used + len(pair_g)]
-            used += len(pair_g)
-            sl = u < 0.25
-            ls = (u >= 0.25) & (u < 0.5)
-            interf = (u >= 0.5) & (v < c_rate)
-            late = w < 0.5
-            sig_gate = np.where(sl, pair_g, np.where(ls | (interf & late), pair_g + m, pair_g))
-            idl_gate = np.where(ls, pair_g, np.where(sl | (interf & late), pair_g + m, pair_g))
-            emitted = sl | ls | interf
-            photons.append([gates[(gates < n_gates) & emitted & (d < eta)]
-                            for gates, d in ((sig_gate, d_s), (idl_gate, d_i))])
-    streams = [[None, None] for _ in range(n_streams)]
-    for d in (0, 1):
-        darks = reference_gap_rows(rng, n_gates, det.dark_prob, n_streams, block)
-        bases = [reference_merge_gates(ph[d], dark) for ph, dark in zip(photons, darks)]
-        uniforms = rng.random(sum(len(b) for b in bases))
-        used = 0
-        for j, base in enumerate(bases):
-            ap = base[uniforms[used:used + len(base)] < det.afterpulse_prob] + 1
-            used += len(base)
-            streams[j][d] = reference_merge_gates(base, ap[ap < n_gates])
-    return streams
-
-
-def segments(signal, idler, stride, n_segments):
-    """Each segment's signal and idler gates, local to the segment."""
-    return [[g[(g >= j * stride) & (g < (j + 1) * stride)] - j * stride for g in (signal, idler)]
-            for j in range(n_segments)]
-
-
-def segment_matches_reference(cfg, noise, det, n_gates, seed, c_rate):
-    """Simulate one segment and check it, and the generator's state, against reference_stream.
-
-    reference_batch of the one stream must draw the same.
-    """
+def segments_match_reference(cfg, noise, det, n_gates, seeds, rates):
+    """Simulate one segment per (seed, rate) and check each against reference_stream."""
     m = gate_offset(cfg, det)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch_rng = np.random.default_rng(seed)
-    signal, idler, _ = montecarlo._simulate_segments(cfg, noise, det, n_gates, rng, [c_rate])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    signal, idler, stride = montecarlo._simulate_segments(cfg, noise, det, n_gates, rngs, rates)
     assert signal.dtype == idler.dtype == np.int64
-    reference = reference_stream(m, noise.alpha, det, n_gates, ref_rng, c_rate)
-    (batch,) = reference_batch(m, noise.alpha, det, n_gates, batch_rng, [c_rate], 2**14)
-    for gates, expected, from_batch in zip((signal, idler), reference, batch):
-        assert np.array_equal(gates, expected)
-        assert np.array_equal(from_batch, expected)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state == batch_rng.bit_generator.state
-
-
-def segments_match_batch_reference(cfg, noise, det, n_gates, seed, rates,
-                                   block=reference_block):
-    """Simulate one segment per rate and check each, and the generator's state, against reference_batch."""
-    m = gate_offset(cfg, det)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    signal, idler, stride = montecarlo._simulate_segments(cfg, noise, det, n_gates, rng, rates)
-    assert signal.dtype == idler.dtype == np.int64
-    reference = reference_batch(m, noise.alpha, det, n_gates, ref_rng, rates,
-                                montecarlo._CHUNK_PAIRS, block)
-    local = segments(signal, idler, stride, len(rates))
-    for got, expected in zip(local, reference):
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
-    assert sum(len(g) for seg in local for g in seg) == len(signal) + len(idler)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    total = [0, 0]
+    for j, (seed, c_rate, rng) in enumerate(zip(seeds, rates, rngs)):
+        ref_rng = np.random.default_rng(seed)
+        reference = reference_stream(m, noise.alpha, det, n_gates, ref_rng, c_rate)
+        for d, (gates, expected) in enumerate(zip((signal, idler), reference)):
+            local = gates[(gates >= j * stride) & (gates < (j + 1) * stride)] - j * stride
+            assert np.array_equal(local, expected)
+            total[d] += len(expected)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert total == [len(signal), len(idler)]
 
 
 class TestDrawOrder:
@@ -928,8 +833,6 @@ class TestDrawOrder:
     @pytest.mark.parametrize("alpha", [0.0, 2e-6, 0.0024, 0.1, 0.2, 1.0])
     @pytest.mark.parametrize("n_gates", [1, 2, 31_250, 65_537])
     def test_stream_matches_frozen_reference(self, alpha, n_gates):
-        # the three segments take two or three chunks at alpha 0.2 and 1 on
-        # 31,250 gates, and at alpha 0.1 and above on 65,537
         cfg = preset_experiment("fig4c").franson
         noise = SimpleNamespace(alpha=alpha)
         combos = [(c, e) for c in (0.0, 0.37, 1.0) for e in (0.0, 0.2, 1.0)]
@@ -941,51 +844,9 @@ class TestDrawOrder:
             for dark_prob in (1e-3, 0.0):
                 det = DetectorModel(efficiency=eta, dark_prob=dark_prob, afterpulse_prob=0.06)
                 # alone, and as the middle one of three segments at other rates
-                segment_matches_reference(cfg, noise, det, n_gates, seed, c_rate)
-                segments_match_batch_reference(cfg, noise, det, n_gates, seed,
-                                               [0.8, c_rate, 0.1])
-
-    @pytest.mark.parametrize("chunk_pairs", [1, 40, 150])
-    @pytest.mark.parametrize("alpha, dark_prob", [(0.05, 0.0), (0.2, 0.01), (0.6, 0.3)])
-    def test_chunks_and_further_blocks_match_batch_reference(self, monkeypatch, chunk_pairs,
-                                                             alpha, dark_prob):
-        # 7 segments of 500 gates in chunks of 1 to 7 streams, with gap
-        # blocks of 3 to 11 gaps, so that most rows take several passes and
-        # close at different ones: both rules must be those of the pinned order
-        def block(n, p):
-            return 0 if p == 0 else 3 + int(n * p) % 9
-
-        monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk_pairs)
-        monkeypatch.setattr(montecarlo, "_gap_block", block)
-        cfg = preset_experiment("fig4c").franson
-        det = DetectorModel(efficiency=0.7, dark_prob=dark_prob, afterpulse_prob=0.3)
-        rates = [0.0, 0.2, 0.37, 0.5, 0.8, 0.9, 1.0]
-        for seed in range(3):
-            segments_match_batch_reference(cfg, SimpleNamespace(alpha=alpha), det, 500,
-                                           [seed, chunk_pairs], rates, block)
-
-    @pytest.mark.parametrize("n_phases", [3, 33])
-    def test_estimate_matches_batch_reference(self, monkeypatch, n_phases):
-        # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
-        # pairs or of a whole batch: every batch's histogram rows and fit are
-        # those of reference_batch's streams from default_rng([seed, b]),
-        # each counted alone, at the same chunk rule
-        cfg, noise, det = fig4c_at(0.2)
-        phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-        rates = interference.fringe_rates(cfg, phases).tolist()
-        for chunk in (2**14, 1, 2_000, 2**40):
-            monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
-            est = estimate_visibility(cfg, noise, det, n_gates=n_phases * 4_000, phases=phases,
-                                      batches=3, seed=4)
-            expected = np.array([
-                [count_coincidences(EventStream(*stream, n_gates=4_000)).counts
-                 for stream in reference_batch(3, noise.alpha, det, 4_000,
-                                               np.random.default_rng([4, b]), rates, chunk)]
-                for b in range(3)
-            ])
-            assert np.array_equal(est.per_phase_histogram, expected.sum(axis=0))
-            assert est.batch_visibilities.tolist() == [
-                montecarlo._fit_fringe(phases, hist[:, 3]) for hist in expected]
+                segments_match_reference(cfg, noise, det, n_gates, [seed], [c_rate])
+                seeds = [seed + [1], seed, seed + [2]]
+                segments_match_reference(cfg, noise, det, n_gates, seeds, [0.8, c_rate, 0.1])
 
     @given(
         parts=st.lists(
@@ -1008,6 +869,37 @@ def fig4c_at(alpha):
 
 
 class TestParallelStreams:
+    @pytest.mark.parametrize("n_phases", [3, 33])
+    def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
+        # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
+        # pairs or of a whole batch, against every stream simulated and
+        # counted alone as its own one-segment engine call
+        cfg, noise, det = fig4c_at(0.2)
+        phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+        results = []
+        for chunk in (2**14, 1, 2_000, 2**40):
+            monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
+            results.append(estimate_visibility(
+                cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
+            ))
+        ref = results[0]
+        for est in results[1:]:
+            assert est.v == ref.v
+            assert est.sigma_v == ref.sigma_v
+            assert np.array_equal(est.batch_visibilities, ref.batch_visibilities)
+            assert np.array_equal(est.per_phase_histogram, ref.per_phase_histogram)
+        rates = interference.fringe_rates(cfg, phases)
+        alone = np.array([
+            [count_coincidences(montecarlo._simulate_stream(
+                cfg, noise, det, 4_000, np.random.default_rng([4, b, j]), rate)).counts
+             for j, rate in enumerate(rates)]
+            for b in range(3)
+        ])
+        assert np.array_equal(ref.per_phase_histogram, alone.sum(axis=0))
+        assert ref.batch_visibilities.tolist() == [
+            montecarlo._fit_fringe(phases, hist[:, 3]) for hist in alone
+        ]
+
     @pytest.mark.parametrize("preset, alpha, n_gates", [
         ("fig4a", 0.0024, 10_000_000),  # 750 pairs per stream
         ("fig4c", 0.2, 1_000_000),  # 6,250 pairs per stream
@@ -1017,17 +909,18 @@ class TestParallelStreams:
         exp = preset_experiment(preset)
         calls = []
         monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda cfg, noise, det, n, rng, rates: calls.append((rng, rates))
+                            lambda cfg, noise, det, n, rngs, rates: calls.append((rngs, rates))
                             or (EMPTY, EMPTY, n + 4))
         monkeypatch.setattr(montecarlo, "_count_segments",
                             lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
         estimate_visibility(exp.franson, replace(exp.noise, alpha=alpha), exp.detector,
                             n_gates=n_gates, batches=2, seed=1)
         phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        # one generator per batch, in the state default_rng([seed, b]) gives
         assert len(calls) == 2
-        for b, (rng, rates) in enumerate(calls):
-            assert rng.bit_generator.state == np.random.default_rng([1, b]).bit_generator.state
+        for b, (rngs, rates) in enumerate(calls):
+            assert [rng.bit_generator.state for rng in rngs] == [
+                np.random.default_rng([1, b, j]).bit_generator.state for j in range(32)
+            ]
             assert np.array_equal(rates, interference.fringe_rates(exp.franson, phases))
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5])
@@ -1055,10 +948,10 @@ class TestParallelStreams:
     def test_memory_does_not_grow_with_the_task_count(self, monkeypatch):
         # 5,000 batches of 3 phases each, with streams and counts stubbed so
         # that only the estimate's own bookkeeping allocates: anything kept
-        # per batch (its rows, its generator), at 200 bytes or more each,
+        # per batch (its rows, its generators), at 200 bytes or more each,
         # would push the peak more than 1 MB past the 0.84 MB histogram
         monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda cfg, noise, det, n, rng, rates: (EMPTY, EMPTY, n + 4))
+                            lambda cfg, noise, det, n, rngs, rates: (EMPTY, EMPTY, n + 4))
         monkeypatch.setattr(montecarlo, "_count_segments",
                             lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
         cfg, noise, det = fig4c_at(0.5)
@@ -1082,20 +975,47 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 9, 20260810]
 
 
 class TestStreamSeeds:
-    # the streams of batch b draw from default_rng([seed, b]); seeds of one
-    # to four 32-bit words
+    # streams (b, j) as default_rng([seed, b, j]) seeds them; 2**64 + 3 is
+    # three entropy words, five with b and j, past the 4-word pool
+    B = np.array([0, 1, 2, 99, 2**16 - 1])
+    J = np.array([0, 1, 31, 32, 2**16 - 1])
+
+    def seed_sequence_words(self, seed):
+        return np.array([
+            [np.random.SeedSequence([seed, int(b), int(j)]).generate_state(4, np.uint64)
+             for j in self.J]
+            for b in self.B
+        ])
+
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_generators_start_in_default_rng_states(self, monkeypatch, seed):
-        starts = []
-        real = montecarlo._simulate_segments
+    def test_words_match_seed_sequence(self, seed):
+        words = montecarlo._seed_words(seed, self.B[:, None], self.J)
+        assert words.dtype == np.uint64 and words.shape == (5, 5, 4)
+        assert np.array_equal(words, self.seed_sequence_words(seed))
 
-        def simulate(cfg, noise, det, n_gates, rng, rates):
-            starts.append(rng.bit_generator.state)
-            return real(cfg, noise, det, n_gates, rng, rates)
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**130 - 1))
+    @example(seed=2**128)
+    def test_words_match_seed_sequence_for_any_seed(self, seed):
+        words = montecarlo._seed_words(seed, self.B[:, None], self.J)
+        assert np.array_equal(words, self.seed_sequence_words(seed))
 
-        monkeypatch.setattr(montecarlo, "_simulate_segments", simulate)
-        estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=3, seed=seed)
-        assert starts == [np.random.default_rng([seed, b]).bit_generator.state for b in range(3)]
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generators_start_in_default_rng_states(self, seed):
+        batches = list(montecarlo._batch_generators(seed, 3, 4))
+        assert [len(rngs) for rngs in batches] == [4, 4, 4]
+        for b, rngs in enumerate(batches):
+            for j, rng in enumerate(rngs):
+                ref = np.random.default_rng([seed, b, j])
+                assert rng.bit_generator.state == ref.bit_generator.state
+                assert np.array_equal(rng.random(5), ref.random(5))
+
+    def test_estimate_makes_no_default_rng_call(self, monkeypatch):
+        def no_default_rng(seed=None):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=3)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
@@ -1113,15 +1033,17 @@ class TestSegments:
         # clicks on both detectors, so offset d counts n_gates - |d| pairs.
         cfg = dispersion_free_config()
         det = DetectorModel(efficiency=1.0, dark_prob=dark_prob, afterpulse_prob=0.999999)
+        rngs = [np.random.default_rng([n_gates, j]) for j in range(4)]
         signal, idler, stride = montecarlo._simulate_segments(
-            cfg, SimpleNamespace(alpha=1.0), det, n_gates, np.random.default_rng(n_gates),
-            [1.0, 0.0, 0.5, 1.0]
+            cfg, SimpleNamespace(alpha=1.0), det, n_gates, rngs, [1.0, 0.0, 0.5, 1.0]
         )
         k = max(3, gate_offset(cfg, det))
         assert stride == n_gates + k + 1
-        hists = montecarlo._count_segments(signal, idler, k, stride, 4)
+        hists = montecarlo._count_segments(signal, idler, k, stride, len(rngs))
         held = 0
-        for j, seg in enumerate(segments(signal, idler, stride, 4)):
+        for j in range(len(rngs)):
+            seg = [g[(g >= j * stride) & (g < (j + 1) * stride)] - j * stride
+                   for g in (signal, idler)]
             held += len(seg[0]) + len(seg[1])
             stream = EventStream(*seg, n_gates=n_gates)  # raises if a gate left [0, n_gates)
             assert np.array_equal(hists[j], count_coincidences(stream, window_offsets=k).counts)
@@ -1148,21 +1070,21 @@ def inject_failure(stream):
 def check_streams(monkeypatch, seed, batches, check):
     """Call check((batch, phase)) before every stream; a check that raises fails the batch.
 
-    A batch is recognised by its generator's initial state, which the
-    (seed, batch) substream fixes. A batch's engine call checks its streams
-    in phase order before it simulates any of them.
+    A stream is recognised by its generator's initial state, which the
+    (seed, batch, phase) substream fixes. A batch's engine call checks its
+    streams in phase order before it simulates any of them.
     """
-    batch_of = {
-        np.random.default_rng([seed, b]).bit_generator.state["state"]["state"]: b
+    streams = {
+        np.random.default_rng([seed, b, j]).bit_generator.state["state"]["state"]: (b, j)
         for b in range(batches)
+        for j in range(32)
     }
     real = montecarlo._simulate_segments
 
-    def simulate(cfg, noise, det, n_gates, rng, rates):
-        b = batch_of[rng.bit_generator.state["state"]["state"]]
-        for j in range(len(rates)):
-            check((b, j))
-        return real(cfg, noise, det, n_gates, rng, rates)
+    def simulate(cfg, noise, det, n_gates, rngs, rates):
+        for rng in rngs:
+            check(streams[rng.bit_generator.state["state"]["state"]])
+        return real(cfg, noise, det, n_gates, rngs, rates)
 
     monkeypatch.setattr(montecarlo, "_simulate_segments", simulate)
 
