@@ -70,69 +70,3 @@ from .spectra import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BUILTIN_FIBERS",
-    "BellResult",
-    "COMPLEX_INTEGRAL",
-    "CoincidenceHistogram",
-    "ConfigParseError",
-    "ConfigurationError",
-    "ContractViolationError",
-    "DataError",
-    "DesignProblem",
-    "DesignSolution",
-    "Detector",
-    "DetectorModel",
-    "DifferentialDispersion",
-    "DomainError",
-    "EventStream",
-    "Experiment",
-    "FLATTOP",
-    "FiberSegment",
-    "FiberSpec",
-    "FransonConfig",
-    "FransonError",
-    "GAUSSIAN",
-    "InfeasibleDesignError",
-    "JointSpectrum",
-    "LEAF",
-    "MZIConfig",
-    "NoiseModel",
-    "PHASE_SWEEP",
-    "PRESET_NAMES",
-    "PathStack",
-    "RunSettings",
-    "SINC2",
-    "SMF",
-    "StatisticsError",
-    "TABULATED",
-    "VisibilityEstimate",
-    "VisibilityResult",
-    "alpha_sweep",
-    "apply_bandpass",
-    "bell_significance",
-    "coincidence_rate",
-    "count_coincidences",
-    "differential_phase",
-    "estimate_visibility",
-    "fringe_amplitude",
-    "gate_offset",
-    "load_fiber_catalog",
-    "load_tabulated",
-    "make_spectrum",
-    "observed_visibility",
-    "parse_experiment",
-    "parse_experiment_file",
-    "preset_experiment",
-    "read_spectrum_csv",
-    "simulate_run",
-    "solve_lengths",
-    "stack",
-    "stack_moments",
-    "temporal_spread",
-    "total_phase",
-    "visibility",
-    "wavelength_to_detuning",
-    "width_nm_to_radps",
-]

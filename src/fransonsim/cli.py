@@ -251,8 +251,8 @@ def cmd_montecarlo(args) -> int:
             stream.to_csv(args.events)
             print(f"{'events_csv':32s} {args.events}")
         if args.histogram:
-            m = montecarlo.gate_offset(exp.franson, exp.detector)
-            hist = montecarlo.count_coincidences(stream, window_offsets=max(3, m))
+            k = montecarlo.coincidence_window(montecarlo.gate_offset(exp.franson, exp.detector))
+            hist = montecarlo.count_coincidences(stream, window_offsets=k)
             hist.to_csv(args.histogram)
             print(f"{'histogram_csv':32s} {args.histogram}")
     return EXIT_OK

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import (
-    SPEED_OF_LIGHT_MM_PER_NS,
-    FiberSpec,
-    PathStack,
-    stack,
-    stack_moments,
-)
+from .dispersion import SPEED_OF_LIGHT_MM_PER_NS, FiberSpec, stack, stack_moments
 from .errors import ConfigurationError, DomainError, InfeasibleDesignError
 
 DISPERSION_RESIDUAL_TOL_PS2 = 1e-5
@@ -60,9 +54,6 @@ class DesignSolution:
     lengths_mm: tuple
     achieved_d_beta2_l_ps2: float
     achieved_delay_ns: float
-
-    def long_stack(self, problem: DesignProblem) -> PathStack:
-        return stack(*zip(problem.long_fibers, self.lengths_mm))
 
 
 def solve_lengths(problem: DesignProblem) -> DesignSolution:

@@ -62,7 +62,7 @@ from .noise import NoiseModel
 
 GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate count
 # expected pairs whose births and pair flags an engine call holds at once: 2
-# dense streams
+# dense streams. The chunks keep the draw order of the module docstring
 _CHUNK_PAIRS = 2**14
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
@@ -186,11 +186,19 @@ class CoincidenceHistogram:
                 fh.write(f"{off},{cnt}\n")
 
 
+def coincidence_window(m: int) -> int:
+    """Half-width k = max(3, m) of the coincidence window at gate offset m.
+
+    The window holds both side peaks at +-m and is never narrower than +-3.
+    """
+    return max(3, m)
+
+
 def gate_offset(cfg: FransonConfig, det: DetectorModel) -> int:
     """Whole number of gates spanned by the path delay difference."""
     ratio = cfg.signal_arm.delta_t_ns / det.gate_period_ns()
     m = round(min(ratio, MAX_HISTOGRAM_CELLS))  # round() of an infinite ratio would overflow
-    if 2 * max(3, m) + 1 > MAX_HISTOGRAM_CELLS:
+    if 2 * coincidence_window(m) + 1 > MAX_HISTOGRAM_CELLS:
         raise ConfigurationError(
             f"path delay of {ratio:.4g} gates needs histogram rows of more than the "
             f"cap of {MAX_HISTOGRAM_CELLS} cells (2m + 1 at gate offset m)"
@@ -315,22 +323,20 @@ def _bernoulli_gates(rng, n, p):
 def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
     """Simulate len(rngs) acquisitions of n_gates each as segments of shared arrays.
 
-    Stream j draws from rngs[j] at coincidence rate rates[j], in the pinned
-    order of the module docstring. Per stream this makes its draw calls into
-    preallocated rows: a block of birth gaps, one five-row fill, compared
-    with the limits of the pair flags in one call, and a block of dark count
-    gaps per detector, empty at dark_prob 0. The rest runs once per chunk of
-    consecutive streams with at most about _CHUNK_PAIRS expected pairs
-    (births and flags) or once over all streams (dark counts, afterpulses);
-    the chunks do not change a draw. Stream j's gates are offset by
-    j * stride, with stride = n_gates + k + 1 for the counting window
-    k = max(3, m): a photon (at most m gates late) or an afterpulse (1 gate
-    late) that would fall past the stream's last gate is dropped, and no
-    window of +-k gates reaches from one segment into the next. Returns the
-    sorted signal and idler gates and the stride.
+    Stream j draws from rngs[j] at coincidence rate rates[j], in the order
+    the module docstring states. Per stream only its draw calls run, into
+    preallocated rows; the rest runs once per chunk of consecutive streams
+    with at most about _CHUNK_PAIRS expected pairs (births and flags) or
+    once over all streams (dark counts, afterpulses), and the chunks do not
+    change a draw. Stream j's gates are offset by j * stride, with
+    stride = n_gates + k + 1 for the counting window k = coincidence_window(m):
+    a photon (at most m gates late) or an afterpulse (1 gate late) that
+    would fall past the stream's last gate is dropped, and no window of +-k
+    gates reaches from one segment into the next. Returns the sorted signal
+    and idler gates and the stride.
     """
     m = gate_offset(cfg, det)
-    stride = n_gates + max(3, m) + 1
+    stride = n_gates + coincidence_window(m) + 1
     starts = np.arange(len(rngs)) * stride
     rates = np.asarray(rates, dtype=float)
     eta, alpha, dark_p = det.efficiency, noise.alpha, det.dark_prob
@@ -509,6 +515,8 @@ def simulate_run(
     """
     if n_gates < 1:
         raise DomainError(f"n_gates must be >= 1, got {n_gates}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rate = fringe_rates(cfg, [cfg.phi_tilde() if phi_tilde is None else phi_tilde])[0]
     return _simulate_stream(cfg, noise, det, int(n_gates), np.random.default_rng(seed), rate)
 
@@ -574,10 +582,6 @@ class VisibilityEstimate:
     n_gates_per_phase: int
     fit_method: str = "sinusoidal-least-squares"
 
-    def __iter__(self):  # allow v, sigma = estimate_visibility(...)
-        yield self.v
-        yield self.sigma_v
-
 
 def _fit_fringe(phases, counts):
     if not np.any(counts > 0):
@@ -603,14 +607,11 @@ def estimate_visibility(
 
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
-    and fits the sinusoidal fringe. Every (batch, phase) stream draws from
-    its own generator, in the state default_rng([seed, batch, phase]) gives,
-    its gaps from exponential draws as NumPy's geometric takes them. The
-    seed words of all streams are computed in one vectorized pass before
-    the histogram is allocated, and a batch's generators are built from
-    them when the batch starts. One engine call
-    simulates all of a batch's phases as segments, drawing its pairs in
-    chunks of about _CHUNK_PAIRS, and one pass counts them into the batch's
+    and fits the sinusoidal fringe. Streams are seeded and drawn as the
+    module docstring states. The seed words of all streams are computed
+    before the histogram is allocated, and a batch's generators are built
+    from them when the batch starts. One engine call simulates all of a
+    batch's phases as segments, and one pass counts them into the batch's
     rows. The batches run in order on the calling thread, so the first
     failed batch's error is raised and no later batch starts. A histogram
     over MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
@@ -627,7 +628,7 @@ def estimate_visibility(
         raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
 
     m = gate_offset(cfg, det)
-    k = max(3, m)
+    k = coincidence_window(m)
     if batches * len(phases) * (2 * k + 1) > MAX_HISTOGRAM_CELLS:
         raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")

@@ -14,12 +14,10 @@ are mutually consistent.
 """
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DomainError
-from .numerics import measure_fwhm, simpson_weights, symmetric_grid
 
 SPEED_OF_LIGHT_NM_PER_PS = 299792.458
 
@@ -73,6 +71,36 @@ def width_nm_to_radps(width_nm: float, center_nm: float) -> float:
     return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS * width_nm / center_nm**2
 
 
+def symmetric_grid(half_span: float, n_points: int) -> np.ndarray:
+    """Uniform grid over [-half_span, +half_span], exactly mirror-symmetric.
+
+    Built by reflecting the nonnegative half so that grid[i] == -grid[-1-i]
+    bit for bit. ``n_points`` is rounded up to the next odd value (composite
+    Simpson needs an odd count).
+    """
+    if half_span <= 0:
+        raise DomainError(f"grid half-span must be positive, got {half_span}")
+    n = int(n_points)
+    if n < 3:
+        raise DomainError(f"need at least 3 grid points, got {n}")
+    if n % 2 == 0:
+        n += 1
+    pos = np.linspace(0.0, half_span, (n - 1) // 2 + 1)
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+def simpson_weights(grid: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights for a uniform grid with an odd point count."""
+    n = len(grid)
+    if n < 3 or n % 2 == 0:
+        raise DomainError(f"Simpson rule needs an odd number of points >= 3, got {n}")
+    h = grid[1] - grid[0]
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 @dataclass(frozen=True, eq=False)
 class JointSpectrum:
     """Normalized biphoton spectral density on a uniform detuning grid.
@@ -107,10 +135,6 @@ class JointSpectrum:
     def integral(self) -> float:
         """Quadrature of the density over its span (1.0 after normalization)."""
         return float(self.weights @ self.density)
-
-    def fwhm_radps(self) -> float:
-        """FWHM of the stored density, measured on the grid."""
-        return measure_fwhm(self.omega, self.density)
 
     def is_normalized(self, tol: float = 1e-6) -> bool:
         return abs(self.integral() - 1.0) <= tol
@@ -243,7 +267,7 @@ def read_spectrum_csv(path) -> list:
     """Read `wavelength_nm,intensity` rows from a CSV file.
 
     Lines starting with `#` are comments; a single leading non-numeric row is
-    treated as a header.
+    treated as a header. A nan or inf in either column is an error.
     """
     rows = []
     header_seen = False
@@ -256,12 +280,15 @@ def read_spectrum_csv(path) -> list:
             if len(parts) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError:
                 if not rows and not header_seen:
                     header_seen = True  # one leading header row allowed
                     continue
                 raise DataError(f"{path}:{lineno}: non-numeric value {line!r}")
+            if not np.isfinite(row).all():
+                raise DataError(f"{path}:{lineno}: non-finite value {line!r}")
+            rows.append(row)
     return rows
 
 

@@ -211,7 +211,9 @@ class TestPresetFidelity:
         assert s.passband_fraction < 0.5
         from fransonsim import width_nm_to_radps
 
-        assert s.fwhm_radps() / width_nm_to_radps(1.0, 1560.0) == pytest.approx(0.36, rel=0.02)
+        # a flat-top filter's grid spans its passband, of full width 0.36 nm
+        width_nm = 2.0 * s.span_radps / width_nm_to_radps(1.0, 1560.0)
+        assert width_nm == pytest.approx(0.36, rel=0.02)
 
     def test_fig4c_both_arms_null(self):
         exp = preset_experiment("fig4c")
@@ -607,24 +609,33 @@ class TestInputValidation:
         assert "pump_phase_offset_rad" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command, old, new", [
-        pytest.param("montecarlo", "gate_rate_mhz = 628.5", "gate_rate_mhz = inf",
+    @pytest.mark.parametrize("command, old, new, csv_row", [
+        pytest.param("montecarlo", "gate_rate_mhz = 628.5", "gate_rate_mhz = inf", None,
                      id="gate-rate-inf"),
         # both arms, so that the delays' mismatch is inf - inf = nan
-        pytest.param("montecarlo", "delta_t_ns = 4.77", "delta_t_ns = inf",
+        pytest.param("montecarlo", "delta_t_ns = 4.77", "delta_t_ns = inf", None,
                      id="montecarlo-delay-inf"),
-        pytest.param("visibility", "delta_t_ns = 4.77", "delta_t_ns = inf",
+        pytest.param("visibility", "delta_t_ns = 4.77", "delta_t_ns = inf", None,
                      id="visibility-delay-inf"),
         # sinc^2 at the default span: its first zero would lie at pi / 0
         pytest.param("visibility", "fwhm_nm = 1.6\ncenter_wavelength_nm = 1560\nspan_radps = 11.6",
-                     "fwhm_nm = inf", id="sinc2-fwhm-inf"),
+                     "fwhm_nm = inf", None, id="sinc2-fwhm-inf"),
         pytest.param("visibility", "center_wavelength_nm = 1560\nspan_radps = 11.6",
-                     "center_wavelength_nm = inf", id="sinc2-center-inf"),
+                     "center_wavelength_nm = inf", None, id="sinc2-center-inf"),
+        # one row of a tabulated spectrum's CSV (spectrum.csv next to the file)
+        pytest.param("visibility", "", "", "1560.0,nan", id="tabulated-intensity-nan"),
+        pytest.param("visibility", "", "", "1560.0,inf", id="tabulated-intensity-inf"),
+        pytest.param("visibility", "", "", "nan,1.0", id="tabulated-wavelength-nan"),
     ])
-    def test_non_finite_input_exits_3(self, tmp_path, capsys, command, old, new):
+    def test_non_finite_input_exits_3(self, tmp_path, capsys, command, old, new, csv_row):
         assert old in FULL_CONFIG
+        text = FULL_CONFIG.replace(old, new)
+        if csv_row is not None:
+            csv = _write_gaussian_csv(tmp_path / "spectrum.csv")
+            csv.write_text(csv.read_text() + csv_row + "\n")
+            text = _tabulated(text, "spectrum.csv")
         cfg = tmp_path / "input.ini"
-        cfg.write_text(FULL_CONFIG.replace(old, new))
+        cfg.write_text(text)
         assert main([command, "--config", str(cfg)]) == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "finite" in captured.err

@@ -40,8 +40,7 @@ from fransonsim import (
 import fransonsim.cli
 from fransonsim.cli import main as cli_main
 from fransonsim.interference import VisibilityResult, _rate_bounds, formatted_rates
-from fransonsim.numerics import simpson_weights, symmetric_grid
-from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA
+from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA, simpson_weights, symmetric_grid
 
 from tests.helpers import arm_with_dispersion, golden_section_max, loop_fringe_csv
 

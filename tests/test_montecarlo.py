@@ -270,14 +270,6 @@ class TestEstimateVisibility:
         assert abs(est.v - target) <= 3 * est.sigma_v
         assert est.sigma_v > 0
 
-    def test_tuple_unpacking(self):
-        cfg = dispersion_free_config()
-        v, sigma = estimate_visibility(
-            cfg, STOCK_ALPHA, IDEAL, n_gates=320_000, batches=2, seed=1
-        )
-        assert 0 < v
-        assert sigma >= 0
-
     def test_statistics_error_without_pairs(self):
         det = DetectorModel(efficiency=1.0, dark_prob=2e-6, afterpulse_prob=0.0)
         with pytest.raises(StatisticsError):
@@ -870,7 +862,7 @@ def fig4c_at(alpha):
 
 class TestParallelStreams:
     @pytest.mark.parametrize("n_phases", [3, 33])
-    def test_output_independent_of_workers_and_phase_groups(self, monkeypatch, n_phases):
+    def test_output_independent_of_chunking(self, monkeypatch, n_phases):
         # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
         # pairs or of a whole batch, against every stream simulated and
         # counted alone as its own one-segment engine call
@@ -1020,6 +1012,14 @@ class TestStreamSeeds:
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed must be >= 0"):
             estimate_visibility(*fig4c_at(0.0024), n_gates=320_000, batches=2, seed=-1)
+
+    def test_negative_seed_rejected_by_simulate_run(self, monkeypatch):
+        def no_default_rng(seed=None):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", no_default_rng)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            simulate_run(*fig4c_at(0.0024), 1_000, seed=-1)
 
 
 class TestSegments:

@@ -73,8 +73,11 @@ class TestMakeSpectrum:
     def test_sinc2_half_max_point(self):
         s = make_spectrum(SINC2, 1.6)
         assert s.density[s.omega == 0.0][0] == s.density.max()
-        # half-max crossing found by bisection on the grid
-        assert s.fwhm_radps() / 2.0 == pytest.approx(0.619, rel=0.01)
+        # the density is at half its peak at +-FWHM/2 = +-0.619 rad/ps
+        half = width_nm_to_radps(1.6, 1560.0) / 2.0
+        assert half == pytest.approx(0.619, rel=0.01)
+        at_half = np.interp([-half, half], s.omega, s.density)
+        assert at_half == pytest.approx(s.density.max() / 2.0, rel=0.01)
         x = SINC2_HALF_MAX_X
         assert x == 1.3915573782515103
         assert abs((np.sin(x) / x) ** 2 - 0.5) <= 1e-15
@@ -91,7 +94,9 @@ class TestMakeSpectrum:
     @pytest.mark.parametrize("model", [SINC2, GAUSSIAN])
     def test_fwhm_matches_request(self, model):
         s = make_spectrum(model, 1.6)
-        assert s.fwhm_radps() == pytest.approx(width_nm_to_radps(1.6, 1560.0), rel=0.005)
+        half = width_nm_to_radps(1.6, 1560.0) / 2.0
+        at_half = np.interp([-half, half], s.omega, s.density)
+        assert at_half == pytest.approx(s.density.max() / 2.0, rel=0.005)
 
     @pytest.mark.parametrize("model", [SINC2, GAUSSIAN])
     def test_mirror_symmetry(self, model):
@@ -198,6 +203,13 @@ class TestCsvReader:
         s = load_tabulated(rows)
         assert abs(s.integral() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize("row", ["1560.0,nan", "1560.0,inf", "nan,1.0", "-inf,1.0"])
+    def test_non_finite_value(self, tmp_path, row):
+        p = tmp_path / "spec.csv"
+        p.write_text(f"wavelength_nm,intensity\n1559.0,0.5\n{row}\n")
+        with pytest.raises(DataError, match=rf"spec\.csv:3: non-finite value '{row}'"):
+            read_spectrum_csv(p)
+
     def test_bad_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("1559.0,1.0,7.0\n")
@@ -216,8 +228,9 @@ class TestBandpass:
     def test_flattop_sets_fwhm(self):
         s = make_spectrum(SINC2, 1.6)
         f = apply_bandpass(s, 0.36, FLATTOP)
-        fwhm_nm = f.fwhm_radps() / width_nm_to_radps(1.0, 1560.0)
-        assert fwhm_nm == pytest.approx(0.36, rel=0.02)
+        # the grid is rebuilt over the passband, whose full width is the filter's
+        width_nm = 2.0 * f.span_radps / width_nm_to_radps(1.0, 1560.0)
+        assert width_nm == pytest.approx(0.36, rel=0.02)
 
     def test_flattop_passband_fraction(self):
         s = make_spectrum(SINC2, 1.6)
@@ -230,7 +243,11 @@ class TestBandpass:
     def test_never_widens_never_negative(self, shape, width):
         s = make_spectrum(SINC2, 1.6)
         f = apply_bandpass(s, width, shape)
-        assert f.fwhm_radps() <= s.fwhm_radps() * (1 + 1e-12)
+        # at the unfiltered half-max points the filtered density is at most
+        # half its own peak, so its FWHM is no wider
+        half = width_nm_to_radps(1.6, 1560.0) / 2.0
+        at_half = np.interp([-half, half], f.omega, f.density, left=0.0, right=0.0)
+        assert np.all(at_half <= f.density.max() / 2.0 * (1 + 1e-12))
         assert np.all(f.density >= 0)
 
     def test_fraction_accumulates(self):
