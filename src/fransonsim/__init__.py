@@ -30,7 +30,8 @@ from .errors import (
     InfeasibleDesignError,
     StatisticsError,
 )
-from .expconfig import Experiment, RunSettings, load_fiber_catalog, parse_experiment, parse_experiment_file
+from .expconfig import (Experiment, RunSettings, load_fiber_catalog, parse_experiment,
+                        parse_experiment_file, read_spectrum_csv)
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
@@ -44,7 +45,6 @@ from .interference import (
 )
 from .montecarlo import (
     CoincidenceHistogram,
-    Detector,
     DetectorModel,
     EventStream,
     VisibilityEstimate,
@@ -64,7 +64,6 @@ from .spectra import (
     apply_bandpass,
     load_tabulated,
     make_spectrum,
-    read_spectrum_csv,
     wavelength_to_detuning,
     width_nm_to_radps,
 )

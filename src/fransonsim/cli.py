@@ -116,6 +116,19 @@ def _write_csv(path, header, rows):
         fh.writelines(rows)
 
 
+def _report(key, value):
+    """Print one report row: ``key`` padded to 32 columns, a space and ``value``."""
+    print(f"{key:32s} {value}")
+
+
+def _event_csv(stream):
+    """Header and rows of an event CSV: a row per detection by gate, signal before idler on a tie."""
+    gates = np.concatenate([stream.signal_gates, stream.idler_gates])
+    order = np.argsort(gates, kind="stable")
+    names = np.where(order < len(stream.signal_gates), "signal", "idler").tolist()
+    return "detector,gate_index\n", map("{},{}\n".format, names, gates[order].tolist())
+
+
 def _write_fringe_csv(path, cfg, points):
     """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
     phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
@@ -153,10 +166,10 @@ def cmd_visibility(args) -> int:
     if exp.franson.spectrum.passband_fraction != 1.0:
         rows.append(("passband_fraction", _sci(cfg.spectrum.passband_fraction)))
     for key, val in rows:
-        print(f"{key:32s} {val}")
+        _report(key, val)
     if args.out:
         _write_fringe_csv(args.out, cfg, args.points)
-        print(f"{'fringe_csv':32s} {args.out}")
+        _report("fringe_csv", args.out)
     return EXIT_OK
 
 
@@ -200,14 +213,14 @@ def cmd_alpha_sweep(args) -> int:
 
     if len(alphas) >= 2:
         slope, intercept = np.polyfit(alphas, [v for _, v in analytic], 1)
-        print(f"{'fitted_slope_analytic':32s} {_sci(slope)}")
-        print(f"{'fitted_intercept_analytic':32s} {_sci(intercept)}")
+        _report("fitted_slope_analytic", _sci(slope))
+        _report("fitted_intercept_analytic", _sci(intercept))
         if len(mc_rows) >= 2:
             slope_mc, intercept_mc = np.polyfit(
                 sorted(mc_rows), [mc_rows[a][0] for a in sorted(mc_rows)], 1
             )
-            print(f"{'fitted_slope_montecarlo':32s} {_sci(slope_mc)}")
-            print(f"{'fitted_intercept_montecarlo':32s} {_sci(intercept_mc)}")
+            _report("fitted_slope_montecarlo", _sci(slope_mc))
+            _report("fitted_intercept_montecarlo", _sci(intercept_mc))
     return EXIT_OK
 
 
@@ -221,13 +234,13 @@ def cmd_montecarlo(args) -> int:
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     v_pipeline = observed_visibility(v0, exp.noise)
 
-    print(f"{'fringe_estimator':32s} {est.fit_method}")
-    print(f"{'gates_per_phase':32s} {est.n_gates_per_phase}")
-    print(f"{'batches':32s} {run.batches}")
-    print(f"{'V_montecarlo':32s} {_sci(est.v)}")
-    print(f"{'sigma_V':32s} {_sci(est.sigma_v)}")
-    print(f"{'V_analytic_pipeline':32s} {_sci(v_pipeline)}")
-    print(f"{'deviation_sigmas':32s} {_sci((est.v - v_pipeline) / est.sigma_v if est.sigma_v else 0.0)}")
+    _report("fringe_estimator", est.fit_method)
+    _report("gates_per_phase", est.n_gates_per_phase)
+    _report("batches", run.batches)
+    _report("V_montecarlo", _sci(est.v))
+    _report("sigma_V", _sci(est.sigma_v))
+    _report("V_analytic_pipeline", _sci(v_pipeline))
+    _report("deviation_sigmas", _sci((est.v - v_pipeline) / est.sigma_v if est.sigma_v else 0.0))
 
     if args.out:
         offsets = ",".join(f"offset_{o:+d}" for o in est.offsets)
@@ -236,7 +249,7 @@ def cmd_montecarlo(args) -> int:
             for phi, counts in zip(est.phases, est.per_phase_histogram)
         )
         _write_csv(args.out, f"phi_rad,{offsets}\n", rows)
-        print(f"{'per_phase_csv':32s} {args.out}")
+        _report("per_phase_csv", args.out)
 
     if args.events or args.histogram:
         stream = montecarlo.simulate_run(
@@ -248,13 +261,14 @@ def cmd_montecarlo(args) -> int:
             phi_tilde=args.phase,
         )
         if args.events:
-            stream.to_csv(args.events)
-            print(f"{'events_csv':32s} {args.events}")
+            _write_csv(args.events, *_event_csv(stream))
+            _report("events_csv", args.events)
         if args.histogram:
             k = montecarlo.coincidence_window(montecarlo.gate_offset(exp.franson, exp.detector))
             hist = montecarlo.count_coincidences(stream, window_offsets=k)
-            hist.to_csv(args.histogram)
-            print(f"{'histogram_csv':32s} {args.histogram}")
+            rows = map("{},{}\n".format, hist.offsets.tolist(), hist.counts.tolist())
+            _write_csv(args.histogram, "offset,counts\n", rows)
+            _report("histogram_csv", args.histogram)
     return EXIT_OK
 
 
@@ -263,11 +277,11 @@ def cmd_design(args) -> int:
     sol = solve_lengths(problem)
 
     for name, length in zip(sol.fibers, sol.lengths_mm):
-        print(f"{'length_mm_' + name:32s} {_sci(length)}")
-    print(f"{'achieved_d_beta2_l_ps2':32s} {_sci(sol.achieved_d_beta2_l_ps2)}")
-    print(f"{'achieved_delay_ns':32s} {_sci(sol.achieved_delay_ns)}")
-    print(f"{'residual_d_beta2_l_ps2':32s} {_sci(sol.achieved_d_beta2_l_ps2 - problem.target_d_beta2_l_ps2)}")
-    print(f"{'residual_delay_ps':32s} {_sci((sol.achieved_delay_ns - problem.delta_t_ns) * 1e3)}")
+        _report("length_mm_" + name, _sci(length))
+    _report("achieved_d_beta2_l_ps2", _sci(sol.achieved_d_beta2_l_ps2))
+    _report("achieved_delay_ns", _sci(sol.achieved_delay_ns))
+    _report("residual_d_beta2_l_ps2", _sci(sol.achieved_d_beta2_l_ps2 - problem.target_d_beta2_l_ps2))
+    _report("residual_delay_ps", _sci((sol.achieved_delay_ns - problem.delta_t_ns) * 1e3))
 
     if args.emit_arm:
         segments = ", ".join(

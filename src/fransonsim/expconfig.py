@@ -1,11 +1,15 @@
-"""Input files: experiments, fiber catalogs and design problems, in one INI dialect.
+"""Input files: experiments, fiber catalogs, design problems and tabulated spectra.
 
-This module is the one reader of all three kinds (`_read_ini`). An
-experiment file has the sections [spectrum], [signal_arm], [idler_arm],
-[noise], [detector] and [run]; a fiber catalog one section per fiber; a
-design problem one [problem] section. Fibers, in experiment stacks of
-comma-separated `NAME:length_mm` segments and in problems, are named from
-the built-in fibers plus an optional catalog file.
+This module reads every input file of the package, each as UTF-8 text
+(`_read_file`). Experiment files, fiber catalogs and design problems are
+INI text in one dialect, read by `_read_ini`. An experiment file has the
+sections [spectrum], [signal_arm], [idler_arm], [noise], [detector] and
+[run]; a fiber catalog one section per fiber; a design problem one
+[problem] section. Fibers, in experiment stacks of comma-separated
+`NAME:length_mm` segments and in problems, are named from the built-in
+fibers plus an optional catalog file. A tabulated spectrum, named by an
+experiment's [spectrum] file, is CSV text of wavelength_nm,intensity rows
+(`read_spectrum_csv`).
 
 A section that fills a model takes its keys, their types, their defaults
 and which of them are required from the model's dataclass fields
@@ -18,6 +22,7 @@ objects under other names; their keys are listed here.
 """
 
 import configparser
+import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -30,7 +35,7 @@ from .dispersion import (
     PathStack,
     stack,
 )
-from .errors import ConfigParseError, ConfigurationError
+from .errors import ConfigParseError, ConfigurationError, DataError
 from .interference import COMPLEX_INTEGRAL, PHASE_SWEEP, FransonConfig, MZIConfig
 from .montecarlo import MAX_GATES, MAX_PHASES, MAX_STREAMS, DetectorModel
 from .noise import NoiseModel
@@ -45,7 +50,6 @@ from .spectra import (
     apply_bandpass,
     load_tabulated,
     make_spectrum,
-    read_spectrum_csv,
 )
 
 
@@ -254,6 +258,34 @@ def _check_cap(value: int, cap: int, key: str) -> int:
 def _read_file(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def read_spectrum_csv(path) -> list:
+    """Read `wavelength_nm,intensity` rows from a CSV file.
+
+    Lines starting with `#` are comments; a single leading non-numeric row is
+    treated as a header. A nan or inf in either column is an error.
+    """
+    rows = []
+    header_seen = False
+    for lineno, raw in enumerate(_read_file(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
+        try:
+            row = (float(parts[0]), float(parts[1]))
+        except ValueError:
+            if not rows and not header_seen:
+                header_seen = True  # one leading header row allowed
+                continue
+            raise DataError(f"{path}:{lineno}: non-numeric value {line!r}")
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}:{lineno}: non-finite value {line!r}")
+        rows.append(row)
+    return rows
 
 
 def load_fiber_catalog(path) -> dict:

@@ -52,7 +52,6 @@ state default_rng([seed, batch, phase]) would give it, bit for bit.
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -80,11 +79,6 @@ MAX_STREAMS = 2**16
 # largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
 # 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
 MAX_HISTOGRAM_CELLS = 2**23
-
-
-class Detector(str, Enum):
-    SIGNAL = "signal"
-    IDLER = "idler"
 
 
 @dataclass(frozen=True)
@@ -149,17 +143,6 @@ class EventStream:
     def __len__(self):
         return len(self.signal_gates) + len(self.idler_gates)
 
-    def to_csv(self, path):
-        """One row per detection, sorted by gate (signal before idler on ties)."""
-        gates = np.concatenate([self.signal_gates, self.idler_gates])
-        order = np.argsort(gates, kind="stable")
-        names = np.where(
-            order < len(self.signal_gates), Detector.SIGNAL.value, Detector.IDLER.value
-        )
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("detector,gate_index\n")
-            fh.writelines(f"{d},{g}\n" for d, g in zip(names.tolist(), gates[order].tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class CoincidenceHistogram:
@@ -178,12 +161,6 @@ class CoincidenceHistogram:
         if abs(offset) > self.window:
             raise DomainError(f"offset {offset} outside window +-{self.window}")
         return int(self.counts[offset + self.window])
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("offset,counts\n")
-            for off, cnt in zip(self.offsets, self.counts):
-                fh.write(f"{off},{cnt}\n")
 
 
 def coincidence_window(m: int) -> int:

@@ -263,35 +263,6 @@ def load_tabulated(
     return _build(TABULATED, center_nm, None, (grid, dens))
 
 
-def read_spectrum_csv(path) -> list:
-    """Read `wavelength_nm,intensity` rows from a CSV file.
-
-    Lines starting with `#` are comments; a single leading non-numeric row is
-    treated as a header. A nan or inf in either column is an error.
-    """
-    rows = []
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
-            try:
-                row = (float(parts[0]), float(parts[1]))
-            except ValueError:
-                if not rows and not header_seen:
-                    header_seen = True  # one leading header row allowed
-                    continue
-                raise DataError(f"{path}:{lineno}: non-numeric value {line!r}")
-            if not np.isfinite(row).all():
-                raise DataError(f"{path}:{lineno}: non-finite value {line!r}")
-            rows.append(row)
-    return rows
-
-
 FLATTOP = "flattop"
 
 

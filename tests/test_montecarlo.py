@@ -34,7 +34,7 @@ from fransonsim import (
     visibility,
 )
 from fransonsim import interference, montecarlo
-from fransonsim.cli import main
+from fransonsim.cli import _event_csv, _write_csv, main
 from fransonsim.interference import _rate_bounds, coincidence_rate
 from fransonsim.montecarlo import _bernoulli_gates, _merge_gates
 
@@ -410,7 +410,7 @@ class TestExports:
             dispersion_free_config(), STOCK_ALPHA, DetectorModel(), 200_000, seed=23
         )
         p = tmp_path / "events.csv"
-        stream.to_csv(p)
+        _write_csv(p, *_event_csv(stream))
         lines = p.read_text().splitlines()
         assert lines[0] == "detector,gate_index"
         assert len(lines) == 1 + len(stream)
@@ -424,18 +424,18 @@ class TestExports:
             n_gates=6,
         )
         p = tmp_path / "events.csv"
-        stream.to_csv(p)
+        _write_csv(p, *_event_csv(stream))
         assert p.read_text().splitlines()[1:] == [
             "idler,1", "signal,2", "signal,5", "idler,5"
         ]
 
-    def test_histogram_csv(self, tmp_path):
-        stream = simulate_run(
-            dispersion_free_config(), STOCK_ALPHA, DetectorModel(), 200_000, seed=23
-        )
-        hist = count_coincidences(stream, window_offsets=3)
+    def test_histogram_csv(self, tmp_path, capsys):
+        # fig4a's gate offset is 3, so its window is +-3
         p = tmp_path / "hist.csv"
-        hist.to_csv(p)
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "1000000", "--batches", "2",
+                "--phases", "4", "--seed", "23", "--histogram", str(p)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(f"{'histogram_csv':32s} {p}\n")
         lines = p.read_text().splitlines()
         assert lines[0] == "offset,counts"
         assert len(lines) == 1 + 7
@@ -1089,7 +1089,7 @@ def check_streams(monkeypatch, seed, batches, check):
     monkeypatch.setattr(montecarlo, "_simulate_segments", simulate)
 
 
-class TestParallelErrors:
+class TestBatchErrors:
     ARGS = dict(n_gates=320_000, batches=3, seed=7)  # 24 pairs per stream
 
     @pytest.mark.parametrize("stream", [1, 3, 7])
