@@ -30,8 +30,14 @@ from .errors import (
     InfeasibleDesignError,
     StatisticsError,
 )
-from .expconfig import (Experiment, RunSettings, load_fiber_catalog, parse_experiment,
-                        parse_experiment_file, read_spectrum_csv)
+from .expconfig import (
+    Experiment,
+    RunSettings,
+    load_fiber_catalog,
+    parse_experiment,
+    parse_experiment_file,
+    read_spectrum_csv,
+)
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,

@@ -126,7 +126,7 @@ def _event_csv(stream):
     gates = np.concatenate([stream.signal_gates, stream.idler_gates])
     order = np.argsort(gates, kind="stable")
     names = np.where(order < len(stream.signal_gates), "signal", "idler").tolist()
-    return "detector,gate_index\n", map("{},{}\n".format, names, gates[order].tolist())
+    return "detector,gate_index\n", (f"{d},{g}\n" for d, g in zip(names, gates[order].tolist()))
 
 
 def _write_fringe_csv(path, cfg, points):
@@ -266,7 +266,7 @@ def cmd_montecarlo(args) -> int:
         if args.histogram:
             k = montecarlo.coincidence_window(montecarlo.gate_offset(exp.franson, exp.detector))
             hist = montecarlo.count_coincidences(stream, window_offsets=k)
-            rows = map("{},{}\n".format, hist.offsets.tolist(), hist.counts.tolist())
+            rows = (f"{o},{c}\n" for o, c in zip(hist.offsets.tolist(), hist.counts.tolist()))
             _write_csv(args.histogram, "offset,counts\n", rows)
             _report("histogram_csv", args.histogram)
     return EXIT_OK

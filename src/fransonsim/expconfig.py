@@ -1,15 +1,16 @@
 """Input files: experiments, fiber catalogs, design problems and tabulated spectra.
 
 This module reads every input file of the package, each as UTF-8 text
-(`_read_file`). Experiment files, fiber catalogs and design problems are
-INI text in one dialect, read by `_read_ini`. An experiment file has the
-sections [spectrum], [signal_arm], [idler_arm], [noise], [detector] and
-[run]; a fiber catalog one section per fiber; a design problem one
-[problem] section. Fibers, in experiment stacks of comma-separated
-`NAME:length_mm` segments and in problems, are named from the built-in
-fibers plus an optional catalog file. A tabulated spectrum, named by an
-experiment's [spectrum] file, is CSV text of wavelength_nm,intensity rows
-(`read_spectrum_csv`).
+(`_read_file`); a file that is not UTF-8 is a ConfigParseError naming the
+offset of its first bad byte. Experiment files, fiber catalogs and design
+problems are INI text in one dialect, read by `_read_ini`. An experiment
+file has the sections [spectrum], [signal_arm], [idler_arm], [noise],
+[detector] and [run]; a fiber catalog one section per fiber; a design
+problem one [problem] section. Fibers, in experiment stacks of
+comma-separated `NAME:length_mm` segments and in problems, are named from
+the built-in fibers plus an optional catalog file. A tabulated spectrum,
+named by an experiment's [spectrum] file, is CSV text of
+wavelength_nm,intensity rows (`read_spectrum_csv`).
 
 A section that fills a model takes its keys, their types, their defaults
 and which of them are required from the model's dataclass fields
@@ -256,8 +257,14 @@ def _check_cap(value: int, cap: int, key: str) -> int:
 
 
 def _read_file(path) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The text of the file at ``path``, decoded as UTF-8, with its line ends read as ``\n``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(
+            f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def read_spectrum_csv(path) -> list:

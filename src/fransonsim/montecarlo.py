@@ -81,6 +81,12 @@ MAX_STREAMS = 2**16
 MAX_HISTOGRAM_CELLS = 2**23
 
 
+def _check_cap(what, value, cap):
+    """Raise DomainError when ``value`` is over the run cap ``cap``, as resolve_run refuses it."""
+    if value > cap:
+        raise DomainError(f"{what} {value} exceeds the cap of {cap}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Gated single-photon avalanche photodiode parameters."""
@@ -487,11 +493,12 @@ def simulate_run(
 ) -> EventStream:
     """Simulate one gated acquisition and return the detection stream.
 
-    phi_tilde overrides the summed arm phase when given. Identical arguments
-    always produce bit-identical streams.
+    phi_tilde overrides the summed arm phase when given. n_gates is at most
+    MAX_GATES. Identical arguments always produce bit-identical streams.
     """
     if n_gates < 1:
         raise DomainError(f"n_gates must be >= 1, got {n_gates}")
+    _check_cap("n_gates", n_gates, MAX_GATES)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     rate = fringe_rates(cfg, [cfg.phi_tilde() if phi_tilde is None else phi_tilde])[0]
@@ -590,8 +597,10 @@ def estimate_visibility(
     from them when the batch starts. One engine call simulates all of a
     batch's phases as segments, and one pass counts them into the batch's
     rows. The batches run in order on the calling thread, so the first
-    failed batch's error is raised and no later batch starts. A histogram
-    over MAX_HISTOGRAM_CELLS cells is refused before it is allocated.
+    failed batch's error is raised and no later batch starts. n_gates, the
+    phase count and the batches x phases streams are held to MAX_GATES,
+    MAX_PHASES and MAX_STREAMS, and a histogram over MAX_HISTOGRAM_CELLS
+    cells is refused, before any of them is built.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -603,6 +612,9 @@ def estimate_visibility(
     per_phase = int(n_gates) // len(phases)
     if per_phase < 1:
         raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
+    _check_cap("n_gates", n_gates, MAX_GATES)
+    _check_cap("phase count", len(phases), MAX_PHASES)
+    _check_cap("stream count", batches * len(phases), MAX_STREAMS)
 
     m = gate_offset(cfg, det)
     k = coincidence_window(m)

@@ -233,16 +233,21 @@ def load_tabulated(
 ) -> JointSpectrum:
     """Build a spectrum from measured (wavelength_nm, intensity) samples.
 
-    Wavelengths must be strictly monotonic; intensities nonnegative with at
-    least one positive value. The samples are converted to detunings,
-    linearly interpolated onto the uniform grid, zero outside the sampled
-    range, and renormalized.
+    Every sample must be finite; the error names the first that is not by
+    its index in ``rows``. Wavelengths must be strictly monotonic;
+    intensities nonnegative with at least one positive value. The samples
+    are converted to detunings, linearly interpolated onto the uniform
+    grid, zero outside the sampled range, and renormalized.
     """
     rows = list(rows)
     if len(rows) < 2:
         raise DataError(f"need at least 2 samples, got {len(rows)}")
     lam = np.array([r[0] for r in rows], dtype=float)
     inten = np.array([r[1] for r in rows], dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(lam) & np.isfinite(inten)))
+    if len(bad):
+        i = bad[0]
+        raise DataError(f"sample {i} ({lam[i]}, {inten[i]}) is not finite")
     if np.any(lam <= 0):
         raise DataError("wavelengths must be positive")
     d = np.diff(lam)

@@ -1180,3 +1180,38 @@ class TestSchema:
     def test_non_integer_run_flag(self, capsys):
         assert main(["montecarlo", "--preset", "fig4a", "--gates", "1e6"]) == 2
         assert "argument --gates: invalid int value: '1e6'" in capsys.readouterr().err
+
+
+
+class TestNonUtf8Input:
+    """Every input file is read as UTF-8; one that is not exits 2 naming the first bad byte."""
+
+    @pytest.mark.parametrize(
+        "kind", ["experiment", "fiber_catalog", "problem", "catalog", "spectrum_csv"]
+    )
+    def test_exits_2_naming_the_offset(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad"
+
+        def write_bad(text):
+            # a first line that is a comment in every kind, holding 0xe9, not UTF-8 alone
+            bad.write_bytes(b"# caf\xe9\n" + text.encode())
+            return str(bad)
+
+        if kind == "experiment":
+            argv = ["visibility", "--config", write_bad(FULL_CONFIG)]
+        elif kind == "fiber_catalog":
+            exp = f"{FULL_CONFIG}fiber_catalog = {write_bad(CATALOG)}\n"
+            argv = ["visibility", "--config", str(_write(tmp_path, "exp.ini", exp))]
+        elif kind == "problem":
+            argv = ["design", "--problem", write_bad(PROBLEM)]
+        elif kind == "catalog":
+            problem = _write(tmp_path, "p.ini", PROBLEM)
+            argv = ["design", "--problem", str(problem), "--catalog", write_bad(CATALOG)]
+        else:
+            csv = write_bad(_write_gaussian_csv(tmp_path / "meas.csv").read_text())
+            exp = _write(tmp_path, "exp.ini", _tabulated(FULL_CONFIG, csv))
+            argv = ["visibility", "--config", str(exp)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: not UTF-8: byte 0xe9 at offset 5\n"

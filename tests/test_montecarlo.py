@@ -36,7 +36,13 @@ from fransonsim import (
 from fransonsim import interference, montecarlo
 from fransonsim.cli import _event_csv, _write_csv, main
 from fransonsim.interference import _rate_bounds, coincidence_rate
-from fransonsim.montecarlo import _bernoulli_gates, _merge_gates
+from fransonsim.montecarlo import (
+    MAX_GATES,
+    MAX_PHASES,
+    MAX_STREAMS,
+    _bernoulli_gates,
+    _merge_gates,
+)
 
 from tests.helpers import arm_with_dispersion, run_python
 
@@ -332,6 +338,35 @@ def record_batch_rows(monkeypatch):
     monkeypatch.setattr(montecarlo, "_count_segments",
                         lambda *args: rows.append(real(*args)) or rows[-1])
     return rows
+
+
+class TestRunCaps:
+    """The library's entry points refuse what resolve_run refuses, before building a stream.
+
+    Without pairs or dark counts an over-cap run would simulate nothing, and
+    fail only at the fit.
+    """
+
+    def test_simulate_run_gates(self):
+        with pytest.raises(DomainError, match=f"n_gates {MAX_GATES + 1} exceeds the cap of {MAX_GATES}"):
+            simulate_run(dispersion_free_config(), NO_PAIRS, IDEAL, MAX_GATES + 1, seed=1)
+
+    @pytest.mark.parametrize("n_gates, n_phases, batches, match", [
+        (4 * MAX_GATES, 32, 2, f"n_gates {4 * MAX_GATES} exceeds the cap of {MAX_GATES}"),
+        (MAX_PHASES + 1, MAX_PHASES + 1, 2, f"phase count {MAX_PHASES + 1} exceeds the cap"),
+        (MAX_STREAMS + 2, MAX_STREAMS // 2 + 1, 2,
+         f"stream count {MAX_STREAMS + 2} exceeds the cap of {MAX_STREAMS}"),
+    ], ids=["gates", "phases", "streams"])
+    def test_estimate_visibility(self, monkeypatch, n_gates, n_phases, batches, match):
+        def forbidden(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(montecarlo, "_seed_words", forbidden)
+        monkeypatch.setattr(montecarlo, "_batch_generators", forbidden)
+        phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+        with pytest.raises(DomainError, match=match):
+            estimate_visibility(dispersion_free_config(), NO_PAIRS, IDEAL, n_gates=n_gates,
+                                phases=phases, batches=batches, seed=1)
 
 
 class TestRatesFromAmplitude:

@@ -192,6 +192,16 @@ class TestLoadTabulated:
         assert abs(s.integral() - 1.0) <= 1e-9
 
 
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_refused_naming_the_sample(self, column, value):
+        rows = [[1559.0, 0.5], [1560.0, 1.0], [1561.0, 0.5]]
+        rows[1][column] = value
+        with pytest.raises(DataError, match=r"^sample 1 \(.*\) is not finite$"):
+            load_tabulated(rows)
+
+
 class TestCsvReader:
     def test_header_and_comments(self, tmp_path):
         p = tmp_path / "spec.csv"
