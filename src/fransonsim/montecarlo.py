@@ -33,7 +33,8 @@ a stream whose block ends below its last gate draws another (_gap_hits); at
 a rate of 0 a block holds no gaps and draws nothing. A gap is the value
 ``rng.geometric`` returns, but below p = 1/3 it is taken as NumPy itself
 takes it, from one exponential draw, and inverted for a whole block of
-streams at once (_draw_gaps, _geometric).
+streams at once (_draw_gaps, _geometric). Their sums run in int64, and the
+merges and the count exploit sorted runs (_merge_gates, _count_segments).
 tests/test_montecarlo.py holds a frozen copy of the stream code to check
 the order against, and a copy of the earlier one-uniform-per-gate sampler to
 check the law against.
@@ -124,8 +125,9 @@ def _check_gates(name, gates, n_gates, stride=None, n_segments=1):
         return
     last = n_gates if stride is None else (n_segments - 1) * stride + n_gates
     valid = (gates[1:] > gates[:-1]).all() and gates[0] >= 0 and gates[-1] < last
-    if valid and stride is not None:
-        valid = (gates % stride < n_gates).all()
+    if valid and stride is not None:  # no gate between a segment's last gate and the next
+        starts = np.arange(n_segments) * stride
+        valid = np.array_equal(*np.searchsorted(gates, (starts + n_gates, starts + stride)))
     if not valid:
         where = "" if stride is None else f" in each of {n_segments} segments"
         raise ContractViolationError(
@@ -197,11 +199,12 @@ def gate_offset(cfg: FransonConfig, det: DetectorModel) -> int:
 def _merge_gates(*arrays):
     """Sorted distinct gates of the int64 arrays, as np.unique of their union.
 
-    A sort plus a drop of adjacent repeats: np.unique hashes integers first,
-    which costs about ten times as much at stream sizes.
+    A stable sort, timsort on int64, merges the parts' presorted runs in
+    linear time, and adjacent repeats are dropped: np.unique hashes
+    integers first, which costs about ten times as much at stream sizes.
     """
     gates = np.concatenate(arrays)
-    gates.sort()
+    gates.sort(kind="stable")
     first = np.empty(len(gates), dtype=bool)
     first[:1] = True
     np.not_equal(gates[1:], gates[:-1], out=first[1:])
@@ -234,18 +237,19 @@ def _draw_gaps(rng, p, out):
         out[:] = rng.geometric(p, len(out))
 
 
-def _geometric(gaps, p):
-    """Rows of _draw_gaps, in place, as the gaps ``rng.geometric(p)`` returns, each at least 1.
+def _geometric(gaps, p, n):
+    """Rows of _draw_gaps, in place, as the gaps rng.geometric(p) returns, clipped to [1, n + 1].
 
     The inversion returns 0 for an exponential of exactly 0, which is
-    raised to 1 so that no gate repeats. A gap past the float range is inf
-    here and INT64_MAX in NumPy, and either ends its row's gates below n.
+    raised to 1 so that no gate repeats. A gap of n + 1 or more takes a row
+    of n gates past its end on its own, so it is clipped to n + 1: so is a
+    gap past the float range, inf here and INT64_MAX in NumPy.
     """
     if p < 1 / 3:
         with np.errstate(over="ignore"):  # at tiny p a gap overflows to inf
             np.divide(gaps, -math.log1p(-p), out=gaps)
         np.ceil(gaps, out=gaps)
-    return np.maximum(gaps, 1, out=gaps)
+    return np.clip(gaps, 1, n + 1, out=gaps)
 
 
 def _gap_hits(gaps, rngs, n, p, starts):
@@ -254,34 +258,39 @@ def _gap_hits(gaps, rngs, n, p, starts):
     Row j's gates lie in [starts[j], starts[j] + n), and starts increase by
     at least n from row to row, so the rows are disjoint and in order.
     Returns the sorted int64 hits of all rows and each row's hit count.
-    Each pass sums the open rows' gaps into gates in place, the first
-    counted from the row's last gate (starts[j] - 1 at first), and keeps
-    those below the row's end; a row whose block ended below its end draws
-    a further block of the same size from its generator. The rest of a
-    row's last block is discarded (Devroye 1986, ch. X). The sums stay in
-    float64, exact below 2**53: a running sum never falls, so every gate
-    kept is exact, and the first gate at or past the end, inf included,
-    closes the row.
+    Each pass sums the open rows' gaps, clipped to [1, n + 1], into int64
+    gates, the first counted from the row's last gate (starts[j] - 1 at
+    first); a row's hits are its gates below its end, a prefix of the row,
+    and a row whose block ended below its end draws a further block of the
+    same size from its generator. The rest of a row's last block is
+    discarded (Devroye 1986, ch. X). The gates kept, and which rows draw
+    again, are those float64 sums of the unclipped gaps give: below the end
+    every gap is an integer of at most n and every sum is below 2**53, so
+    both are exact, and a gap of n + 1 or more, inf included, ends the row.
     """
     counts = np.zeros(len(rngs), dtype=np.int64)
     if p == 0:
         return np.empty(0, dtype=np.int64), counts
-    rows, ends, last, hits = np.arange(len(rngs)), starts + n, starts - 1, []
+    rows, ends, last = np.arange(len(rngs)), starts + n, starts - 1
+    hits, passes = [np.empty(0, dtype=np.int64)], 0  # no hit at all is an empty array
     while len(rows):
-        _geometric(gaps, p)
-        gaps[:, 0] += last
-        np.cumsum(gaps, axis=1, out=gaps)
-        below = gaps < ends[:, None]
-        hits.append(gaps[below])  # row by row, as the mask is read in row-major order
-        counts[rows] += below.sum(axis=1)
-        more = below[:, -1]
-        rows, ends, last = rows[more], ends[more], gaps[more, -1]
+        passes += 1
+        sums = _geometric(gaps, p, n).astype(np.int64)
+        sums[:, 0] += last
+        np.cumsum(sums, axis=1, out=sums)
+        # clipped at its end, row j lies at or below every later row
+        np.minimum(sums, ends[:, None], out=sums)
+        kept = np.searchsorted(sums.ravel(), ends) - np.arange(len(rows)) * sums.shape[1]
+        hits += [sums[j, :c] for j, c in enumerate(kept.tolist()) if c]  # its gates below its end
+        counts[rows] += kept
+        more = kept == sums.shape[1]
+        rows, ends, last = rows[more], ends[more], sums[more, -1]
         gaps = gaps[: len(rows)]
         for j, row in zip(rows.tolist(), gaps):  # rare: a block ended below its row's end
             _draw_gaps(rngs[j], p, row)
-    merged = np.concatenate(hits, dtype=np.int64, casting="unsafe")
-    if len(hits) > 1:  # a later pass's hits lie between the rows of the first
-        merged.sort()
+    merged = np.concatenate(hits)
+    if passes > 1:  # a later pass's hits lie between the rows of the first
+        merged.sort(kind="stable")
     return merged, counts
 
 
@@ -326,8 +335,10 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
     # each stream's dark count gaps, the signal's and then the idler's
     dark = np.empty((len(rngs), _gap_block(n_gates, dark_p)))
 
-    def inside(gates):  # drop what fell past the last gate of its segment
-        return gates[gates % stride < n_gates]
+    def inside(gates):  # sorted gates: drop what fell past the last gate of its segment
+        lo, hi = np.searchsorted(gates, (starts + n_gates, starts + stride)).tolist()
+        past = [np.arange(a, b) for a, b in zip(lo, hi) if a < b]
+        return np.delete(gates, np.concatenate(past)) if past else gates
 
     def photons(chunk):  # births, then per stream one fill and the signal's dark gaps
         births = _gap_rows(rngs[chunk], n_gates, alpha)
@@ -351,28 +362,28 @@ def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
             np.less(u[0], 0.25, out=flags[5, a:b])
             _draw_gaps(rng, dark_p, row)
         split, survive, late, det_s, det_i, sl = flags
-        late &= survive
-        late &= ~split  # an interfering pair lands long-long
         survive |= split  # emitted: split paths, or same path and not lost
-        det_s &= survive
-        det_i &= survive
+        late &= ~split  # an interfering pair lands long-long
         sl |= late  # the idler's long path; the signal's is sl ^ split
-        return tuple(np.compress(keep, pair_g) + m * np.compress(keep, shift)
-                     for keep, shift in ((det_s, sl ^ split), (det_i, sl)))
+        return [pair_g[keep] + m * long[keep] for keep, long in (
+            (np.flatnonzero(det_s & survive), sl ^ split), (np.flatnonzero(det_i & survive), sl))]
 
     most = max(1, int(_CHUNK_PAIRS // max(n_gates * alpha, 1.0)))
     sig, idl = zip(*(photons(slice(j, j + most)) for j in range(0, len(rngs), most)))
     detectors = []
     for gates in (sig, idl):  # signal first: dark counts, then afterpulses
         darks, _ = _gap_hits(dark, rngs, n_gates, dark_p, starts)
-        base = _merge_gates(inside(np.concatenate(gates)), darks)
+        base = inside(_merge_gates(*gates, darks))
         ends = np.searchsorted(base, starts + stride).tolist()
         u = np.empty(len(base))
         for j, (rng, a, b) in enumerate(zip(rngs, [0] + ends, ends)):
             rng.random(out=u[a:b])
             if not detectors:  # the idler's dark gaps follow the signal's afterpulses
                 _draw_gaps(rng, dark_p, dark[j])
-        detectors.append(_merge_gates(base, inside(base[u < det.afterpulse_prob] + 1)))
+        ap = np.flatnonzero(u < det.afterpulse_prob)
+        gate = base[ap] + 1  # an afterpulse on the next click is that click
+        new = gate != base[np.minimum(ap + 1, len(base) - 1)]
+        detectors.append(inside(np.insert(base, ap[new] + 1, gate[new])))
     return detectors[0], detectors[1], stride
 
 
@@ -510,23 +521,22 @@ def _count_segments(sig, idl, k, stride=None, n_segments=1):
 
     Every signal-idler pair with |idler - signal| <= k counts once, in the
     row of the signal gate's segment (gate // stride); segments must lie
-    more than k gates apart. Two binary searches per signal gate find its
-    window of idler gates; the nonempty windows are expanded into one array
-    of pairs, binned once by segment * (2k + 1) + offset + k.
+    more than k gates apart. One binary search finds each signal gate's
+    first idler at or past gate - k, and the scan reads the idlers from
+    there, j = 0, 1, ... on, while the j-th lies within gate + k: every
+    later one lies further out. A sentinel idler past every window ends
+    each scan. The pairs are binned once by segment * (2k + 1) + offset + k.
     """
     # signed, so that sig - k cannot wrap below gate 0
-    sig, idl = sig.astype(np.int64, copy=False), idl.astype(np.int64, copy=False)
-    lo = np.searchsorted(idl, sig - k, side="left")
-    n = np.searchsorted(idl, sig + k, side="right")
-    n -= lo
-    some = np.flatnonzero(n)  # most signal gates of a sparse stream see no idler
-    sig, lo, n = sig[some], lo[some], n[some]
-    # idl[idx] runs through every signal gate's window in turn
-    idx = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
-    key = k - sig
-    if n_segments > 1:
-        key += sig // stride * (2 * k + 1)
-    counts = np.bincount(idl[idx] + np.repeat(key, n), minlength=n_segments * (2 * k + 1))
+    sig = sig.astype(np.int64, copy=False)
+    idl = np.append(idl.astype(np.int64, copy=False), np.iinfo(np.int64).max)
+    lo, bins = np.searchsorted(idl, sig - k), []
+    while len(sig) or not bins:  # the j-th idler from each gate's first in the window
+        d = idl[lo] - sig
+        keep = np.flatnonzero(d <= k)
+        sig, lo, d = sig[keep], lo[keep] + 1, d[keep] + k
+        bins.append(d if n_segments == 1 else d + sig // stride * (2 * k + 1))
+    counts = np.bincount(np.concatenate(bins), minlength=n_segments * (2 * k + 1))
     return counts.reshape(n_segments, 2 * k + 1)
 
 
@@ -600,20 +610,25 @@ def estimate_visibility(
     failed batch's error is raised and no later batch starts. n_gates, the
     phase count and the batches x phases streams are held to MAX_GATES,
     MAX_PHASES and MAX_STREAMS, and a histogram over MAX_HISTOGRAM_CELLS
-    cells is refused, before any of them is built.
+    cells is refused, before any of them is built. So is a grid of fewer
+    than 3 phases distinct modulo 2pi, whose fit would read a perfect fringe.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
     if phases is None:
         phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     phases = np.asarray(phases, dtype=float)
-    if len(phases) < 3:
-        raise DomainError("need at least 3 phase points to fit a fringe")
+    _check_cap("phase count", len(phases), MAX_PHASES)
+    with np.errstate(invalid="ignore"):  # an inf phase is refused with the rates
+        # a phase just below 0 wraps to 2pi, and the second remainder to 0; a
+        # set, as np.unique would import numpy.ma (1.7 MB of resident memory)
+        distinct = len(set((np.mod(phases, 2 * np.pi) % (2 * np.pi)).tolist()))
+    if distinct < 3:  # a repeated phase adds no point to the fit
+        raise DomainError(f"need 3 phases distinct modulo 2pi to fit a fringe, got {distinct}")
     per_phase = int(n_gates) // len(phases)
     if per_phase < 1:
         raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
     _check_cap("n_gates", n_gates, MAX_GATES)
-    _check_cap("phase count", len(phases), MAX_PHASES)
     _check_cap("stream count", batches * len(phases), MAX_STREAMS)
 
     m = gate_offset(cfg, det)

@@ -242,6 +242,45 @@ class TestCountCoincidences:
         assert hist.total_gates == stream.n_gates
 
 
+def segment_gates(k, n_gates, segments):
+    """Signal and idler gates of segments of n_gates, stride apart, from their local gate sets."""
+    stride = n_gates + k + 1
+    sig, idl = ([j * stride + g for j, seg in enumerate(segments) for g in sorted(seg[d])]
+                for d in (0, 1))
+    return np.array(sig, dtype=np.int64), np.array(idl, dtype=np.int64), stride
+
+
+@st.composite
+def segment_sets(draw):
+    """k in [3, 8] and 2-4 segments of local signal and idler gates, with dense clusters."""
+    k, n_gates = draw(st.integers(3, 8)), draw(st.integers(1, 40))
+    local = st.sets(st.integers(0, n_gates - 1), max_size=n_gates)
+    # a window of 2k + 1 gates full on both detectors holds 4k + 2 clicks
+    full = st.integers(0, n_gates - 1).map(lambda g: set(range(g, min(g + 2 * k + 1, n_gates))))
+    segment = st.tuples(st.one_of(local, full), st.one_of(local, full))
+    return k, n_gates, draw(st.lists(segment, min_size=2, max_size=4))
+
+
+class TestCountSegments:
+    @settings(deadline=None, max_examples=300)
+    @given(case=segment_sets())
+    # every gate of both detectors clicks: each window holds 2k + 1 idlers
+    @example(case=(3, 20, [(set(range(20)), set(range(20)))] * 3))
+    # clicks on both segment edges, one gate and k gates from the next segment
+    @example(case=(8, 9, [({0, 8}, {0, 8}), ({8}, {0}), ({0}, {8})]))
+    def test_matches_brute_force_per_segment(self, case):
+        k, n_gates, segments = case
+        sig, idl, stride = segment_gates(k, n_gates, segments)
+        expected = np.zeros((len(segments), 2 * k + 1), dtype=np.int64)
+        for j, (local_sig, local_idl) in enumerate(segments):
+            for s in local_sig:
+                for i in local_idl:
+                    if abs(i - s) <= k:
+                        expected[j, i - s + k] += 1
+        hists = montecarlo._count_segments(sig, idl, k, stride, len(segments))
+        assert np.array_equal(hists, expected)
+
+
 class TestEventStream:
     @pytest.mark.parametrize(
         "signal, idler",
@@ -303,6 +342,29 @@ class TestEstimateVisibility:
         with pytest.raises(DomainError, match="phi_tilde must be finite"):
             estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=4_000,
                                 phases=phases, batches=2, seed=1)
+
+    @pytest.mark.parametrize("phases", [[0.0, 0.0, 0.0], [0.0, 2 * np.pi, 4 * np.pi, 0.0]],
+                             ids=["repeated", "repeated-modulo-2pi"])
+    def test_repeated_phases_rejected(self, monkeypatch, phases):
+        # fewer than 3 distinct phases fitted V = 1 and sigma_V = 0: a
+        # perfect fringe from one point on the circle
+        def forbidden(*args):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(montecarlo, "_batch_generators", forbidden)
+        with pytest.raises(DomainError, match="need 3 phases distinct modulo 2pi .* got 1"):
+            estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=4_000,
+                                phases=phases, batches=2, seed=1)
+
+    def test_three_distinct_phases_accepted(self):
+        # a phase just below 0 is the phase 0, and a fourth point repeats one
+        phases = [-1e-17, 2 * np.pi / 3, 4 * np.pi / 3, 2 * np.pi]
+        est = estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=40_000,
+                                  phases=phases, batches=2, seed=1)
+        assert len(est.batch_visibilities) == 2
+        with pytest.raises(DomainError, match="got 2"):
+            estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=40_000,
+                                phases=phases[:1] + phases[2:], batches=2, seed=1)
 
 
 PRESETS = ("fig4a", "fig4b", "fig4c", "fig4d")
@@ -508,6 +570,21 @@ def gap_bernoulli(rng, n, p):
     return np.flatnonzero(mask)
 
 
+class Scripted:
+    """A generator whose draws cycle through fixed values; it records each block's length."""
+
+    def __init__(self, values):
+        self.values, self.blocks = values, []
+
+    def standard_exponential(self, out):
+        self.blocks.append(len(out))
+        np.copyto(out, np.resize(self.values, len(out)))
+
+    def geometric(self, p, size):
+        self.blocks.append(size)
+        return np.resize(np.array(self.values, dtype=np.int64), size)
+
+
 class TestBernoulliGates:
     @pytest.mark.parametrize("p", [0.0, 2e-6, 0.0024, 0.5, 1.0])
     # 2**16 - 1 to 3 * 2**16 + 7: the sizes at which the earlier sampler
@@ -557,46 +634,26 @@ class TestBernoulliGates:
         # an exponential of exactly 0 inverts to a gap of 0, and one of 1e308
         # overflows the division to inf; neither may repeat a gate, wrap the
         # running sum or warn. At p = 0.2 an exponential of 0.5 is a gap of 3
-        def exponentials(*values):
-            return SimpleNamespace(standard_exponential=lambda out: np.copyto(
-                out, np.resize(values, len(out))))
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _bernoulli_gates(exponentials(0, 0, 0.5, 1e308, 1e308), 10, 0.2).tolist() == [
+            assert _bernoulli_gates(Scripted([0, 0, 0.5, 1e308, 1e308]), 10, 0.2).tolist() == [
                 0, 1, 4]
-            assert _bernoulli_gates(exponentials(1.0), 2**26, 1e-300).tolist() == []
+            assert _bernoulli_gates(Scripted([1.0]), 2**26, 1e-300).tolist() == []
 
     def test_later_blocks_continue_from_the_last_hit(self):
         # at p = 1e-9 a block holds 16 gaps, and an exponential of 1e-10 is a
         # gap of 1; gaps of 1 need 7 blocks for 100 gates
-        blocks = []
-
-        def standard_exponential(out):
-            blocks.append(len(out))
-            out[:] = 1e-10
-
-        rng = SimpleNamespace(standard_exponential=standard_exponential)
-        gates = _bernoulli_gates(rng, 100, 1e-9)
-        assert gates.tolist() == list(range(100))
-        assert blocks == [16] * 7
+        rng = Scripted([1e-10])
+        assert _bernoulli_gates(rng, 100, 1e-9).tolist() == list(range(100))
+        assert rng.blocks == [16] * 7
 
     def test_rows_continue_and_merge_in_row_order(self):
         # three rows of 100 gates from 0, 200 and 400 at p = 1e-9 (blocks of
         # 16 gaps): rows 0 and 2 take gaps of 1, 1 and then an exponential
         # of 1e308, which closes them in their first block; row 1 takes gaps
         # of 1 only, so it alone draws further blocks, 7 in all
-        def fake(*values):
-            rng = SimpleNamespace(blocks=[])
-
-            def standard_exponential(out):
-                rng.blocks.append(len(out))
-                np.copyto(out, np.resize(values, len(out)))
-
-            rng.standard_exponential = standard_exponential
-            return rng
-
-        rngs = [fake(1e-10, 1e-10, 1e308), fake(1e-10), fake(1e-10, 1e-10, 1e308)]
+        rngs = [Scripted([1e-10, 1e-10, 1e308]), Scripted([1e-10]),
+                Scripted([1e-10, 1e-10, 1e308])]
         n, p = 100, 1e-9
         hits, counts = montecarlo._gap_hits(
             montecarlo._gap_rows(rngs, n, p), rngs, n, p, np.array([0, 200, 400]))
@@ -604,6 +661,81 @@ class TestBernoulliGates:
         assert hits.tolist() == [0, 1] + list(range(200, 300)) + [400, 401]
         assert counts.tolist() == [2, 100, 2]
         assert [rng.blocks for rng in rngs] == [[16], [16] * 7, [16]]
+
+
+def float_gap_hits(gaps, rngs, n, p, starts):
+    """A frozen copy of the earlier _gap_hits, whose running sums stayed in float64.
+
+    Its gaps are clipped below at 1 only, as rng.geometric returns them; a
+    gap past the float range is inf. Every later rewrite of _gap_hits must
+    keep the same hits, counts and draws.
+    """
+    counts = np.zeros(len(rngs), dtype=np.int64)
+    if p == 0:
+        return np.empty(0, dtype=np.int64), counts
+    rows, ends, last, hits = np.arange(len(rngs)), starts + n, starts - 1, []
+    while len(rows):
+        if p < 1 / 3:
+            with np.errstate(over="ignore"):
+                np.divide(gaps, -math.log1p(-p), out=gaps)
+            np.ceil(gaps, out=gaps)
+        np.maximum(gaps, 1, out=gaps)
+        gaps[:, 0] += last
+        np.cumsum(gaps, axis=1, out=gaps)
+        below = gaps < ends[:, None]
+        hits.append(gaps[below])
+        counts[rows] += below.sum(axis=1)
+        more = below[:, -1]
+        rows, ends, last = rows[more], ends[more], gaps[more, -1]
+        gaps = gaps[: len(rows)]
+        for j, row in zip(rows.tolist(), gaps):
+            montecarlo._draw_gaps(rngs[j], p, row)
+    merged = np.concatenate(hits, dtype=np.int64, casting="unsafe")
+    if len(hits) > 1:
+        merged.sort()
+    return merged, counts
+
+
+GAP_P = [1e-300, 2e-6, 0.0024, 0.2, 1 / 3, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("p", GAP_P)
+class TestIntegerGapSums:
+    """_gap_hits sums clipped gaps in int64 and keeps every hit, count and draw of float64 sums."""
+
+    @staticmethod
+    def both(make_rngs, n, p, starts):
+        engine, frozen = make_rngs(), make_rngs()
+        got = montecarlo._gap_hits(montecarlo._gap_rows(engine, n, p), engine, n, p, starts)
+        want = float_gap_hits(montecarlo._gap_rows(frozen, n, p), frozen, n, p, starts)
+        assert got[0].dtype == np.int64
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tolist() == want[1].tolist()
+        return engine, frozen
+
+    @pytest.mark.parametrize("n", [1, 17, 31_250])
+    def test_same_hits_and_states_as_float_sums(self, p, n):
+        starts = np.arange(4) * (n + 4)
+        for seed in range(10):
+            engine, frozen = self.both(
+                lambda: [np.random.default_rng([seed, j]) for j in range(4)], n, p, starts)
+            assert ([rng.bit_generator.state for rng in engine]
+                    == [rng.bit_generator.state for rng in frozen])
+
+    def test_further_blocks_and_overflowing_gaps(self, p):
+        # rows of gaps of 1, which need further blocks below p = 1/3 and at
+        # 1/3 and 0.5, and rows that a gap past n + 1 (inf below p = 1/3,
+        # 2**62 above) ends after a few gates, or at once
+        if p < 1 / 3:
+            one, huge = -math.log1p(-p) / 2, 1e308
+        else:
+            one, huge = 1, 2**62
+        scripts = [[one], [one, one, huge], [huge], [one] * 5 + [huge]]
+        n = 100
+        starts = np.arange(len(scripts)) * 250
+        engine, frozen = self.both(lambda: [Scripted(v) for v in scripts], n, p, starts)
+        assert [rng.blocks for rng in engine] == [rng.blocks for rng in frozen]
+        assert p == 1 or len(engine[0].blocks) > 1
 
 
 class TestExponentialGaps:
@@ -618,10 +750,10 @@ class TestExponentialGaps:
             engine, numpy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             gaps = np.empty((1, size))
             montecarlo._draw_gaps(engine, p, gaps[0])
-            montecarlo._geometric(gaps, p)
+            montecarlo._geometric(gaps, p, n)
             expected = numpy_rng.geometric(p, size)
-            # the engine's clip to [1, n + 1], on both sides
-            assert np.array_equal(np.clip(gaps[0], 1, n + 1), np.clip(expected, 1, n + 1))
+            # the engine's clip to [1, n + 1]
+            assert np.array_equal(gaps[0], np.clip(expected, 1, n + 1))
             assert engine.bit_generator.state == numpy_rng.bit_generator.state
 
     @pytest.mark.parametrize("p", [1 / 3, 0.5, 1.0])
@@ -634,7 +766,7 @@ class TestExponentialGaps:
             geometric=lambda p, size: calls.append(size) or rng.geometric(p, size))
         gaps = np.empty((1, 1_000))
         montecarlo._draw_gaps(spy, p, gaps[0])
-        montecarlo._geometric(gaps, p)
+        montecarlo._geometric(gaps, p, montecarlo.MAX_GATES)
         assert calls == [1_000]
         assert np.array_equal(gaps[0], np.random.default_rng(5).geometric(p, 1_000))
 
@@ -895,7 +1027,7 @@ def fig4c_at(alpha):
     return exp.franson, replace(exp.noise, alpha=alpha), exp.detector
 
 
-class TestParallelStreams:
+class TestChunks:
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_chunking(self, monkeypatch, n_phases):
         # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
