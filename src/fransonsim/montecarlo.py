@@ -43,16 +43,19 @@ One engine, _simulate_segments, simulates several streams at once as
 segments of shared gate arrays: the draws stay per generator, in the order
 above, and the array work between two kinds of draws runs once per chunk of
 streams or once over all of them. simulate_run is the one-segment case.
-estimate_visibility simulates all of a batch's phases in one engine call and
-counts them in one pass, batch after batch on the calling thread, so the
-output is a function of the inputs alone and a failed batch raises before
-any later batch runs. Its stream generators are seeded in one vectorized
-pass over every (batch, phase) stream (_seed_words), and each starts in the
-state default_rng([seed, batch, phase]) would give it, bit for bit.
+estimate_visibility runs consecutive batches in groups, the most (at least
+one) whose expected events and streams fit _GROUP_EVENTS and _GROUP_STREAMS:
+one engine call simulates a group's (batch, phase) streams and one pass
+counts them, which moves no draw. The groups run in order on the calling
+thread, so the output is a function of the inputs alone and a failed stream
+raises before any later stream runs. Generators are seeded in one vectorized
+pass over all (batch, phase) streams (_seed_words), each in the state
+default_rng([seed, batch, phase]) would give it, bit for bit.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -66,10 +69,16 @@ GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate coun
 _CHUNK_PAIRS = 2**14
 # largest gate count a run may ask for: with a click at every gate on both
 # detectors, an exported stream's two int64 gate arrays take 16 B per gate,
-# 1 GiB at the cap. An estimate holds one batch's clicks, which is less than
-# an export of the same gates holds, since it draws its pair flags a chunk at
-# a time
+# 1 GiB at the cap. An estimate holds one group's clicks, or one batch's where
+# a batch alone exceeds _GROUP_EVENTS, which is less than an export of the
+# same gates holds, since it draws its pair flags a chunk at a time
 MAX_GATES = 2**26
+# expected events (pair births and dark counts) of the batches an estimate
+# runs in one engine call, which holds their clicks: 1.6 MB at 120,000 sparse
+# events, 2.3 MB at 200,000 dense ones (tracemalloc). A batch over it runs alone
+_GROUP_EVENTS = 2**17
+# streams of one such call, each with a generator of about 1 KB: 256 KB
+_GROUP_STREAMS = 2**8
 # largest phase grid a run may ask for, as for a fringe's points: the grid and
 # its (phase, offset) histogram rows are built before any stream runs
 MAX_PHASES = 2**16
@@ -603,15 +612,16 @@ def estimate_visibility(
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Streams are seeded and drawn as the
     module docstring states. The seed words of all streams are computed
-    before the histogram is allocated, and a batch's generators are built
-    from them when the batch starts. One engine call simulates all of a
-    batch's phases as segments, and one pass counts them into the batch's
-    rows. The batches run in order on the calling thread, so the first
-    failed batch's error is raised and no later batch starts. n_gates, the
-    phase count and the batches x phases streams are held to MAX_GATES,
-    MAX_PHASES and MAX_STREAMS, and a histogram over MAX_HISTOGRAM_CELLS
-    cells is refused, before any of them is built. So is a grid of fewer
-    than 3 phases distinct modulo 2pi, whose fit would read a perfect fringe.
+    before the histogram is allocated, and a group's generators are built
+    from them when the group starts. One engine call simulates all of a
+    group's (batch, phase) streams as segments, and one pass counts them
+    into its batches' rows. The groups run in order on the calling thread,
+    so the first failed stream's error is raised and no later stream starts.
+    n_gates, the phase count and the batches x phases streams are held to
+    MAX_GATES, MAX_PHASES and MAX_STREAMS, and a histogram over
+    MAX_HISTOGRAM_CELLS cells is refused, before any of them is built. So is
+    a grid of fewer than 3 phases distinct modulo 2pi, whose fit would read
+    a perfect fringe.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
@@ -637,14 +647,19 @@ def estimate_visibility(
         raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
+    events = per_phase * len(phases) * (noise.alpha + 2 * det.dark_prob)  # per batch
+    group = max(1, min(int(_GROUP_EVENTS // max(events, 1.0)), _GROUP_STREAMS // len(phases)))
     # the seed words' temporaries are freed before the histogram is allocated
     generators = _batch_generators(seed, batches, len(phases))
     hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    for b, rngs in enumerate(generators):
-        signal, idler, stride = _simulate_segments(cfg, noise, det, per_phase, rngs, rates)
+    for b in range(0, batches, group):
+        rngs = [rng for row in islice(generators, group) for rng in row]
+        signal, idler, stride = _simulate_segments(
+            cfg, noise, det, per_phase, rngs, np.tile(rates, len(rngs) // len(phases)))
         for name, gates in (("signal", signal), ("idler", idler)):
             _check_gates(name, gates, per_phase, stride, len(rngs))
-        hists[b] = _count_segments(signal, idler, k, stride, len(rngs))
+        counts = _count_segments(signal, idler, k, stride, len(rngs))
+        hists[b : b + group] = counts.reshape(-1, len(phases), 2 * k + 1)
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

@@ -428,7 +428,7 @@ class TestRateBoundsOverBracket:
         )
 
 
-class TestFormattedSweepVisibility:
+class TestPrintedSweepVisibility:
     """The sweep's printed visibility is the one the full scan printed."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -1027,20 +1027,38 @@ def fig4c_at(alpha):
     return exp.franson, replace(exp.noise, alpha=alpha), exp.detector
 
 
+def stub_engine(monkeypatch):
+    """Stub the engine and the count; return the list of each engine call's (rngs, rates)."""
+    calls = []
+    monkeypatch.setattr(montecarlo, "_simulate_segments",
+                        lambda cfg, noise, det, n, rngs, rates: calls.append((rngs, rates))
+                        or (EMPTY, EMPTY, n + 4))
+    monkeypatch.setattr(montecarlo, "_count_segments",
+                        lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
+    return calls
+
+
 class TestChunks:
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_chunking(self, monkeypatch, n_phases):
         # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
-        # pairs or of a whole batch, against every stream simulated and
-        # counted alone as its own one-segment engine call
+        # pairs or of a whole engine call, each with the module's group
+        # bounds (all 3 batches in one call here), one batch per call, groups
+        # of 2 batches and then 1, and all batches in one call, against every
+        # stream simulated and counted alone as its own one-segment engine call
         cfg, noise, det = fig4c_at(0.2)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+        bounds = [(montecarlo._GROUP_EVENTS, montecarlo._GROUP_STREAMS), (1, 2**40),
+                  (2**40, 2 * n_phases), (2**40, 2**40)]
         results = []
         for chunk in (2**14, 1, 2_000, 2**40):
-            monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
-            results.append(estimate_visibility(
-                cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
-            ))
+            for events, streams in bounds:
+                monkeypatch.setattr(montecarlo, "_CHUNK_PAIRS", chunk)
+                monkeypatch.setattr(montecarlo, "_GROUP_EVENTS", events)
+                monkeypatch.setattr(montecarlo, "_GROUP_STREAMS", streams)
+                results.append(estimate_visibility(
+                    cfg, noise, det, n_gates=n_phases * 4_000, phases=phases, batches=3, seed=4
+                ))
         ref = results[0]
         for est in results[1:]:
             assert est.v == ref.v
@@ -1060,27 +1078,35 @@ class TestChunks:
         ]
 
     @pytest.mark.parametrize("preset, alpha, n_gates", [
-        ("fig4a", 0.0024, 10_000_000),  # 750 pairs per stream
-        ("fig4c", 0.2, 1_000_000),  # 6,250 pairs per stream
-        ("fig4c", 0.1, 1_000_000),
+        ("fig4a", 0.0024, 10_000_000),  # 24,040 expected events per batch: one call
+        ("fig4c", 0.2, 1_000_000),  # 200,004: over the 2**17 budget alone
+        ("fig4c", 0.1, 1_000_000),  # 100,004: one batch fits the budget, two do not
     ])
-    def test_one_engine_call_per_batch(self, monkeypatch, preset, alpha, n_gates):
+    def test_one_engine_call_per_group(self, monkeypatch, preset, alpha, n_gates):
         exp = preset_experiment(preset)
-        calls = []
-        monkeypatch.setattr(montecarlo, "_simulate_segments",
-                            lambda cfg, noise, det, n, rngs, rates: calls.append((rngs, rates))
-                            or (EMPTY, EMPTY, n + 4))
-        monkeypatch.setattr(montecarlo, "_count_segments",
-                            lambda sig, idl, k, stride, n: np.ones((n, 2 * k + 1), dtype=np.int64))
+        calls = stub_engine(monkeypatch)
         estimate_visibility(exp.franson, replace(exp.noise, alpha=alpha), exp.detector,
                             n_gates=n_gates, batches=2, seed=1)
         phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        assert len(calls) == 2
-        for b, (rngs, rates) in enumerate(calls):
+        groups = [[0, 1]] if preset == "fig4a" else [[0], [1]]
+        assert len(calls) == len(groups)
+        for group, (rngs, rates) in zip(groups, calls):
             assert [rng.bit_generator.state for rng in rngs] == [
-                np.random.default_rng([1, b, j]).bit_generator.state for j in range(32)
+                np.random.default_rng([1, b, j]).bit_generator.state
+                for b in group for j in range(32)
             ]
-            assert np.array_equal(rates, interference.fringe_rates(exp.franson, phases))
+            assert np.array_equal(
+                rates, np.tile(interference.fringe_rates(exp.franson, phases), len(group)))
+
+    def test_dark_counts_count_toward_the_group_budget(self, monkeypatch):
+        # no pairs, and a dark count in half the gates of each detector:
+        # 96,000 expected events per batch, so no two batches fit in 2**17
+        cfg, noise, det = fig4c_at(0.0)
+        calls = stub_engine(monkeypatch)
+        estimate_visibility(cfg, noise, replace(det, dark_prob=0.5), n_gates=96_000,
+                            phases=np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False),
+                            batches=4, seed=1)
+        assert [len(rngs) for rngs, _ in calls] == [3] * 4
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5])
     def test_estimate_peak_below_an_export_of_its_gates(self, alpha):
@@ -1235,11 +1261,11 @@ def inject_failure(stream):
 
 
 def check_streams(monkeypatch, seed, batches, check):
-    """Call check((batch, phase)) before every stream; a check that raises fails the batch.
+    """Call check((batch, phase)) before every stream; a check that raises fails the estimate.
 
     A stream is recognised by its generator's initial state, which the
-    (seed, batch, phase) substream fixes. A batch's engine call checks its
-    streams in phase order before it simulates any of them.
+    (seed, batch, phase) substream fixes. A group's engine call checks its
+    streams in (batch, phase) order before it simulates any of them.
     """
     streams = {
         np.random.default_rng([seed, b, j]).bit_generator.state["state"]["state"]: (b, j)
@@ -1261,9 +1287,11 @@ class TestBatchErrors:
 
     @pytest.mark.parametrize("stream", [1, 3, 7])
     def test_lowest_failed_task_reaches_caller(self, monkeypatch, stream):
-        # batch 1 fails at the given stream and batch 2 would fail too: the
-        # caller sees batch 1's error, every stream before it was checked in
-        # batch order on the caller's thread, and batch 2 never starts
+        # batch 1 fails at the given stream and batch 2 would fail too: all
+        # 3 batches (about 770 expected events each) share one engine call,
+        # the caller sees batch 1's error, every stream before it was checked
+        # in (batch, phase) order on the caller's thread, and no stream of
+        # batch 2 runs
         caller = threading.get_ident()
         checked, threads = [], set()
 
