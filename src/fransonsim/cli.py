@@ -32,7 +32,7 @@ from .expconfig import RunSettings, parse_experiment_file, parse_problem_file, r
 from .interference import (
     COMPLEX_INTEGRAL,
     PHASE_SWEEP,
-    formatted_rates,
+    fringe_rates,
     visibility,
 )
 from .noise import alpha_sweep, bell_significance, observed_visibility
@@ -44,8 +44,8 @@ EXIT_PHYSICS = 3
 EXIT_INFEASIBLE = 4
 EXIT_STATISTICS = 5
 
-# each fringe point is one CSV line held until written, and one rate
-# quadrature unless the fringe amplitude's error bound fixes its printed rate
+# each fringe point is one CSV line held until written; its rate comes from
+# the closed form, which runs one rate quadrature per config, not per point
 MAX_FRINGE_POINTS = 2**16
 
 # the run settings a flag may set: RunSettings' int fields, in field order
@@ -132,7 +132,7 @@ def _event_csv(stream):
 def _write_fringe_csv(path, cfg, points):
     """Coincidence rate at ``points`` phases over [0, 2pi) as CSV; to stdout without a path."""
     phis = np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
-    rows = [f"{_sci(phi)},{rate}\n" for phi, rate in zip(phis, formatted_rates(cfg, phis, _sci))]
+    rows = [f"{_sci(phi)},{_sci(rate)}\n" for phi, rate in zip(phis, fringe_rates(cfg, phis))]
     _write_csv(path, "phi_rad,coincidence_rate\n", rows)
 
 

@@ -16,6 +16,10 @@ a value in [0, 1]. Fringe visibility is (Cmax - Cmin)/(Cmax + Cmin); it
 depends only on the summed dispersion phase, which is what makes nonlocal
 cancellation (phi_i = -phi_s) possible, and it is strictly independent of
 any dispersion common to both photons before the interferometers.
+
+coincidence_rate runs that quadrature at one phase; fringe_rates, which the
+fringe CSV and the Monte Carlo use, gives the same rate at many phases in
+closed form.
 """
 
 import math
@@ -34,8 +38,6 @@ DELAY_MATCH_TOL_NS = 1e-3
 
 PHASE_SWEEP = "sweep"
 COMPLEX_INTEGRAL = "integral"
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,12 @@ class FransonConfig:
 
     The summed dispersion phase on the spectrum grid (``summed_phase``), the
     number of its leading points that determine it (``distinct_points``),
-    the fringe amplitude Z (``amplitude``) and the config-only terms of the
-    rate prediction from Z and of its rounding bounds (``bound_terms``, see
-    _rate_bounds) are computed once per config, on first use, and every
-    coincidence rate, fringe rate and visibility reads them. They
-    cannot go stale: the config and its arms are frozen, the spectrum's
-    arrays are read-only, and ``dataclasses.replace`` builds a new instance
-    with an empty cache.
+    the fringe amplitude Z (``amplitude``), the phase of the fringe maximum
+    (``peak_phase``) and the unclipped rate at the minimum (``anchor_rate``)
+    are computed once per config, on first use, and every coincidence rate,
+    fringe rate and visibility reads them. They cannot go stale: the config
+    and its arms are frozen, the spectrum's arrays are read-only, and
+    ``dataclasses.replace`` builds a new instance with an empty cache.
 
     The spectrum grid mirrors omega bit for bit, so a summed phase with only
     even dispersion orders (no beta3 difference between the arms, as with
@@ -128,12 +129,18 @@ class FransonConfig:
         return fringe_amplitude(self)
 
     @cached_property
-    def bound_terms(self) -> tuple[float, float, float]:
-        """(I, M, max |summed_phase|) of _rate_bounds: the spectrum integral
-        sum w S, the quadrature mass sum |w| S and the largest phase magnitude."""
-        s = self.spectrum
-        mass = float(np.abs(s.weights) @ s.density)
-        return s.integral(), mass, float(np.abs(self.summed_phase).max())
+    def peak_phase(self) -> float:
+        """phi* = -arg Z - offset, the fringe maximum; NaN (a non-finite summed
+        phase, every rate a NaN quadrature clipped to 0) raises."""
+        peak = float(-np.angle(self.amplitude) - self.pump_phase_offset_rad)
+        if not math.isfinite(peak):
+            raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
+        return peak
+
+    @cached_property
+    def anchor_rate(self) -> float:
+        """The rate quadrature at peak_phase + pi, not clipped to [0, 1]."""
+        return _rate_quadrature(self, self.peak_phase + np.pi)
 
 
 @dataclass(frozen=True)
@@ -188,11 +195,15 @@ def coincidence_rate(cfg: FransonConfig, phi_tilde: float | None = None) -> floa
         phi_tilde = cfg.phi_tilde()
     if not math.isfinite(phi_tilde):
         raise DomainError(f"phi_tilde must be finite, got {phi_tilde}")
+    return min(1.0, max(0.0, _rate_quadrature(cfg, phi_tilde)))
+
+
+def _rate_quadrature(cfg: FransonConfig, phi_tilde: float) -> float:
+    """The cos^2 rate integral at phi_tilde, before the clip to [0, 1]."""
     s = cfg.spectrum
     shift = phi_tilde + cfg.pump_phase_offset_rad
     fringe = _folded(lambda phase: np.cos((shift - phase) / 2.0) ** 2, cfg)
-    rate = float(s.weights @ (s.density * fringe))
-    return min(1.0, max(0.0, rate))
+    return float(s.weights @ (s.density * fringe))
 
 
 def fringe_amplitude(cfg: FransonConfig) -> complex:
@@ -206,111 +217,20 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     return complex(s.weights @ (s.density * _folded(lambda phase: np.exp(-1j * phase), cfg)))
 
 
-def _prediction(cfg: FransonConfig, arg: np.ndarray) -> np.ndarray:
-    """P(a) = (I + Re Z cos a - Im Z sin a) / 2 = (I + Re[e^{ia} Z]) / 2."""
-    z = cfg.amplitude
-    return (cfg.bound_terms[0] + z.real * np.cos(arg) - z.imag * np.sin(arg)) / 2.0
-
-
 def fringe_rates(cfg: FransonConfig, phis) -> np.ndarray:
-    """coincidence_rate at each finite phi from Z, clip(P(phi + offset), 0, 1), inside _rate_bounds."""
+    """coincidence_rate at each finite phi, to rounding, in closed form.
+
+    C(phi) = clip(c_min + |Z| sin^2((phi - phi* - pi) / 2), 0, 1) is the
+    sinusoid (I + Re[e^{i(phi + offset)} Z]) / 2 anchored on c_min =
+    cfg.anchor_rate, summed directly at phi* + pi: it cancels no digits
+    near the dark fringe, and at phi* + pi it is c_min exactly.
+    """
     phis = np.asarray(phis, dtype=float)
     if not np.isfinite(phis).all():
         raise DomainError(f"phi_tilde must be finite, got {phis[~np.isfinite(phis)][0]}")
-    return np.clip(_prediction(cfg, phis + cfg.pump_phase_offset_rad), 0.0, 1.0)
-
-
-def _rate_bounds(cfg: FransonConfig, phis: np.ndarray):
-    """Bounds (lo, hi) on coincidence_rate(cfg, phi) at each phi, from Z.
-
-    With a = phi + offset (the double coincidence_rate forms), theta_k =
-    a - phase_k and the stored phase_k, the exact sums over the grid obey
-
-        sum_k w_k S_k cos^2(theta_k / 2) = (I + Re[e^{ia} Z]) / 2,
-
-    I = sum_k w_k S_k and Z = sum_k w_k S_k e^{-i phase_k}, so the computed
-    rate and the computed prediction pred differ only by rounding. In units
-    of eps M, with eps = 2^-52, u = eps / 2 the unit roundoff, n grid points,
-    M = sum |w| S the quadrature mass and T = max |a| + max |phase| >=
-    |theta|:
-
-    - Simpson dot of the rate: gamma_n M, gamma_n = n u / (1 - n u), for any
-      summation order, with or without FMA, on any BLAS thread count. The
-      summands w_k fl(S_k f_k) have |f_k| <= 1 + 9 eps: n / 2.
-    - Its integrand f_k = cos(theta_k / 2)^2. Rounding theta_k moves it by
-      u |theta_k| times |d f / d theta| <= 1/2: T / 4. The cosine is assumed
-      within 4 ulp (relative 4 eps; libm and NumPy's SIMD kernels are within
-      this), squared and rounded: 2 * 4 + 1/2. The product S_k f_k: 1/2.
-      Together n / 2 + 9 + T / 4.
-    - The I dot: n / 2. The Z dot, per component: each component of
-      e^{-i phase} within 4 ulp (4), the product with S (1/2) and the dot
-      (n / 2; the zero imaginary parts of the real weights add exact zeros).
-    - Re[e^{ia} Z] = Re Z cos a - Im Z sin a with cos a and sin a within
-      4 ulp: sqrt(2) (n / 2 + 4.5) from Z and 4 sqrt(2) from the cosine and
-      sine, as |Re Z| + |Im Z| <= sqrt(2) |Z| <= sqrt(2) M.
-    - The final combination: two products and two sums of terms at most
-      sqrt(2), 2 and 1 + sqrt(2) times M, each rounded once: 3. The halving
-      is exact, so the prediction's error is half its numerator's,
-      (1.21 n + 15) / 2.
-
-    Rate and prediction therefore differ by at most eps M (1.11 n + 16.5 +
-    T / 4) <= eps M (1.25 (n + 16) + T / 4). Underflow adds at most 2^-1074
-    per operation, nothing next to eps M, as M >= I ~ 1 for a normalized
-    spectrum.
-    The margin eps M (3 (n + 16) + T) is 2.4 times the first term and 4
-    times the second.
-
-    Forming each bound from pred and the margin rounds by at most eps M more,
-    inside the margin's spare (3 (n + 16) - 1.25 (n + 16)) eps M >= 28 eps M.
-
-    The bounds are clipped to [0, 1] as coincidence_rate clips; a bound that
-    is NaN or infinite before the clip is NaN, which rules nothing out. An
-    empty phis gives empty bounds.
-    """
-    _, mass, max_phase = cfg.bound_terms
-    arg = phis + cfg.pump_phase_offset_rad  # the sum coincidence_rate forms
-    pred = _prediction(cfg, arg)
-    max_theta = np.abs(arg).max(initial=0.0) + max_phase
-    margin = _EPS * mass * (3.0 * (cfg.spectrum.weights.size + 16) + max_theta)
-    lo, hi = pred - margin, pred + margin
-    finite = np.isfinite(lo) & np.isfinite(hi)
-    lo, hi = np.where(finite, lo, np.nan), np.where(finite, hi, np.nan)
-    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
-
-
-def formatted_rates(cfg: FransonConfig, phis, fmt) -> list[str]:
-    """[fmt(coincidence_rate(cfg, phi)) for phi in phis], quadratures only where needed.
-
-    fmt must map every value between two that it prints alike to the same
-    string, as Python's correctly rounded fixed-precision formats do (they
-    are monotone in x). A row whose two rate bounds are finite and print
-    alike takes that string; every other row runs the quadrature. For any
-    such fmt the result equals the list above, and rows are evaluated in
-    order, so a phi that coincidence_rate rejects raises at the same row.
-    """
-    phis = np.asarray(phis, dtype=float)
-    lo, hi = _rate_bounds(cfg, phis)
-    out = []
-    for phi, a, b in zip(phis, lo.tolist(), hi.tolist()):
-        text = fmt(a)
-        if math.isnan(a) or text != fmt(b):
-            text = fmt(coincidence_rate(cfg, phi))
-        out.append(text)
-    return out
-
-
-def _sweep_result(cfg: FransonConfig, phi_max: float) -> VisibilityResult:
-    """The sweep's result: rate quadratures at phi_max and phi_max + pi."""
-    # Z is NaN only when the summed phase is not finite; every rate is then
-    # a NaN quadrature clipped to 0, the degenerate fringe below
-    if not math.isfinite(phi_max):
-        raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
-    c_max = coincidence_rate(cfg, phi_max)
-    c_min = coincidence_rate(cfg, phi_max + np.pi)
-    if c_max + c_min <= 0:
-        raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
-    v = (c_max - c_min) / (c_max + c_min)
-    return VisibilityResult(v, c_max, c_min, float(np.mod(phi_max, 2.0 * np.pi)), PHASE_SWEEP)
+    anchor = cfg.peak_phase + np.pi
+    swing = abs(cfg.amplitude) * np.sin((phis - anchor) / 2.0) ** 2
+    return np.clip(cfg.anchor_rate + swing, 0.0, 1.0)
 
 
 def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> VisibilityResult:
@@ -319,29 +239,31 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
     The rate is exactly sinusoidal in phi_tilde, C(phi) = (I + Re[e^{i(phi +
     offset)} Z]) / 2 (Franson, PRA 45, 3126, 1992), so its extrema lie at
     phi* = -arg Z - offset and phi* + pi, and both methods report
-    phase_at_max = phi* mod 2pi, with the same bits. Where the rate clips to
-    a plateau at 0 or 1 (a rule with negative weights can give |Z| > I), or
-    V is near 0, the maximum's phase is not unique; phi* is the one chosen.
+    phase_at_max = phi* mod 2pi, with the same bits; a non-finite phi* raises
+    ContractViolationError. Where the rate clips to a plateau at 0 or 1 (a
+    rule with negative weights can give |Z| > I), or V is near 0, the
+    maximum's phase is not unique; phi* is the one chosen.
 
     "integral": c_max, c_min = (1 +- |Z|)/2 from the modulus of the complex
     fringe amplitude (one quadrature, cached per config).
     "sweep": mimics a fringe measurement. c_max and c_min are the cos^2 rate
-    quadratures at phi* and phi* + pi, two more quadratures. The minimum is
-    summed directly, not as a difference of nearly equal terms, so a small
-    c_min keeps its digits. The sweep is not independent of Z: it takes its
+    quadratures at phi* and phi* + pi (cfg.anchor_rate, clipped), two more
+    quadratures. The minimum is summed directly, not as a difference of
+    nearly equal terms, so a small c_min keeps its digits. The sweep is not independent of Z: it takes its
     phases from Z, and each cos^2 quadrature is Z in another form. That the
     two methods agree to better than 1e-6 checks the closed form (1 +- |Z|)/2
     against the quadrature of the rate, not the quadrature of Z itself.
     """
     if method not in (COMPLEX_INTEGRAL, PHASE_SWEEP):
         raise ConfigurationError(f"unknown visibility method {method!r}")
-    z = cfg.amplitude
-    phi_max = float(-np.angle(z) - cfg.pump_phase_offset_rad)
+    phase_at_max = float(np.mod(cfg.peak_phase, 2.0 * np.pi))
     if method == PHASE_SWEEP:
-        return _sweep_result(cfg, phi_max)
+        c_max = coincidence_rate(cfg, cfg.peak_phase)
+        c_min = min(1.0, max(0.0, cfg.anchor_rate))
+        if c_max + c_min <= 0:
+            raise ContractViolationError("degenerate fringe: Cmax + Cmin <= 0")
+        v = (c_max - c_min) / (c_max + c_min)
+        return VisibilityResult(v, c_max, c_min, phase_at_max, PHASE_SWEEP)
 
-    v = min(abs(z), 1.0)  # quadrature rounding can land a few ulp above 1
-    c_max = (1.0 + v) / 2.0
-    c_min = (1.0 - v) / 2.0
-    phase_at_max = float(np.mod(phi_max, 2.0 * np.pi))
-    return VisibilityResult(v, c_max, c_min, phase_at_max, COMPLEX_INTEGRAL)
+    v = min(abs(cfg.amplitude), 1.0)  # quadrature rounding can land a few ulp above 1
+    return VisibilityResult(v, (1.0 + v) / 2.0, (1.0 - v) / 2.0, phase_at_max, COMPLEX_INTEGRAL)

@@ -12,9 +12,9 @@ integer number m of gating periods (m = 3 at the stock 628.5 MHz rate and
       (offset 0, gate g or g + m with equal odds); otherwise it is lost
       to the destructive ports and produces no clicks.
 
-C(phi_tilde) is the analytic coincidence rate, read from the config's cached
-fringe amplitude Z without a quadrature (interference.fringe_rates), so the
-offset-0 fringe follows the full dispersive spectral integral while the +-m
+C(phi_tilde) is the analytic coincidence rate in closed form, from the
+config's cached fringe amplitude Z and its one cached rate quadrature at the
+fringe minimum (interference.fringe_rates), so the offset-0 fringe follows the full dispersive spectral integral while the +-m
 side peaks stay phase independent. Detector imperfections: independent
 per-photon detection efficiency, per-gate dark counts, and a
 single-gate-delayed afterpulse after any detection (no cascades).

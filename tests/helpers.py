@@ -62,6 +62,55 @@ def loop_fringe_csv(cfg, points: int) -> str:
     return "".join(lines)
 
 
+def rate_tolerance(cfg, phis):
+    """A bound on |fringe_rates - coincidence_rate| at each phi in phis.
+
+    Notation: eps = 2^-52, u = eps / 2, n grid points, M = sum |w| S the
+    quadrature mass (M >= I, |Z| and |c_min|, up to rounding), P = max
+    |phase_k| of the stored summed phase, o the pump offset, phi* =
+    cfg.peak_phase, alpha = phi* + pi as the double fringe_rates forms, B
+    the largest of |phi| over phis, |phi*| and |alpha|, and E(a) = (I +
+    Re[e^{ia} Z]) / 2 the exact grid sum at a = phi + o, with I and Z exact
+    sums. Terms are in units of eps M.
+
+    - A rate quadrature at phi is E(fl(phi + o)) within n / 2 + 9 + T / 4,
+      T = |phi + o| + P: the Simpson dot gamma_n M, n / 2 in any summation
+      order and on any BLAS thread count; cos^2 within 4 ulp, squared and
+      times S, 9; theta rounded, with |d cos^2(t/2) / dt| <= 1/2, T / 4.
+      Rounding phi + o moves E by |phi + o| / 4 more. This holds at phi for
+      coincidence_rate, and at alpha for the anchor c_min.
+    - With Y = |Z_c| e^{-i(alpha + o - pi)}, exact algebra gives (I - |Z_c|)
+      / 2 + |Z_c| sin^2((phi - alpha) / 2) = (I + Re[e^{i(phi + o)} Y]) / 2
+      = G(phi). So the closed form in exact arithmetic is c_min + G(phi) -
+      G(alpha), and as |G - E| <= |Y - Z| / 2 everywhere, it is E(phi + o)
+      within |Y - Z| plus c_min's error.
+    - |Z_c - Z| <= sqrt(2) (n / 2 + 4.5): e^{-i phase} within 4 ulp per
+      component, times S, and the dot. |Y - Z_c| <= |Z_c| |alpha + o - pi +
+      arg Z_c|, the rounding of arg (4 ulp of at most pi: 4 pi), of fl(pi)
+      (1) and of the sums -arg - o and phi* + fl(pi) (B / 2 each).
+    - Evaluating the form: phi - alpha rounded, with |d sin^2(x/2) / dx| <=
+      1/2, B / 2; the sine within 4 ulp, squared, |Z_c| within 1 ulp and
+      the product, 11; the sum with c_min, 1. The clip to [0, 1] is
+      1-Lipschitz, and both rates are clipped.
+
+    Together (1 + sqrt(2) / 2) n + 9 + 9 + 4.5 sqrt(2) + 4 pi + 1 + 11 + 1
+    plus phase terms of at most 2.5 B + |o| + P / 2; the constants round up
+    to 1.71 n + 50, whose spare covers the second-order terms. Underflow
+    adds at most 2^-1074 per operation. The same bound holds the sweep's
+    extrema: the quadratures at phi* and alpha are each within it of
+    sinusoids that peak and dip there exactly, so every rate lies between
+    them up to it.
+    """
+    s = cfg.spectrum
+    peak = cfg.peak_phase
+    big = max(float(np.abs(np.asarray(phis, dtype=float)).max(initial=0.0)),
+              abs(peak), abs(peak + np.pi))
+    max_phase = float(np.abs(cfg.summed_phase).max())
+    terms = (1.71 * s.weights.size + 50.0 + 2.5 * big
+             + abs(cfg.pump_phase_offset_rad) + max_phase / 2.0)
+    return np.finfo(float).eps * float(np.abs(s.weights) @ s.density) * terms
+
+
 # golden ratio step for the 1D section search
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -39,10 +39,15 @@ from fransonsim import (
 )
 import fransonsim.cli
 from fransonsim.cli import main as cli_main
-from fransonsim.interference import VisibilityResult, _rate_bounds, formatted_rates
+from fransonsim.interference import VisibilityResult, fringe_rates
 from fransonsim.spectra import GAUSSIAN_FWHM_PER_SIGMA, simpson_weights, symmetric_grid
 
-from tests.helpers import arm_with_dispersion, golden_section_max, loop_fringe_csv
+from tests.helpers import (
+    arm_with_dispersion,
+    golden_section_max,
+    loop_fringe_csv,
+    rate_tolerance,
+)
 
 PEDESTAL_SPAN = width_nm_to_radps(15.0, 1560.0)
 
@@ -209,14 +214,15 @@ def full_scan_sweep(cfg):
 
 
 def count_rate_calls(monkeypatch):
+    """The phases of every rate quadrature from here on, clipped or not."""
     calls = []
-    original = fransonsim.interference.coincidence_rate
+    original = fransonsim.interference._rate_quadrature
 
-    def counting(cfg, phi_tilde=None):
+    def counting(cfg, phi_tilde):
         calls.append(phi_tilde)
         return original(cfg, phi_tilde)
 
-    monkeypatch.setattr(fransonsim.interference, "coincidence_rate", counting)
+    monkeypatch.setattr(fransonsim.interference, "_rate_quadrature", counting)
     return calls
 
 
@@ -312,18 +318,6 @@ def sci(x):
     return f"{x:.8e}"
 
 
-def fringe_peak(cfg):
-    """phi* = -arg Z - offset, where the sweep takes c_max; c_min is at phi* + pi."""
-    return float(-np.angle(cfg.amplitude) - cfg.pump_phase_offset_rad)
-
-
-def rate_margin(cfg, phis):
-    """The margin eps M (3 (n + 16) + T) _rate_bounds puts around Z's rate at phis."""
-    _, mass, max_phase = cfg.bound_terms
-    max_theta = np.abs(np.asarray(phis) + cfg.pump_phase_offset_rad).max() + max_phase
-    return np.finfo(float).eps * mass * (3.0 * (cfg.spectrum.weights.size + 16) + max_theta)
-
-
 class TestSweepMatchesFullScan:
     """The sweep's extrema are the 720-point scan's, and its phase the integral method's."""
 
@@ -349,18 +343,17 @@ class TestSweepMatchesFullScan:
         got = visibility(cfg, PHASE_SWEEP)
         assert got.phase_at_max_rad == visibility(cfg, COMPLEX_INTEGRAL).phase_at_max_rad
         # every rate of the scan's grid lies between the sweep's extrema,
-        # up to rounding that _rate_bounds' margin covers twice over
+        # up to rounding that rate_tolerance bounds
         phis = fringe_phis(720)
         rates = np.array([coincidence_rate(cfg, p) for p in phis])
-        peak = fringe_peak(cfg)
-        margin = rate_margin(cfg, np.append(phis, [peak, peak + np.pi]))
+        margin = rate_tolerance(cfg, phis)
         assert (rates <= got.c_max + margin).all()
         assert (rates >= got.c_min - margin).all()
 
     def test_near_zero_visibility_evaluates_every_point(self, monkeypatch):
         # Z can rule out no grid point here, so the full scan's picks are
         # rounding alone. The sweep still runs its two quadratures, and its
-        # extrema hold every grid point's rate within _rate_bounds' margin.
+        # extrema hold every grid point's rate within rate_tolerance.
         cfg = near_zero_visibility_config()
         assert abs(fringe_amplitude(cfg)) < 1e-15
         phis = fringe_phis(720)
@@ -369,8 +362,7 @@ class TestSweepMatchesFullScan:
         calls = count_rate_calls(monkeypatch)
         got = visibility(cfg, PHASE_SWEEP)
         assert len(calls) == 2
-        peak = fringe_peak(cfg)
-        margin = rate_margin(cfg, np.append(phis, [peak, peak + np.pi]))
+        margin = rate_tolerance(cfg, phis)
         assert (rates <= got.c_max + margin).all()
         assert (rates >= got.c_min - margin).all()
         assert got.phase_at_max_rad == visibility(cfg, COMPLEX_INTEGRAL).phase_at_max_rad
@@ -400,34 +392,6 @@ class TestSweepMatchesFullScan:
         assert coincidence_rate(cfg, got.phase_at_max_rad + math.pi) == 0.0
 
 
-class TestRateBoundsOverBracket:
-    """_rate_bounds holds the rate at every phase across a bracket, each at its own point."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        cfg=analytic_configs(),
-        a=st.floats(-10.0, 10.0),
-        width=st.one_of(st.floats(0.0, 0.25), st.floats(0.0, 1e-6)),
-        where=st.lists(st.floats(0.0, 1.0), max_size=8),
-    )
-    def test_contains_rates_in_bracket(self, cfg, a, width, where):
-        b = a + width
-        phis = np.array([min(max(a + t * (b - a), a), b) for t in where + [0.0, 0.5, 1.0]])
-        lo, hi = _rate_bounds(cfg, phis)
-        for phi, low, high in zip(phis, lo, hi):
-            assert low <= coincidence_rate(cfg, phi) <= high
-
-    def test_bound_terms_cached_per_config(self):
-        cfg = preset_experiment("fig4a").franson
-        s = cfg.spectrum
-        assert cfg.bound_terms is cfg.bound_terms
-        assert cfg.bound_terms == (
-            s.integral(),
-            float(np.abs(s.weights) @ s.density),
-            float(np.abs(cfg.summed_phase).max()),
-        )
-
-
 class TestPrintedSweepVisibility:
     """The sweep's printed visibility is the one the full scan printed."""
 
@@ -445,15 +409,14 @@ class TestPrintedSweepVisibility:
         # every rate is 0.5 up to rounding, so the printed V is rounding of
         # 0 in both the sweep and the full scan, and need not agree in its
         # digits: both lie within the stated bound. Each extremum is within
-        # _rate_bounds' margin of 0.5, which covers the rounding of the
-        # rate, of I = 1 and the |Z| < 1e-15 left
+        # rate_tolerance of 0.5, which covers the rounding of the rate, of
+        # I = 1 and the |Z| < 1e-15 left
         cfg = near_zero_visibility_config()
         assert abs(fringe_amplitude(cfg)) < 1e-15
         phis = fringe_phis(720)
         rates = [coincidence_rate(cfg, p) for p in phis]
         assert max(rates) - min(rates) < 1e-15
-        peak = fringe_peak(cfg)
-        margin = rate_margin(cfg, np.append(phis, [peak, peak + np.pi]))
+        margin = rate_tolerance(cfg, phis)
         for res in (visibility(cfg, PHASE_SWEEP), full_scan_sweep(cfg)):
             assert abs(res.c_max - 0.5) <= margin and abs(res.c_min - 0.5) <= margin
             # (x - y) / (x + y) with x, y within margin of 0.5
@@ -501,26 +464,32 @@ class TestPrintedSweepVisibility:
         assert f"intrinsic_visibility_sweep       {sci(full_scan_sweep(cfg).visibility)}\n" in out
 
 
-def loop_rates(cfg, phis, fmt=sci):
-    return [fmt(coincidence_rate(cfg, phi)) for phi in phis]
+def loop_rates(cfg, phis):
+    return np.array([coincidence_rate(cfg, phi) for phi in phis])
 
 
 def fringe_phis(points):
     return np.linspace(0.0, 2.0 * np.pi, points, endpoint=False)
 
 
-class TestFormattedRates:
-    """formatted_rates prints what a quadrature per row prints."""
+def fringe_csv(cfg, points):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        fransonsim.cli._write_fringe_csv(None, cfg, points)
+    return buf.getvalue()
+
+
+class TestFringeRates:
+    """fringe_rates is the quadrature per row, in closed form from one quadrature per config."""
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets(self, name, monkeypatch):
+        # every printed row, at the golden digests' 256 points and at 4096
         cfg = preset_experiment(name).franson
-        phis = fringe_phis(256)
-        expected = loop_rates(cfg, phis)
+        expected = [loop_fringe_csv(cfg, points) for points in (256, 4096)]
         calls = count_rate_calls(monkeypatch)
-        assert formatted_rates(cfg, phis, sci) == expected
-        # 256 with a quadrature per row; 24-31 at the time of writing
-        assert len(calls) <= 48
+        assert [fringe_csv(cfg, points) for points in (256, 4096)] == expected
+        assert calls == [cfg.peak_phase + np.pi]
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -530,72 +499,82 @@ class TestFormattedRates:
     )
     def test_random_configs(self, cfg, points, extra):
         phis = np.concatenate([fringe_phis(points), extra])
-        assert formatted_rates(cfg, phis, sci) == loop_rates(cfg, phis)
+        got = fringe_rates(cfg, phis)
+        assert np.all(np.abs(got - loop_rates(cfg, phis)) <= rate_tolerance(cfg, phis))
 
     @settings(max_examples=200, deadline=None)
     @given(cfg=analytic_configs(), points=st.integers(0, 64))
     def test_csv_matches_loop(self, cfg, points):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            fransonsim.cli._write_fringe_csv(None, cfg, points)
-        assert buf.getvalue() == loop_fringe_csv(cfg, points)
-
-    def test_full_precision_falls_back_on_every_row(self, monkeypatch):
-        # 17 digits tell any two doubles apart, so no bound interval of
-        # nonzero width decides a row; fig4a's rates stay inside (0, 1)
-        cfg = preset_experiment("fig4a").franson
-        fmt = "{:.16e}".format
-        phis = fringe_phis(64)
-        expected = loop_rates(cfg, phis, fmt)
-        calls = count_rate_calls(monkeypatch)
-        assert formatted_rates(cfg, phis, fmt) == expected
-        assert len(calls) == 64
+        # each printed rate rounds a closed-form rate to 9 digits, which moves
+        # it by at most 5e-9 of its own size
+        lines = fringe_csv(cfg, points).splitlines()
+        assert lines[0] == "phi_rad,coincidence_rate"
+        phis = fringe_phis(points)
+        tol = rate_tolerance(cfg, phis)
+        for line, phi, rate in zip(lines[1:], phis, loop_rates(cfg, phis)):
+            phi_text, rate_text = line.split(",")
+            assert phi_text == sci(phi)
+            assert abs(float(rate_text) - rate) <= tol + 5e-9 * abs(float(rate_text))
+        assert len(lines) == points + 1
 
     def test_clipped_rates(self):
+        # |Z| = 2 > I: the closed form runs from the raw c_min = -0.5 to 1.5,
+        # and clips to the quadrature's plateaus exactly
         cfg = negative_weight_config()
         phis = fringe_phis(64)
         expected = loop_rates(cfg, phis)
-        assert "1.00000000e+00" in expected and "0.00000000e+00" in expected
-        assert formatted_rates(cfg, phis, sci) == expected
+        got = fringe_rates(cfg, phis)
+        assert (expected == 1.0).any() and (expected == 0.0).any()
+        plateau = (expected == 0.0) | (expected == 1.0)
+        assert np.array_equal(got[plateau], expected[plateau])
+        assert np.all(np.abs(got - expected) <= rate_tolerance(cfg, phis))
+
+    def test_anchor_cached_per_config(self, monkeypatch):
+        # the raw quadrature at phi* + pi, unclipped, summed once per config
+        calls = count_rate_calls(monkeypatch)
+        anchors = []
+        for cfg in (preset_experiment("fig4c").franson, negative_weight_config()):
+            s = cfg.spectrum
+            peak = float(-np.angle(fringe_amplitude(cfg)) - cfg.pump_phase_offset_rad)
+            theta = peak + np.pi + cfg.pump_phase_offset_rad - total_phase(cfg, s.omega)
+            raw = float(s.weights @ (s.density * np.cos(theta / 2.0) ** 2))
+            assert cfg.peak_phase == peak
+            assert cfg.anchor_rate == raw
+            assert fringe_rates(cfg, [peak + np.pi]).tolist() == [min(1.0, max(0.0, raw))]
+            fringe_rates(cfg, fringe_phis(16))
+            anchors.append(peak + np.pi)
+            assert calls == anchors
+        assert cfg.anchor_rate == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_nonfinite_summed_phase(self, bad, monkeypatch):
+        # every quadrature is NaN, clipped to 0 by coincidence_rate: the
+        # degenerate fringe that visibility refuses, refused here alike
         cfg = franson(spectrum=make_spectrum(GAUSSIAN, 1.6, n_points=33))
         phase = np.linspace(-1.0, 1.0, 33)
         phase[5] = bad
         cfg = with_cached_phase(cfg, phase)
-        phis = fringe_phis(16)
         with np.errstate(invalid="ignore"):
-            expected = loop_rates(cfg, phis)
-            # a NaN quadrature is clipped to 0
-            assert set(expected) == {"0.00000000e+00"}
+            assert set(loop_rates(cfg, fringe_phis(16))) == {0.0}
             calls = count_rate_calls(monkeypatch)
-            assert formatted_rates(cfg, phis, sci) == expected
-        assert len(calls) == 16
-
-    def test_nonfinite_amplitude_falls_back(self, monkeypatch):
-        # an infinite Z predicts rates of +-inf, which the clip would turn
-        # into a confident 0 or 1
-        cfg = replace(preset_experiment("fig4c").franson)
-        cfg.__dict__["amplitude"] = complex(math.inf, 0.0)
-        phis = fringe_phis(16)
-        expected = loop_rates(cfg, phis)
-        calls = count_rate_calls(monkeypatch)
-        assert formatted_rates(cfg, phis, sci) == expected
-        assert len(calls) == 16
+            with pytest.raises(ContractViolationError, match="degenerate fringe"):
+                fringe_rates(cfg, fringe_phis(16))
+            with pytest.raises(ContractViolationError, match="degenerate fringe"):
+                fringe_csv(cfg, 16)
+            with pytest.raises(ContractViolationError, match="degenerate fringe"):
+                visibility(cfg)
+        assert calls == []
 
     def test_empty(self):
         cfg = preset_experiment("fig4a").franson
-        assert formatted_rates(cfg, np.array([]), sci) == []
-        assert formatted_rates(cfg, [], sci) == []
+        assert fringe_rates(cfg, np.array([])).shape == (0,)
+        assert fringe_rates(cfg, []).shape == (0,)
+        assert fringe_csv(cfg, 0) == "phi_rad,coincidence_rate\n"
 
-    def test_rejected_phase_raises_at_its_row(self, monkeypatch):
+    def test_rejects_non_finite_phase(self):
         cfg = preset_experiment("fig4a").franson
-        calls = count_rate_calls(monkeypatch)
-        with pytest.raises(DomainError):
-            formatted_rates(cfg, [0.0, 1.0, math.nan, 2.0], sci)
-        # a NaN phi leaves every bound NaN: rows run in order up to it
-        assert calls[:2] == [0.0, 1.0] and math.isnan(calls[2]) and len(calls) == 3
+        with pytest.raises(DomainError, match="phi_tilde must be finite, got nan"):
+            fringe_rates(cfg, [0.0, 1.0, math.nan, 2.0])
 
 
 class TestNonlocalityInvariants:

@@ -35,7 +35,7 @@ from fransonsim import (
 )
 from fransonsim import interference, montecarlo
 from fransonsim.cli import _event_csv, _write_csv, main
-from fransonsim.interference import _rate_bounds, coincidence_rate
+from fransonsim.interference import coincidence_rate
 from fransonsim.montecarlo import (
     MAX_GATES,
     MAX_PHASES,
@@ -44,7 +44,7 @@ from fransonsim.montecarlo import (
     _merge_gates,
 )
 
-from tests.helpers import arm_with_dispersion, run_python
+from tests.helpers import arm_with_dispersion, rate_tolerance, run_python
 
 IDEAL = DetectorModel(efficiency=1.0, dark_prob=0.0, afterpulse_prob=0.0)
 NO_PAIRS = NoiseModel(0.0)
@@ -474,11 +474,11 @@ class TestRatesFromAmplitude:
                             lambda *args: seen.append(args[5]) or real(*args))
         estimate_visibility(exp.franson, noise, exp.detector, n_gates=37_000,
                             phases=phases, batches=2, seed=3)
+        # each stream's rate is its phase's quadrature within rate_tolerance
         rates = np.concatenate(seen)
-        lo, hi = _rate_bounds(exp.franson, np.tile(phases, 2))
-        assert np.all((lo <= rates) & (rates <= hi))
-        quadrature = [coincidence_rate(exp.franson, float(phi)) for phi in phases]
-        assert np.all((lo[:37] <= quadrature) & (quadrature <= hi[:37]))
+        quadrature = np.array([coincidence_rate(exp.franson, float(phi)) for phi in phases])
+        assert rates.shape == (74,)
+        assert np.all(np.abs(rates - np.tile(quadrature, 2)) <= rate_tolerance(exp.franson, phases))
 
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--preset", "fig4a", "--gates", "64000", "--batches", "2",
@@ -487,12 +487,33 @@ class TestRatesFromAmplitude:
          "--gates", "64000", "--batches", "2"],
     ], ids=["montecarlo", "alpha-sweep"])
     def test_no_rate_quadrature(self, monkeypatch, tmp_path, argv):
+        # the rates come from Z and one cached quadrature at the fringe
+        # minimum, the anchor; both commands simulate one config
         def forbidden(*args):
             raise AssertionError("coincidence_rate called")
 
+        anchors = []
+        quadrature = interference._rate_quadrature
         monkeypatch.setattr(interference, "coincidence_rate", forbidden)
+        monkeypatch.setattr(interference, "_rate_quadrature",
+                            lambda cfg, phi: anchors.append((cfg, phi)) or quadrature(cfg, phi))
         argv = [str(tmp_path / "h.csv") if a == "HIST" else a for a in argv]
         assert main(argv) == 0
+        assert [phi for _, phi in anchors] == [anchors[0][0].peak_phase + np.pi]
+
+    def test_degenerate_fringe_is_refused(self):
+        # a non-finite summed phase leaves no fringe; visibility refuses it
+        # with this error, and so does every Monte Carlo entry point
+        cfg = replace(dispersion_free_config())
+        phase = np.zeros(cfg.spectrum.omega.size)
+        phase[5] = math.nan
+        phase.setflags(write=False)
+        cfg.__dict__["summed_phase"] = phase
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="degenerate fringe"):
+                estimate_visibility(cfg, STOCK_ALPHA, IDEAL, n_gates=3_200, batches=2, seed=1)
+            with pytest.raises(ContractViolationError, match="degenerate fringe"):
+                simulate_run(cfg, STOCK_ALPHA, IDEAL, 100, seed=1)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_simulate_run_rejects_non_finite_phase(self, phi):
