@@ -19,7 +19,8 @@ NoiseModel, [detector] DetectorModel, the integer [run] settings
 RunSettings, a catalog section FiberSpec and [problem] DesignProblem. An
 omitted key takes its field's default; a field without one is a required
 key. [spectrum] fills no model, and four [run] keys set fields of other
-objects under other names; their keys are listed here.
+objects under other names; their keys are listed here. A [spectrum] key
+the chosen spectrum never reads is an error on its line.
 """
 
 import configparser
@@ -376,17 +377,25 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
     points = _check_cap(
         _number(sec, "points", DEFAULT_GRID_POINTS, int), MAX_GRID_POINTS, "[spectrum] points"
     )
-    span = _number(sec, "span_radps") if "span_radps" in sec else None
+    if model not in (TABULATED, SINC2, GAUSSIAN):
+        raise ConfigParseError(f"[spectrum] unknown model {model!r}", line=_line(sec, "model"))
+    # a key the chosen spectrum never reads is refused, not ignored
+    unread = ("fwhm_nm", "span_radps") if model == TABULATED else ("file",)
+    unread = dict.fromkeys(unread, f"with model = {model}")
+    if "filter_fwhm_nm" not in sec:
+        unread["filter_shape"] = "without filter_fwhm_nm"
+    for key, reason in unread.items():
+        if key in sec:
+            raise ConfigParseError(f"[spectrum] {key} is not read {reason}", line=_line(sec, key))
     if model == TABULATED:
         if "file" not in sec:
             raise ConfigParseError("[spectrum] tabulated model needs a file", line=_line(sec))
         rows = read_spectrum_csv(path(sec["file"]))
         spectrum = load_tabulated(rows, center_nm=center, n_points=points)
-    elif model in (SINC2, GAUSSIAN):
-        fwhm = _number(sec, "fwhm_nm")
-        spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
     else:
-        raise ConfigParseError(f"[spectrum] unknown model {model!r}", line=_line(sec, "model"))
+        fwhm = _number(sec, "fwhm_nm")
+        span = _number(sec, "span_radps") if "span_radps" in sec else None
+        spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
     if "filter_fwhm_nm" in sec:
         shape = sec.get("filter_shape", FLATTOP).strip().lower()
         spectrum = apply_bandpass(spectrum, _number(sec, "filter_fwhm_nm"), shape)

@@ -249,10 +249,11 @@ def visibility(cfg: FransonConfig, method: str = COMPLEX_INTEGRAL) -> Visibility
     "sweep": mimics a fringe measurement. c_max and c_min are the cos^2 rate
     quadratures at phi* and phi* + pi (cfg.anchor_rate, clipped), two more
     quadratures. The minimum is summed directly, not as a difference of
-    nearly equal terms, so a small c_min keeps its digits. The sweep is not independent of Z: it takes its
-    phases from Z, and each cos^2 quadrature is Z in another form. That the
-    two methods agree to better than 1e-6 checks the closed form (1 +- |Z|)/2
-    against the quadrature of the rate, not the quadrature of Z itself.
+    nearly equal terms, so a small c_min keeps its digits. The sweep is not
+    independent of Z: it takes its phases from Z, and each cos^2 quadrature
+    is Z in another form. That the two methods agree to better than 1e-6
+    checks the closed form (1 +- |Z|)/2 against the quadrature of the rate,
+    not the quadrature of Z itself.
     """
     if method not in (COMPLEX_INTEGRAL, PHASE_SWEEP):
         raise ConfigurationError(f"unknown visibility method {method!r}")

@@ -14,10 +14,11 @@ integer number m of gating periods (m = 3 at the stock 628.5 MHz rate and
 
 C(phi_tilde) is the analytic coincidence rate in closed form, from the
 config's cached fringe amplitude Z and its one cached rate quadrature at the
-fringe minimum (interference.fringe_rates), so the offset-0 fringe follows the full dispersive spectral integral while the +-m
-side peaks stay phase independent. Detector imperfections: independent
-per-photon detection efficiency, per-gate dark counts, and a
-single-gate-delayed afterpulse after any detection (no cascades).
+fringe minimum (interference.fringe_rates), so the offset-0 fringe follows
+the full dispersive spectral integral while the +-m side peaks stay phase
+independent. Detector imperfections: independent per-photon detection
+efficiency, per-gate dark counts, and a single-gate-delayed afterpulse after
+any detection (no cascades).
 
 Streams are reproducible: a run is a pure function of (config, seed). The
 draw order is pinned, since every seeded output depends on it. Each stream
@@ -43,19 +44,18 @@ One engine, _simulate_segments, simulates several streams at once as
 segments of shared gate arrays: the draws stay per generator, in the order
 above, and the array work between two kinds of draws runs once per chunk of
 streams or once over all of them. simulate_run is the one-segment case.
-estimate_visibility runs consecutive batches in groups, the most (at least
-one) whose expected events and streams fit _GROUP_EVENTS and _GROUP_STREAMS:
-one engine call simulates a group's (batch, phase) streams and one pass
-counts them, which moves no draw. The groups run in order on the calling
-thread, so the output is a function of the inputs alone and a failed stream
-raises before any later stream runs. Generators are seeded in one vectorized
-pass over all (batch, phase) streams (_seed_words), each in the state
-default_rng([seed, batch, phase]) would give it, bit for bit.
+estimate_visibility runs its streams, s = batch * phases + phase, in groups
+of consecutive streams, the most (at least one) whose expected events fit
+_GROUP_EVENTS, and at most _GROUP_STREAMS: one engine call simulates a group
+and one pass counts it, which moves no draw. The groups run in order on the
+calling thread, so the output is a function of the inputs alone and a failed
+stream raises before any later stream runs. Seed words for all streams come
+from one vectorized pass (_seed_words), and a group's generators from its
+rows, each in the state default_rng([seed, batch, phase]) would give it.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -67,17 +67,18 @@ GATE_RATIO_TOL = 0.01  # max fractional mismatch of delta_t to a whole gate coun
 # expected pairs whose births and pair flags an engine call holds at once: 2
 # dense streams. The chunks keep the draw order of the module docstring
 _CHUNK_PAIRS = 2**14
-# largest gate count a run may ask for: with a click at every gate on both
-# detectors, an exported stream's two int64 gate arrays take 16 B per gate,
-# 1 GiB at the cap. An estimate holds one group's clicks, or one batch's where
-# a batch alone exceeds _GROUP_EVENTS, which is less than an export of the
-# same gates holds, since it draws its pair flags a chunk at a time
+# largest gate count a run may ask for. An exported stream peaks at about
+# 32 B per gate at alpha 0.5 and 63 B at alpha 0.99 while it is simulated,
+# 4.2 GB at the cap (tracemalloc at 1M and 4M gates): one stream's births,
+# pair flags and five uniforms per pair are held at once. An estimate holds
+# one group's clicks, and its pair flags a chunk at a time
 MAX_GATES = 2**26
-# expected events (pair births and dark counts) of the batches an estimate
-# runs in one engine call, which holds their clicks: 1.6 MB at 120,000 sparse
-# events, 2.3 MB at 200,000 dense ones (tracemalloc). A batch over it runs alone
+# expected events (pair births and dark counts) of the streams an estimate
+# runs in one engine call, which holds their clicks: 1.6 MB at 20 streams of
+# 6,250 dense events (tracemalloc). One stream over it runs alone
 _GROUP_EVENTS = 2**17
-# streams of one such call, each with a generator of about 1 KB: 256 KB
+# most streams of one such call; their generators take about 0.8 KB each,
+# 200 KB in all (tracemalloc)
 _GROUP_STREAMS = 2**8
 # largest phase grid a run may ask for, as for a fringe's points: the grid and
 # its (phase, offset) histogram rows are built before any stream runs
@@ -86,8 +87,9 @@ MAX_PHASES = 2**16
 # histogram, 56 B per stream at k = 3, and its seed words, 32 B per stream, are
 # allocated before any stream runs (5.5 MiB at the cap); c08 runs 3,200
 MAX_STREAMS = 2**16
-# largest (batches, phases, 2k + 1) int64 histogram an estimate allocates,
-# 64 MiB: 2**16 streams of 128 cells, so up to m = 63 the stream cap binds
+# largest int64 histogram a run allocates, an estimate's (batches, phases,
+# 2k + 1) or count_coincidences' 2k + 1 offsets, 64 MiB: 2**16 streams of 128
+# cells, so up to m = 63 the stream cap binds
 MAX_HISTOGRAM_CELLS = 2**23
 
 
@@ -470,12 +472,10 @@ def _seed_words(seed, b, j):
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _batch_generators(seed, batches, n_streams):
-    """An iterator over batches of n_streams generators, stream j of batch b as default_rng([seed, b, j]).
+def _stream_generators(words):
+    """One generator per row of seed words from _seed_words, as default_rng([seed, b, j]) seeds it.
 
-    The seed words of every stream come from one _seed_words call, made
-    here; a batch's generators are built when the iterator reaches it. A
-    stream's generator is Generator(PCG64) seeded from its row of words
+    A stream's generator is Generator(PCG64) seeded from its row of words
     through a minimal ISeedSequence, so that PCG64 does its own seeding
     from the words SeedSequence would have given it and starts in the same
     state. numpy.random is imported here, not with the module, to keep it
@@ -493,8 +493,7 @@ def _batch_generators(seed, batches, n_streams):
         def generate_state(self, n_words, dtype=np.uint32):
             return self.words
 
-    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(n_streams))
-    return ([Generator(PCG64(Words(w))) for w in row] for row in words)
+    return [Generator(PCG64(Words(w))) for w in words]
 
 
 def _simulate_stream(cfg, noise, det, n_gates, rng, c_rate):
@@ -553,11 +552,12 @@ def count_coincidences(events: EventStream, window_offsets: int = 3) -> Coincide
     """Histogram signal-idler gate offsets d = idler - signal, |d| <= window.
 
     Every signal-idler pair of the stream within the window counts once;
-    total_gates is the stream's n_gates.
+    total_gates is the stream's n_gates. 2k + 1 is held to MAX_HISTOGRAM_CELLS.
     """
     k = int(window_offsets)
     if k < 3:
         raise DomainError(f"window_offsets must be >= 3, got {k}")
+    _check_cap(f"window_offsets {k} needs 2k + 1 =", 2 * k + 1, MAX_HISTOGRAM_CELLS)
     return CoincidenceHistogram(
         offsets=np.arange(-k, k + 1),
         counts=_count_segments(events.signal_gates, events.idler_gates, k)[0],
@@ -611,12 +611,13 @@ def estimate_visibility(
     Each batch spreads n_gates evenly over the phase grid (default 32
     uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
     and fits the sinusoidal fringe. Streams are seeded and drawn as the
-    module docstring states. The seed words of all streams are computed
-    before the histogram is allocated, and a group's generators are built
-    from them when the group starts. One engine call simulates all of a
-    group's (batch, phase) streams as segments, and one pass counts them
-    into its batches' rows. The groups run in order on the calling thread,
-    so the first failed stream's error is raised and no later stream starts.
+    module docstring states; stream s is phase s % phases of batch
+    s // phases. The seed words of all streams are computed before the
+    histogram is allocated, and a group's generators are built from its
+    rows when the group starts. One engine call simulates a group's streams
+    as segments, and one pass counts them. The groups run in order on the
+    calling thread, so the first failed stream's error is raised and no
+    later stream starts.
     n_gates, the phase count and the batches x phases streams are held to
     MAX_GATES, MAX_PHASES and MAX_STREAMS, and a histogram over
     MAX_HISTOGRAM_CELLS cells is refused, before any of them is built. So is
@@ -639,27 +640,27 @@ def estimate_visibility(
     if per_phase < 1:
         raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
     _check_cap("n_gates", n_gates, MAX_GATES)
-    _check_cap("stream count", batches * len(phases), MAX_STREAMS)
+    _check_cap("stream count", n_streams := batches * len(phases), MAX_STREAMS)
 
     m = gate_offset(cfg, det)
     k = coincidence_window(m)
-    if batches * len(phases) * (2 * k + 1) > MAX_HISTOGRAM_CELLS:
-        raise ConfigurationError(f"{batches * len(phases)} streams at gate offset m = {m} "
+    if n_streams * (2 * k + 1) > MAX_HISTOGRAM_CELLS:
+        raise ConfigurationError(f"{n_streams} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
     rates = fringe_rates(cfg, phases)
-    events = per_phase * len(phases) * (noise.alpha + 2 * det.dark_prob)  # per batch
-    group = max(1, min(int(_GROUP_EVENTS // max(events, 1.0)), _GROUP_STREAMS // len(phases)))
+    events = per_phase * (noise.alpha + 2 * det.dark_prob)  # per stream
+    group = max(1, min(int(_GROUP_EVENTS // max(events, 1.0)), _GROUP_STREAMS))
     # the seed words' temporaries are freed before the histogram is allocated
-    generators = _batch_generators(seed, batches, len(phases))
-    hists = np.empty((batches, len(phases), 2 * k + 1), dtype=np.int64)
-    for b in range(0, batches, group):
-        rngs = [rng for row in islice(generators, group) for rng in row]
+    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(len(phases))).reshape(-1, 4)
+    hists = np.empty((n_streams, 2 * k + 1), dtype=np.int64)
+    for s in range(0, n_streams, group):
+        rngs = _stream_generators(words[s : s + group])
         signal, idler, stride = _simulate_segments(
-            cfg, noise, det, per_phase, rngs, np.tile(rates, len(rngs) // len(phases)))
+            cfg, noise, det, per_phase, rngs, rates[np.arange(s, s + len(rngs)) % len(phases)])
         for name, gates in (("signal", signal), ("idler", idler)):
             _check_gates(name, gates, per_phase, stride, len(rngs))
-        counts = _count_segments(signal, idler, k, stride, len(rngs))
-        hists[b : b + group] = counts.reshape(-1, len(phases), 2 * k + 1)
+        hists[s : s + len(rngs)] = _count_segments(signal, idler, k, stride, len(rngs))
+    hists = hists.reshape(batches, len(phases), 2 * k + 1)
     batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(

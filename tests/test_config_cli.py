@@ -641,6 +641,34 @@ class TestInputValidation:
         assert captured.err.startswith("error: ") and "finite" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("model, key, reason", [
+        pytest.param("tabulated", "span_radps = 11.6", "with model = tabulated",
+                     id="tabulated-span_radps"),
+        pytest.param("tabulated", "fwhm_nm = 1.6", "with model = tabulated",
+                     id="tabulated-fwhm_nm"),
+        pytest.param("sinc2", "file = spectrum.csv", "with model = sinc2", id="sinc2-file"),
+        pytest.param("gaussian", "file = spectrum.csv", "with model = gaussian",
+                     id="gaussian-file"),
+        pytest.param("sinc2", "filter_shape = gaussian", "without filter_fwhm_nm",
+                     id="sinc2-filter_shape"),
+        pytest.param("tabulated", "filter_shape = flattop", "without filter_fwhm_nm",
+                     id="tabulated-filter_shape"),
+    ])
+    def test_unread_spectrum_key_exits_2_on_its_line(self, tmp_path, capsys, model, key, reason):
+        # the chosen spectrum would never read the key, so it changed nothing
+        _write_gaussian_csv(tmp_path / "spectrum.csv")
+        text = FULL_CONFIG.replace("model = sinc2", f"model = {model}")
+        if model == "tabulated":
+            text = _tabulated(FULL_CONFIG, "spectrum.csv")
+        text = text.replace("center_wavelength_nm = 1560\n", f"center_wavelength_nm = 1560\n{key}\n")
+        cfg = _write(tmp_path, "unread.ini", text)
+        assert main(["visibility", "--config", str(cfg)]) == 2
+        line = text.splitlines().index(key) + 1
+        name = key.split(" = ")[0]
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}: [spectrum] {name} is not read {reason}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "old, new, key",
         [

@@ -38,6 +38,7 @@ from fransonsim.cli import _event_csv, _write_csv, main
 from fransonsim.interference import coincidence_rate
 from fransonsim.montecarlo import (
     MAX_GATES,
+    MAX_HISTOGRAM_CELLS,
     MAX_PHASES,
     MAX_STREAMS,
     _bernoulli_gates,
@@ -205,6 +206,13 @@ class TestCountCoincidences:
         hist = count_coincidences(stream_of([0], [10]), window_offsets=3)
         assert hist.counts.sum() == 0
 
+    @pytest.mark.parametrize("k", [MAX_HISTOGRAM_CELLS // 2, 10**12])
+    def test_window_over_the_histogram_cap_refused(self, k):
+        # 2k + 1 int64 counts: one past the cap, and 14.6 TiB at k = 10**12
+        with pytest.raises(DomainError, match=f"2k \\+ 1 = {2 * k + 1} exceeds the cap of "
+                                              f"{MAX_HISTOGRAM_CELLS}"):
+            count_coincidences(stream_of([5], [5]), window_offsets=k)
+
     @pytest.mark.parametrize("dtype", [np.uint64, np.int32])
     def test_gate_dtype_does_not_change_counts(self, dtype):
         sig, idl = np.array([0, 1, 6]), np.array([0, 3, 4, 9])
@@ -351,7 +359,7 @@ class TestEstimateVisibility:
         def forbidden(*args):
             raise AssertionError("a generator was built")
 
-        monkeypatch.setattr(montecarlo, "_batch_generators", forbidden)
+        monkeypatch.setattr(montecarlo, "_stream_generators", forbidden)
         with pytest.raises(DomainError, match="need 3 phases distinct modulo 2pi .* got 1"):
             estimate_visibility(dispersion_free_config(), STOCK_ALPHA, IDEAL, n_gates=4_000,
                                 phases=phases, batches=2, seed=1)
@@ -424,7 +432,7 @@ class TestRunCaps:
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(montecarlo, "_seed_words", forbidden)
-        monkeypatch.setattr(montecarlo, "_batch_generators", forbidden)
+        monkeypatch.setattr(montecarlo, "_stream_generators", forbidden)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
         with pytest.raises(DomainError, match=match):
             estimate_visibility(dispersion_free_config(), NO_PAIRS, IDEAL, n_gates=n_gates,
@@ -1059,18 +1067,53 @@ def stub_engine(monkeypatch):
     return calls
 
 
+def traced_peak(run):
+    """The tracemalloc peak of run(), called once before to warm caches and imports."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def check_groups(calls, cfg, noise, det, per_phase, n_phases):
+    """Check stubbed engine calls against the group bounds and the stream numbering.
+
+    Call i takes the next consecutive streams s = batch * n_phases + phase,
+    each with default_rng([1, batch, phase])'s state and its phase's rate;
+    it holds at most _GROUP_STREAMS streams, and all but its last fit
+    _GROUP_EVENTS expected events.
+    """
+    rates = interference.fringe_rates(cfg, np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False))
+    events = per_phase * (noise.alpha + 2 * det.dark_prob)
+    start = 0
+    for rngs, call_rates in calls:
+        streams = np.arange(start, start + len(rngs))
+        assert len(rngs) <= montecarlo._GROUP_STREAMS
+        assert (len(rngs) - 1) * events <= montecarlo._GROUP_EVENTS
+        assert [rng.bit_generator.state for rng in rngs] == [
+            np.random.default_rng([1, s // n_phases, s % n_phases]).bit_generator.state
+            for s in streams.tolist()
+        ]
+        assert np.array_equal(call_rates, rates[streams % n_phases])
+        start += len(rngs)
+
+
 class TestChunks:
     @pytest.mark.parametrize("n_phases", [3, 33])
     def test_output_independent_of_chunking(self, monkeypatch, n_phases):
         # chunks of one stream, of 2 streams (800 pairs each), of about 2**14
         # pairs or of a whole engine call, each with the module's group
-        # bounds (all 3 batches in one call here), one batch per call, groups
-        # of 2 batches and then 1, and all batches in one call, against every
+        # bounds (all 3 batches in one call here), one stream per call, groups
+        # of 2 batches' streams and then 1 batch's, groups of 5 streams that
+        # cross the batch edges, and all streams in one call, against every
         # stream simulated and counted alone as its own one-segment engine call
         cfg, noise, det = fig4c_at(0.2)
         phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
         bounds = [(montecarlo._GROUP_EVENTS, montecarlo._GROUP_STREAMS), (1, 2**40),
-                  (2**40, 2 * n_phases), (2**40, 2**40)]
+                  (2**40, 2 * n_phases), (2**40, 5), (2**40, 2**40)]
         results = []
         for chunk in (2**14, 1, 2_000, 2**40):
             for events, streams in bounds:
@@ -1098,58 +1141,84 @@ class TestChunks:
             montecarlo._fit_fringe(phases, hist[:, 3]) for hist in alone
         ]
 
-    @pytest.mark.parametrize("preset, alpha, n_gates", [
-        ("fig4a", 0.0024, 10_000_000),  # 24,040 expected events per batch: one call
-        ("fig4c", 0.2, 1_000_000),  # 200,004: over the 2**17 budget alone
-        ("fig4c", 0.1, 1_000_000),  # 100,004: one batch fits the budget, two do not
+    @pytest.mark.parametrize("preset, alpha, n_gates, sizes", [
+        # 751 expected events per stream: all 64 streams in one call
+        pytest.param("fig4a", 0.0024, 10_000_000, [64], id="fig4a-0.0024-10000000"),
+        # 6,250 per stream: 20 fit the 2**17 budget
+        pytest.param("fig4c", 0.2, 1_000_000, [20, 20, 20, 4], id="fig4c-0.2-1000000"),
+        # 3,125 per stream: 41 fit
+        pytest.param("fig4c", 0.1, 1_000_000, [41, 23], id="fig4c-0.1-1000000"),
     ])
-    def test_one_engine_call_per_group(self, monkeypatch, preset, alpha, n_gates):
+    def test_one_engine_call_per_group(self, monkeypatch, preset, alpha, n_gates, sizes):
         exp = preset_experiment(preset)
+        noise = replace(exp.noise, alpha=alpha)
         calls = stub_engine(monkeypatch)
-        estimate_visibility(exp.franson, replace(exp.noise, alpha=alpha), exp.detector,
-                            n_gates=n_gates, batches=2, seed=1)
-        phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-        groups = [[0, 1]] if preset == "fig4a" else [[0], [1]]
-        assert len(calls) == len(groups)
-        for group, (rngs, rates) in zip(groups, calls):
-            assert [rng.bit_generator.state for rng in rngs] == [
-                np.random.default_rng([1, b, j]).bit_generator.state
-                for b in group for j in range(32)
-            ]
-            assert np.array_equal(
-                rates, np.tile(interference.fringe_rates(exp.franson, phases), len(group)))
+        estimate_visibility(exp.franson, noise, exp.detector, n_gates=n_gates, batches=2, seed=1)
+        assert [len(rngs) for rngs, _ in calls] == sizes
+        check_groups(calls, exp.franson, noise, exp.detector, n_gates // 32, 32)
 
     def test_dark_counts_count_toward_the_group_budget(self, monkeypatch):
         # no pairs, and a dark count in half the gates of each detector:
-        # 96,000 expected events per batch, so no two batches fit in 2**17
+        # 32,000 expected events per stream, so 4 streams fit in 2**17
         cfg, noise, det = fig4c_at(0.0)
+        det = replace(det, dark_prob=0.5)
         calls = stub_engine(monkeypatch)
-        estimate_visibility(cfg, noise, replace(det, dark_prob=0.5), n_gates=96_000,
+        estimate_visibility(cfg, noise, det, n_gates=96_000,
                             phases=np.linspace(0.0, 2.0 * np.pi, 3, endpoint=False),
                             batches=4, seed=1)
-        assert [len(rngs) for rngs, _ in calls] == [3] * 4
+        assert [len(rngs) for rngs, _ in calls] == [4, 4, 4]
+        check_groups(calls, cfg, noise, det, 32_000, 3)
+
+    def test_no_call_holds_more_than_the_group_streams(self, monkeypatch):
+        # 2 batches of 600 phases at 2.4 expected events per stream: the
+        # stream bound alone splits the 1,200 streams, across the batch edge
+        cfg, noise, det = fig4c_at(0.0024)
+        calls = stub_engine(monkeypatch)
+        estimate_visibility(cfg, noise, det, n_gates=600_000,
+                            phases=np.linspace(0.0, 2.0 * np.pi, 600, endpoint=False),
+                            batches=2, seed=1)
+        assert [len(rngs) for rngs, _ in calls] == [256] * 4 + [176]
+        check_groups(calls, cfg, noise, det, 1_000, 600)
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5])
     def test_estimate_peak_below_an_export_of_its_gates(self, alpha):
-        # An estimate holds one batch's clicks as segments and its pair flags
+        # An estimate holds one group's clicks as segments and its pair flags
         # a chunk at a time; an export of the same gates holds every pair's
         # flags at once, then its stream and the pairs its count expands
         cfg, noise, det = fig4c_at(alpha)
         n_gates = 32 * 31_250
-
-        def peak(run):
-            run()
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        estimate = peak(lambda: estimate_visibility(cfg, noise, det, n_gates=n_gates,
-                                                    batches=2, seed=1))
-        export = peak(lambda: count_coincidences(simulate_run(cfg, noise, det, n_gates, seed=1)))
+        estimate = traced_peak(lambda: estimate_visibility(cfg, noise, det, n_gates=n_gates,
+                                                           batches=2, seed=1))
+        export = traced_peak(
+            lambda: count_coincidences(simulate_run(cfg, noise, det, n_gates, seed=1)))
         assert estimate < export
+
+    def test_peak_stops_growing_with_the_phase_count(self):
+        # 2 batches of 512 and of 2,048 phases, with 1,000 gates and 500
+        # expected pairs per stream: 262 streams would fit 2**17 events, so
+        # every engine call holds a full group of _GROUP_STREAMS streams at
+        # both sizes, and the group's generators and clicks take the same
+        # memory. What grows with the streams is the estimate's own arrays: a
+        # histogram row (56 B) and seed words (32 B) per stream, and a few
+        # float64 arrays over the phases. A call over more streams than a
+        # group would hold each one's generator and clicks at once, so its
+        # peak would grow by more than one generator per added stream
+        cfg, noise, det = fig4c_at(0.5)
+        np.random.default_rng([1, 0, 0])
+        tracemalloc.start()
+        try:
+            rngs = [np.random.default_rng([1, 0, j]) for j in range(montecarlo._GROUP_STREAMS)]
+            generator = tracemalloc.get_traced_memory()[0] / len(rngs)
+        finally:
+            tracemalloc.stop()
+
+        def peak(n_phases):
+            phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
+            return traced_peak(lambda: estimate_visibility(
+                cfg, noise, det, n_gates=1_000 * n_phases, phases=phases, batches=2, seed=1))
+
+        growth = (peak(2_048) - peak(512)) / (2 * (2_048 - 512))
+        assert growth < generator
 
     def test_memory_does_not_grow_with_the_task_count(self, monkeypatch):
         # 5,000 batches of 3 phases each, with streams and counts stubbed so
@@ -1208,13 +1277,14 @@ class TestStreamSeeds:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_generators_start_in_default_rng_states(self, seed):
-        batches = list(montecarlo._batch_generators(seed, 3, 4))
-        assert [len(rngs) for rngs in batches] == [4, 4, 4]
-        for b, rngs in enumerate(batches):
-            for j, rng in enumerate(rngs):
-                ref = np.random.default_rng([seed, b, j])
-                assert rng.bit_generator.state == ref.bit_generator.state
-                assert np.array_equal(rng.random(5), ref.random(5))
+        # stream s = 4 b + j of 3 batches of 4 phases, as an estimate numbers them
+        words = montecarlo._seed_words(seed, np.arange(3)[:, None], np.arange(4)).reshape(-1, 4)
+        rngs = montecarlo._stream_generators(words)
+        assert len(rngs) == 12
+        for s, rng in enumerate(rngs):
+            ref = np.random.default_rng([seed, s // 4, s % 4])
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.random(5), ref.random(5))
 
     def test_estimate_makes_no_default_rng_call(self, monkeypatch):
         def no_default_rng(seed=None):
@@ -1309,7 +1379,7 @@ class TestBatchErrors:
     @pytest.mark.parametrize("stream", [1, 3, 7])
     def test_lowest_failed_task_reaches_caller(self, monkeypatch, stream):
         # batch 1 fails at the given stream and batch 2 would fail too: all
-        # 3 batches (about 770 expected events each) share one engine call,
+        # 96 streams (about 24 expected events each) share one engine call,
         # the caller sees batch 1's error, every stream before it was checked
         # in (batch, phase) order on the caller's thread, and no stream of
         # batch 2 runs
