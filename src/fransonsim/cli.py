@@ -227,7 +227,7 @@ def cmd_alpha_sweep(args) -> int:
 def cmd_montecarlo(args) -> int:
     exp = _load_experiment(args)
     run = resolve_run(exp.run, _run_flags(args), simulate=True)
-    if (args.events or args.histogram) and not np.isfinite(args.phase):
+    if (args.events or args.histogram) and args.phase is not None and not np.isfinite(args.phase):
         raise ConfigurationError(f"--phase {args.phase} must be finite")
 
     est = _estimate(exp, run, exp.noise)
@@ -356,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="per-phase coincidence histogram CSV")
     p.add_argument("--events", help="export one run's event stream CSV")
     p.add_argument("--histogram", help="export one run's offset histogram CSV")
-    p.add_argument("--phase", type=float, default=0.0, help="phase for --events/--histogram run")
+    p.add_argument(
+        "--phase", type=float, help="summed phase for --events/--histogram run (default: the arms')"
+    )
     p.set_defaults(func=cmd_montecarlo)
 
     p = sub.add_parser("design", help="solve fiber lengths for a dispersion target")

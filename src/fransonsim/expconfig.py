@@ -387,6 +387,11 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
     for key, reason in unread.items():
         if key in sec:
             raise ConfigParseError(f"[spectrum] {key} is not read {reason}", line=_line(sec, key))
+    shape = sec.get("filter_shape", FLATTOP).strip().lower()
+    if shape not in (FLATTOP, GAUSSIAN):
+        raise ConfigParseError(
+            f"[spectrum] unknown filter_shape {shape!r}", line=_line(sec, "filter_shape")
+        )
     if model == TABULATED:
         if "file" not in sec:
             raise ConfigParseError("[spectrum] tabulated model needs a file", line=_line(sec))
@@ -397,7 +402,6 @@ def parse_experiment(text: str, source: str = "<config>", base_dir=None) -> Expe
         span = _number(sec, "span_radps") if "span_radps" in sec else None
         spectrum = make_spectrum(model, fwhm, center_nm=center, span_radps=span, n_points=points)
     if "filter_fwhm_nm" in sec:
-        shape = sec.get("filter_shape", FLATTOP).strip().lower()
         spectrum = apply_bandpass(spectrum, _number(sec, "filter_fwhm_nm"), shape)
 
     # arms

@@ -64,22 +64,12 @@ class FransonConfig:
     """Full experiment: two arms, the shared spectrum, folded constants.
 
     The summed dispersion phase on the spectrum grid (``summed_phase``), the
-    number of its leading points that determine it (``distinct_points``),
-    the fringe amplitude Z (``amplitude``), the phase of the fringe maximum
+    fringe amplitude Z (``amplitude``), the phase of the fringe maximum
     (``peak_phase``) and the unclipped rate at the minimum (``anchor_rate``)
     are computed once per config, on first use, and every coincidence rate,
     fringe rate and visibility reads them. They cannot go stale: the config
     and its arms are frozen, the spectrum's arrays are read-only, and
     ``dataclasses.replace`` builds a new instance with an empty cache.
-
-    The spectrum grid mirrors omega bit for bit, so a summed phase with only
-    even dispersion orders (no beta3 difference between the arms, as with
-    the built-in fibers) is a bitwise palindrome, and its first
-    (n + 1) // 2 points determine it. The rate and Z quadratures then take
-    their cosine or exponential on those points only and mirror the result;
-    otherwise distinct_points is n and nothing is folded. The test compares
-    bits, not values: -0.0 == +0.0, but exp(-1j * phi) at phi = -0.0 and
-    +0.0 differ in the sign of their imaginary parts.
     """
 
     signal_arm: MZIConfig
@@ -115,13 +105,6 @@ class FransonConfig:
         phi = total_phase(self, self.spectrum.omega)
         phi.setflags(write=False)
         return phi
-
-    @cached_property
-    def distinct_points(self) -> int:
-        """Leading points of summed_phase that determine it by mirroring."""
-        bits = self.summed_phase.view(np.int64)
-        n = bits.size
-        return (n + 1) // 2 if np.array_equal(bits, bits[::-1]) else n
 
     @cached_property
     def amplitude(self) -> complex:
@@ -169,27 +152,10 @@ def total_phase(cfg: FransonConfig, omega):
     return phi if np.ndim(phi) else float(phi)
 
 
-def _folded(f, cfg: FransonConfig) -> np.ndarray:
-    """f(summed_phase) at every grid point, evaluating f on distinct_points only.
-
-    f must act elementwise. The values past distinct_points are the leading
-    ones in reverse; with distinct_points = n there are none.
-    """
-    phase = cfg.summed_phase
-    head = f(phase[: cfg.distinct_points])
-    out = np.empty(phase.size, dtype=head.dtype)
-    out[: head.size] = head
-    out[head.size :] = head[: phase.size - head.size][::-1]
-    return out
-
-
 def coincidence_rate(cfg: FransonConfig, phi_tilde: float | None = None) -> float:
     """Post-selected coincidence rate at a summed phase setting, in [0, 1].
 
-    When phi_tilde is omitted the arms' configured phases are summed. The
-    cos^2 factor is evaluated on the distinct half of a palindromic summed
-    phase and mirrored (see FransonConfig); the quadrature itself always
-    runs over the full grid, in grid order.
+    When phi_tilde is omitted the arms' configured phases are summed.
     """
     if phi_tilde is None:
         phi_tilde = cfg.phi_tilde()
@@ -202,7 +168,7 @@ def _rate_quadrature(cfg: FransonConfig, phi_tilde: float) -> float:
     """The cos^2 rate integral at phi_tilde, before the clip to [0, 1]."""
     s = cfg.spectrum
     shift = phi_tilde + cfg.pump_phase_offset_rad
-    fringe = _folded(lambda phase: np.cos((shift - phase) / 2.0) ** 2, cfg)
+    fringe = np.cos((shift - cfg.summed_phase) / 2.0) ** 2
     return float(s.weights @ (s.density * fringe))
 
 
@@ -214,7 +180,7 @@ def fringe_amplitude(cfg: FransonConfig) -> complex:
     runs the quadrature; cfg.amplitude holds its result per config.
     """
     s = cfg.spectrum
-    return complex(s.weights @ (s.density * _folded(lambda phase: np.exp(-1j * phase), cfg)))
+    return complex(s.weights @ (s.density * np.exp(-1j * cfg.summed_phase)))
 
 
 def fringe_rates(cfg: FransonConfig, phis) -> np.ndarray:

@@ -52,11 +52,16 @@ def bell_significance(v: float, sigma_v: float) -> BellResult:
     """CHSH violation in standard deviations for a measured visibility.
 
     S = 2*sqrt(2)*v; the violation significance is (S - 2) / (2*sqrt(2)*sigma_v).
-    Zero at v = 1/sqrt(2), negative below it.
+    Zero at v = 1/sqrt(2), negative below it. sigma_v must be finite and
+    at least the smallest normal double, about 2.2e-308.
     """
     if not (0.0 <= v <= 1.0):
         raise DomainError(f"visibility must be in [0, 1], got {v}")
-    if not (0 < sigma_v < np.inf):
-        raise DomainError(f"sigma_v must be positive and finite, got {sigma_v}")
+    # below the smallest normal double the quotient can overflow to inf
+    tiny = np.finfo(float).tiny
+    if not (tiny <= sigma_v < np.inf):
+        raise DomainError(
+            f"sigma_v must be positive and finite, at least {tiny:.6g}, got {sigma_v}"
+        )
     s = ROOT8 * v
     return BellResult(s_value=s, sigma_violation=(s - 2.0) / (ROOT8 * sigma_v))

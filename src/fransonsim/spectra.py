@@ -140,8 +140,20 @@ class JointSpectrum:
         return abs(self.integral() - 1.0) <= tol
 
 
+def _carrier_radps(center_nm: float) -> float:
+    """Carrier angular frequency 2 pi c / lambda0: the largest detuning a grid may reach."""
+    return 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / center_nm
+
+
 def _build(model, center_nm, fwhm_nm, values, passband=1.0) -> JointSpectrum:
     grid = values[0]
+    carrier = _carrier_radps(center_nm)
+    if not grid[-1] < carrier:
+        raise ConfigurationError(
+            f"the {model} grid reaches {grid[-1]:.6g} rad/ps, at or past the carrier "
+            f"angular frequency 2 pi c / lambda0 = {carrier:.6g} rad/ps, where photon "
+            "frequencies turn negative"
+        )
     dens = np.array(values[1], dtype=float)
     w = simpson_weights(grid)
     total = w @ dens
@@ -178,15 +190,15 @@ def make_spectrum(
     gaussian: S ~ exp(-omega^2/2 sigma^2), sigma = FWHM / (2 sqrt(2 ln 2)).
     Default span is 6 sigma per side.
 
-    A given span must be finite and below the carrier angular frequency
-    2 pi c / lambda0 (1,207 rad/ps at 1560 nm), past which photon
-    frequencies on the grid would be negative.
+    The grid, given or default, must stay below the carrier angular
+    frequency 2 pi c / lambda0 (1,207 rad/ps at 1560 nm), past which photon
+    frequencies on it would be negative; a given span must also be finite.
     """
     if fwhm_nm <= 0:
         raise DomainError(f"fwhm must be positive, got {fwhm_nm}")
     fwhm = width_nm_to_radps(fwhm_nm, center_nm)
     if span_radps is not None:
-        carrier = 2.0 * np.pi * SPEED_OF_LIGHT_NM_PER_PS / center_nm
+        carrier = _carrier_radps(center_nm)
         if not (np.isfinite(span_radps) and span_radps < carrier):
             raise ConfigurationError(
                 f"span_radps {span_radps!r} must be finite and below the carrier "
@@ -237,7 +249,9 @@ def load_tabulated(
     its index in ``rows``. Wavelengths must be strictly monotonic;
     intensities nonnegative with at least one positive value. The samples
     are converted to detunings, linearly interpolated onto the uniform
-    grid, zero outside the sampled range, and renormalized.
+    grid, zero outside the sampled range, and renormalized. The sampled
+    detunings must stay below the carrier angular frequency, as every
+    spectrum grid must.
     """
     rows = list(rows)
     if len(rows) < 2:

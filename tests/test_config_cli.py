@@ -592,7 +592,7 @@ class TestInputValidation:
         assert "span_radps" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "5e-324", "2.2e-308"])
     def test_sigma_v_must_be_positive_and_finite(self, capsys, value):
         assert main(["visibility", "--preset", "fig4a", "--sigma-v", value]) == 3
         captured = capsys.readouterr()
@@ -667,6 +667,29 @@ class TestInputValidation:
         name = key.split(" = ")[0]
         captured = capsys.readouterr()
         assert captured.err == f"error: line {line}: [spectrum] {name} is not read {reason}\n"
+        assert captured.out == ""
+
+    def test_unknown_filter_shape_exits_2_on_its_line(self, tmp_path, capsys):
+        key = "filter_shape = triangle"
+        text = FULL_CONFIG.replace(
+            "span_radps = 11.6", f"span_radps = 11.6\nfilter_fwhm_nm = 0.36\n{key}"
+        )
+        cfg = _write(tmp_path, "shape.ini", text)
+        assert main(["visibility", "--config", str(cfg)]) == 2
+        line = text.splitlines().index(key) + 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line {line}: [spectrum] unknown filter_shape 'triangle'\n"
+        assert captured.out == ""
+
+    def test_tabulated_grid_past_the_carrier_exits_3(self, tmp_path, capsys):
+        # a sample at 500 nm lies 2,560 rad/ps from 1560 nm, past the carrier's 1,207
+        csv = _write_gaussian_csv(tmp_path / "spectrum.csv")
+        header = "wavelength_nm,intensity\n"
+        csv.write_text(csv.read_text().replace(header, header + "500.0,0.0\n"))
+        cfg = _write(tmp_path, "wide.ini", _tabulated(FULL_CONFIG, "spectrum.csv"))
+        assert main(["visibility", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "carrier angular frequency" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -868,6 +891,23 @@ class TestRunGrid:
         assert f"--phase {float(phase)} must be finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_export_runs_at_the_arms_phase(self, tmp_path):
+        # the arms' phase_rad sets an export's phase unless --phase is given
+        def histogram(text, *flags):
+            cfg = _write(tmp_path, "arms.ini", text)
+            out = tmp_path / "hist.csv"
+            argv = ["montecarlo", "--config", str(cfg), "--gates", "400000", "--batches", "2",
+                    "--phases", "4", "--histogram", str(out), *flags]
+            assert main(argv) == 0
+            return out.read_text()
+
+        turned = FULL_CONFIG.replace("phase_rad = 0.0", "phase_rad = 1.5", 1)
+        assert turned != FULL_CONFIG
+        at_arms = histogram(turned)
+        assert at_arms == histogram(FULL_CONFIG, "--phase", "1.5")
+        assert at_arms != histogram(FULL_CONFIG)
+        assert histogram(turned, "--phase", "0.0") == histogram(FULL_CONFIG)
 
     M3000_CONFIG = FULL_CONFIG.replace("delta_t_ns = 4.77", "delta_t_ns = 4773.27")
 

@@ -90,6 +90,7 @@ class TestBellSignificance:
             bell_significance(0.9, 0.0)
         with pytest.raises(DomainError):
             bell_significance(1.1, 0.01)
-        for sigma_v in (math.inf, math.nan):
+        # a subnormal sigma_v would overflow the significance to inf
+        for sigma_v in (math.inf, math.nan, 5e-324, math.nextafter(np.finfo(float).tiny, 0.0)):
             with pytest.raises(DomainError, match="finite"):
                 bell_significance(0.9, sigma_v)

@@ -127,6 +127,16 @@ class TestMakeSpectrum:
             assert s.span_radps == span
             assert s.is_normalized()
 
+    def test_default_and_sampled_grids_capped_at_carrier(self):
+        # a 700 nm Gaussian's default 6 sigma span is 1,380 rad/ps, and a
+        # sample at 500 nm sits 2,560 rad/ps from 1560 nm; the carrier is 1,207
+        with pytest.raises(ConfigurationError, match="carrier"):
+            make_spectrum(GAUSSIAN, 700.0, n_points=17)
+        with pytest.raises(ConfigurationError, match="carrier"):
+            load_tabulated([(500.0, 1.0), (1560.0, 1.0)], n_points=17)
+        # a 600 nm Gaussian's default span, 1,183 rad/ps, still builds
+        assert make_spectrum(GAUSSIAN, 600.0, n_points=17).span_radps < 2.0 * math.pi * C / 1560.0
+
     def test_bad_fwhm(self):
         # an infinite sinc^2 width, or center, would put its first zero at pi / 0
         for model in (SINC2, GAUSSIAN):
