@@ -92,7 +92,7 @@ def _estimate(exp, run, noise, label=""):
         noise,
         exp.detector,
         n_gates=run.gates,
-        phases=np.linspace(0.0, 2.0 * np.pi, run.phases, endpoint=False),
+        phases=run.phases,
         batches=run.batches,
         seed=run.seed,
     )
@@ -225,22 +225,29 @@ def cmd_alpha_sweep(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    if args.phase is not None and not (args.events or args.histogram):
+        raise ConfigParseError("--phase sets only an --events or --histogram export's phase")
     exp = _load_experiment(args)
     run = resolve_run(exp.run, _run_flags(args), simulate=True)
-    if (args.events or args.histogram) and args.phase is not None and not np.isfinite(args.phase):
+    if args.phase is not None and not np.isfinite(args.phase):
         raise ConfigurationError(f"--phase {args.phase} must be finite")
 
     est = _estimate(exp, run, exp.noise)
     v0 = visibility(exp.franson, COMPLEX_INTEGRAL).visibility
     v_pipeline = observed_visibility(v0, exp.noise)
 
-    _report("fringe_estimator", est.fit_method)
+    _report("fringe_estimator", "sinusoidal-least-squares")
     _report("gates_per_phase", est.n_gates_per_phase)
     _report("batches", run.batches)
     _report("V_montecarlo", _sci(est.v))
     _report("sigma_V", _sci(est.sigma_v))
     _report("V_analytic_pipeline", _sci(v_pipeline))
-    _report("deviation_sigmas", _sci((est.v - v_pipeline) / est.sigma_v if est.sigma_v else 0.0))
+    dev = est.v - v_pipeline
+    if est.sigma_v:
+        sigmas = dev / est.sigma_v
+    else:  # no spread over the batches: any deviation lies infinitely many sigmas out
+        sigmas = np.copysign(np.inf, dev) if dev else 0.0
+    _report("deviation_sigmas", _sci(sigmas))
 
     if args.out:
         offsets = ",".join(f"offset_{o:+d}" for o in est.offsets)

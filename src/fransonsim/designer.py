@@ -82,14 +82,21 @@ def solve_lengths(problem: DesignProblem) -> DesignSolution:
         ]
     )
 
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    scale = abs(a[0, 0] * a[1, 1]) + abs(a[0, 1] * a[1, 0])
+    # in Python floats, which overflow to inf without a warning
+    (n1, n2), (b1, b2) = a.tolist()
+    det = n1 * b2 - n2 * b1
+    scale = abs(n1 * b2) + abs(n2 * b1)
     if scale == 0 or abs(det) < 1e-9 * scale:
         raise ConfigurationError(
             f"singular design system: fibers {f1.name!r} and {f2.name!r} do not "
             "span delay and dispersion independently (equal beta2?)"
         )
     lengths = np.linalg.solve(a, rhs)
+    if not (scale < np.inf and np.isfinite(lengths).all()):  # past the float range
+        raise ConfigurationError(
+            f"ill-conditioned design system: group indices and beta2 of {f1.name!r}, "
+            f"{f2.name!r} and {fs.name!r} overflow the solve"
+        )
 
     if np.any(lengths < -1e-9):
         raise InfeasibleDesignError(
@@ -104,12 +111,13 @@ def solve_lengths(problem: DesignProblem) -> DesignSolution:
     achieved = stack_moments(long_stack, short_stack)
     delay = long_stack.group_delay_ns() - short_stack.group_delay_ns()
 
-    if abs(achieved.d_beta2_l_ps2 - problem.target_d_beta2_l_ps2) > DISPERSION_RESIDUAL_TOL_PS2:
+    residual = achieved.d_beta2_l_ps2 - problem.target_d_beta2_l_ps2
+    # both checks are written so that a NaN residual fails them
+    if not abs(residual) <= DISPERSION_RESIDUAL_TOL_PS2:
         raise ConfigurationError(
-            f"solver residual {achieved.d_beta2_l_ps2 - problem.target_d_beta2_l_ps2:.3e} ps^2 "
-            "exceeds tolerance; system is badly conditioned"
+            f"solver residual {residual:.3e} ps^2 exceeds tolerance; system is badly conditioned"
         )
-    if abs(delay - problem.delta_t_ns) > DELAY_RESIDUAL_TOL_NS:
+    if not abs(delay - problem.delta_t_ns) <= DELAY_RESIDUAL_TOL_NS:
         raise ConfigurationError(
             f"delay residual {(delay - problem.delta_t_ns) * 1e3:.3f} ps exceeds 1 ps"
         )

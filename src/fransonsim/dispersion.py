@@ -42,9 +42,9 @@ class FiberSpec:
     group_index: float = 1.468
 
     def __post_init__(self):
-        if not (self.group_index > 1.0):
+        if not (1.0 < self.group_index < math.inf):
             raise ConfigurationError(
-                f"group index must exceed 1, got {self.group_index}"
+                f"group index must exceed 1 and be finite, got {self.group_index}"
             )
         if not (math.isfinite(self.beta2_fs2_per_mm) and math.isfinite(self.beta3_fs3_per_mm)):
             raise ConfigurationError("dispersion coefficients must be finite")

@@ -29,9 +29,9 @@ signal first, geometric gaps between dark counts and one uniform per click
 for afterpulses. The gaps give each gate a birth (or a dark count)
 independently with probability alpha (or dark_prob), at most one per gate,
 as one uniform per gate would, but with draws in proportion to the events
-rather than the gates (see _bernoulli_gates). They are drawn in blocks, and
-a stream whose block ends below its last gate draws another (_gap_hits); at
-a rate of 0 a block holds no gaps and draws nothing. A gap is the value
+rather than the gates (see _gap_hits). They are drawn in blocks, and a
+stream whose block ends below its last gate draws another; at a rate of 0
+a block holds no gaps and draws nothing. A gap is the value
 ``rng.geometric`` returns, but below p = 1/3 it is taken as NumPy itself
 takes it, from one exponential draw, and inverted for a whole block of
 streams at once (_draw_gaps, _geometric). Their sums run in int64, and the
@@ -169,17 +169,10 @@ class CoincidenceHistogram:
 
     offsets: np.ndarray
     counts: np.ndarray
-    total_gates: int
-    window: int
 
     def __post_init__(self):
         self.offsets.setflags(write=False)
         self.counts.setflags(write=False)
-
-    def count(self, offset: int) -> int:
-        if abs(offset) > self.window:
-            raise DomainError(f"offset {offset} outside window +-{self.window}")
-        return int(self.counts[offset + self.window])
 
 
 def coincidence_window(m: int) -> int:
@@ -311,16 +304,6 @@ def _gap_rows(rngs, n, p):
     for rng, row in zip(rngs, gaps):
         _draw_gaps(rng, p, row)
     return gaps
-
-
-def _bernoulli_gates(rng, n, p):
-    """Sorted int64 gates in [0, n), each present independently with probability p.
-
-    The gaps between successive hits, the first counted from gate -1, are
-    geometric(p), so draws and memory grow with the hits, not with n: the
-    one-stream case of _gap_hits.
-    """
-    return _gap_hits(_gap_rows([rng], n, p), [rng], n, p, np.zeros(1, dtype=np.int64))[0]
 
 
 def _simulate_segments(cfg, noise, det, n_gates, rngs, rates):
@@ -551,8 +534,8 @@ def _count_segments(sig, idl, k, stride=None, n_segments=1):
 def count_coincidences(events: EventStream, window_offsets: int = 3) -> CoincidenceHistogram:
     """Histogram signal-idler gate offsets d = idler - signal, |d| <= window.
 
-    Every signal-idler pair of the stream within the window counts once;
-    total_gates is the stream's n_gates. 2k + 1 is held to MAX_HISTOGRAM_CELLS.
+    Every signal-idler pair of the stream within the window counts once.
+    2k + 1 is held to MAX_HISTOGRAM_CELLS.
     """
     k = int(window_offsets)
     if k < 3:
@@ -561,8 +544,6 @@ def count_coincidences(events: EventStream, window_offsets: int = 3) -> Coincide
     return CoincidenceHistogram(
         offsets=np.arange(-k, k + 1),
         counts=_count_segments(events.signal_gates, events.idler_gates, k)[0],
-        total_gates=events.n_gates,
-        window=k,
     )
 
 
@@ -583,7 +564,6 @@ class VisibilityEstimate:
     per_phase_histogram: np.ndarray
     offsets: np.ndarray
     n_gates_per_phase: int
-    fit_method: str = "sinusoidal-least-squares"
 
 
 def _fit_fringe(phases, counts):
@@ -602,72 +582,65 @@ def estimate_visibility(
     noise: NoiseModel,
     det: DetectorModel,
     n_gates: int,
-    phases=None,
+    phases: int = 32,
     batches: int = 100,
     seed: int = 0,
 ) -> VisibilityEstimate:
     """Measure the raw fringe visibility from simulated detection streams.
 
-    Each batch spreads n_gates evenly over the phase grid (default 32
-    uniform phases over [0, 2pi)), counts offset-0 coincidences per phase,
-    and fits the sinusoidal fringe. Streams are seeded and drawn as the
-    module docstring states; stream s is phase s % phases of batch
-    s // phases. The seed words of all streams are computed before the
-    histogram is allocated, and a group's generators are built from its
-    rows when the group starts. One engine call simulates a group's streams
-    as segments, and one pass counts them. The groups run in order on the
-    calling thread, so the first failed stream's error is raised and no
-    later stream starts.
-    n_gates, the phase count and the batches x phases streams are held to
-    MAX_GATES, MAX_PHASES and MAX_STREAMS, and a histogram over
-    MAX_HISTOGRAM_CELLS cells is refused, before any of them is built. So is
-    a grid of fewer than 3 phases distinct modulo 2pi, whose fit would read
-    a perfect fringe.
+    Each batch spreads n_gates evenly over a grid of ``phases`` uniform
+    phases over [0, 2pi), counts offset-0 coincidences per phase, and fits
+    the sinusoidal fringe. Streams are seeded and drawn as the module
+    docstring states; stream s is phase s % phases of batch s // phases.
+    The seed words of all streams are computed before the histogram is
+    allocated, and a group's generators are built from its rows when the
+    group starts. One engine call simulates a group's streams as segments,
+    and one pass counts them. The groups run in order on the calling
+    thread, so the first failed stream's error is raised and no later
+    stream starts.
+    Fewer than 3 phases, whose fit would read a perfect fringe, are refused.
+    n_gates, phases and the batches x phases streams are held to MAX_GATES,
+    MAX_PHASES and MAX_STREAMS, and a histogram over MAX_HISTOGRAM_CELLS
+    cells is refused, before any of them is built.
     """
     if batches < 2:
         raise DomainError(f"need at least 2 batches, got {batches}")
-    if phases is None:
-        phases = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
-    phases = np.asarray(phases, dtype=float)
-    _check_cap("phase count", len(phases), MAX_PHASES)
-    with np.errstate(invalid="ignore"):  # an inf phase is refused with the rates
-        # a phase just below 0 wraps to 2pi, and the second remainder to 0; a
-        # set, as np.unique would import numpy.ma (1.7 MB of resident memory)
-        distinct = len(set((np.mod(phases, 2 * np.pi) % (2 * np.pi)).tolist()))
-    if distinct < 3:  # a repeated phase adds no point to the fit
-        raise DomainError(f"need 3 phases distinct modulo 2pi to fit a fringe, got {distinct}")
-    per_phase = int(n_gates) // len(phases)
+    if phases < 3:
+        raise DomainError(f"need at least 3 phases to fit a fringe, got {phases}")
+    _check_cap("phase count", phases, MAX_PHASES)
+    per_phase = int(n_gates) // phases
     if per_phase < 1:
-        raise DomainError(f"n_gates {n_gates} too small for {len(phases)} phases")
+        raise DomainError(f"n_gates {n_gates} too small for {phases} phases")
     _check_cap("n_gates", n_gates, MAX_GATES)
-    _check_cap("stream count", n_streams := batches * len(phases), MAX_STREAMS)
+    _check_cap("stream count", n_streams := batches * phases, MAX_STREAMS)
 
     m = gate_offset(cfg, det)
     k = coincidence_window(m)
     if n_streams * (2 * k + 1) > MAX_HISTOGRAM_CELLS:
         raise ConfigurationError(f"{n_streams} streams at gate offset m = {m} "
                                  f"exceed the histogram cap of {MAX_HISTOGRAM_CELLS} cells")
-    rates = fringe_rates(cfg, phases)
+    grid = np.linspace(0.0, 2.0 * np.pi, phases, endpoint=False)
+    rates = fringe_rates(cfg, grid)
     events = per_phase * (noise.alpha + 2 * det.dark_prob)  # per stream
     group = max(1, min(int(_GROUP_EVENTS // max(events, 1.0)), _GROUP_STREAMS))
     # the seed words' temporaries are freed before the histogram is allocated
-    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(len(phases))).reshape(-1, 4)
+    words = _seed_words(seed, np.arange(batches)[:, None], np.arange(phases)).reshape(-1, 4)
     hists = np.empty((n_streams, 2 * k + 1), dtype=np.int64)
     for s in range(0, n_streams, group):
         rngs = _stream_generators(words[s : s + group])
         signal, idler, stride = _simulate_segments(
-            cfg, noise, det, per_phase, rngs, rates[np.arange(s, s + len(rngs)) % len(phases)])
+            cfg, noise, det, per_phase, rngs, rates[np.arange(s, s + len(rngs)) % phases])
         for name, gates in (("signal", signal), ("idler", idler)):
             _check_gates(name, gates, per_phase, stride, len(rngs))
         hists[s : s + len(rngs)] = _count_segments(signal, idler, k, stride, len(rngs))
-    hists = hists.reshape(batches, len(phases), 2 * k + 1)
-    batch_vs = np.array([_fit_fringe(phases, hist[:, k]) for hist in hists])
+    hists = hists.reshape(batches, phases, 2 * k + 1)
+    batch_vs = np.array([_fit_fringe(grid, hist[:, k]) for hist in hists])
 
     return VisibilityEstimate(
         v=float(batch_vs.mean()),
         sigma_v=float(batch_vs.std(ddof=1)),
         batch_visibilities=batch_vs,
-        phases=phases,
+        phases=grid,
         per_phase_histogram=hists.sum(axis=0),
         offsets=np.arange(-k, k + 1),
         n_gates_per_phase=per_phase,

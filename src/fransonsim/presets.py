@@ -27,7 +27,6 @@ and fig4c stay at 0. The presets keep +-15 nm, so their visibilities are
 those of a source whose spectrum ends at +-15 nm.
 """
 
-from .designer import DesignProblem, solve_lengths
 from .dispersion import LEAF, SMF, stack
 from .errors import ConfigurationError
 from .expconfig import Experiment, RunSettings
@@ -49,6 +48,10 @@ SHORT_SMF_MM = 1900.0
 LONG_SMF_MM = 2875.0  # 975 mm surplus: 4.77 ns of group delay at n = 1.468
 LEAF_LONG_MM = 2695.0
 SMF_TRIM_MM = 180.0
+# fig4c's LEAF + SMF long path: the lengths solve_lengths gives for zero
+# differential dispersion at DELTA_T_NS against the SHORT_SMF_MM short path
+BALANCED_LEAF_MM = 1343.8214947638319
+BALANCED_SMF_MM = 1530.299775440528
 
 _PRESET_SUMMARIES = {
     "fig4a": "all-SMF arms, uncompensated differential dispersion",
@@ -83,19 +86,8 @@ def _smf_arm():
 
 
 def _balanced_arm():
-    # LEAF/SMF long path solved for zero differential dispersion at the
-    # same delay; deterministic closed-form 2x2 solve
-    sol = solve_lengths(
-        DesignProblem(
-            target_d_beta2_l_ps2=0.0,
-            delta_t_ns=DELTA_T_NS,
-            short_fiber=SMF,
-            long_fibers=(LEAF, SMF),
-            short_length_mm=SHORT_SMF_MM,
-        )
-    )
     return MZIConfig(
-        long=stack((LEAF, sol.lengths_mm[0]), (SMF, sol.lengths_mm[1])),
+        long=stack((LEAF, BALANCED_LEAF_MM), (SMF, BALANCED_SMF_MM)),
         short=stack((SMF, SHORT_SMF_MM)),
         delta_t_ns=DELTA_T_NS,
     )

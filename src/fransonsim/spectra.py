@@ -295,7 +295,8 @@ def apply_bandpass(
     ``flattop`` is an ideal rectangular transmission of full width
     ``filter_fwhm_nm``; the grid is rebuilt over the passband so the hard
     edges coincide with the integration limits. ``gaussian`` multiplies by a
-    Gaussian transmission of that intensity FWHM on the existing grid.
+    Gaussian transmission of that intensity FWHM on the existing grid; a
+    FWHM narrower than the grid step is refused.
 
     The surviving flux fraction is accumulated into ``passband_fraction``
     for loss bookkeeping (narrowband filtering costs pair flux).
@@ -311,8 +312,14 @@ def apply_bandpass(
         dens = np.interp(grid, spectrum.omega, spectrum.density)
         w = simpson_weights(grid)
     elif shape == GAUSSIAN:
-        sigma_f = 2.0 * half / GAUSSIAN_FWHM_PER_SIGMA
         grid, w = spectrum.omega, spectrum.weights
+        step = grid[1] - grid[0]
+        if 2.0 * half < step:  # the grid cannot resolve it, and its sigma^2 may underflow
+            raise ConfigurationError(
+                f"gaussian filter fwhm {filter_fwhm_nm:.4g} nm ({2.0 * half:.4g} rad/ps) is "
+                f"narrower than the spectrum grid step of {step:.4g} rad/ps"
+            )
+        sigma_f = 2.0 * half / GAUSSIAN_FWHM_PER_SIGMA
         dens = spectrum.density * np.exp(-(grid**2) / (2.0 * sigma_f**2))
     else:
         raise ConfigurationError(f"unknown filter shape {shape!r}")

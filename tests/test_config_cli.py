@@ -4,12 +4,15 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fransonsim.cli
+from fransonsim import presets
 from fransonsim import (
     PRESET_NAMES,
     ConfigParseError,
@@ -21,12 +24,15 @@ from fransonsim import (
     InfeasibleDesignError,
     StatisticsError,
     load_fiber_catalog,
+    observed_visibility,
     parse_experiment,
     preset_experiment,
+    solve_lengths,
+    visibility,
 )
 from fransonsim.cli import main
 from fransonsim.designer import DesignProblem
-from fransonsim.dispersion import DifferentialDispersion, FiberSpec
+from fransonsim.dispersion import LEAF, SMF, DifferentialDispersion, FiberSpec
 from fransonsim.expconfig import (
     RunSettings,
     parse_experiment_file,
@@ -220,6 +226,17 @@ class TestPresetFidelity:
         for arm in (exp.franson.signal_arm, exp.franson.idler_arm):
             assert abs(arm.differential().d_beta2_l_ps2) <= 1e-10
 
+    def test_fig4c_lengths_are_the_solved_ones(self):
+        # the stated lengths are bitwise those of the zero-dispersion solve
+        sol = solve_lengths(DesignProblem(
+            target_d_beta2_l_ps2=0.0, delta_t_ns=presets.DELTA_T_NS, short_fiber=SMF,
+            long_fibers=(LEAF, SMF), short_length_mm=presets.SHORT_SMF_MM))
+        assert sol.lengths_mm == (presets.BALANCED_LEAF_MM, presets.BALANCED_SMF_MM)
+        exp = preset_experiment("fig4c")
+        for arm in (exp.franson.signal_arm, exp.franson.idler_arm):
+            assert [(s.fiber.name, s.length_mm) for s in arm.long.segments] == [
+                ("LEAF", 1343.8214947638319), ("SMF", 1530.299775440528)]
+
     def test_fig4d_published_lengths(self):
         exp = preset_experiment("fig4d")
         idl = exp.franson.idler_arm
@@ -386,6 +403,27 @@ class TestCli:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("warning: alpha 2.40000000e-03: V_montecarlo 1.32640735e+00")
 
+    def test_montecarlo_deviation_without_spread(self, capsys):
+        # 2 offset-0 coincidences: both batches fit V = 2, so sigma_V is 0,
+        # and V lies infinitely many sigmas above the analytic 0.985
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "64000", "--batches", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert self._value(out, "V_montecarlo") == 2.0
+        assert self._value(out, "sigma_V") == 0.0
+        assert "deviation_sigmas                 inf\n" in out
+
+    @pytest.mark.parametrize("shift, printed", [(0.01, "inf"), (0.0, "0.00000000e+00"),
+                                                (-0.5, "-inf")])
+    def test_deviation_sign_without_spread(self, monkeypatch, capsys, shift, printed):
+        exp = preset_experiment("fig4a")
+        v = observed_visibility(visibility(exp.franson).visibility, exp.noise) + shift
+        monkeypatch.setattr(fransonsim.montecarlo, "estimate_visibility",
+                            lambda *args, **kwargs: SimpleNamespace(v=v, sigma_v=0.0,
+                                                                    n_gates_per_phase=1))
+        assert main(["montecarlo", "--preset", "fig4a", "--gates", "64", "--batches", "2"]) == 0
+        assert f"deviation_sigmas                 {printed}\n" in capsys.readouterr().out
+
     def test_montecarlo_statistics_error(self, tmp_path, capsys):
         cfg = tmp_path / "quiet.ini"
         cfg.write_text(FULL_CONFIG.replace("alpha = 0.0024", "alpha = 0.0"))
@@ -433,16 +471,25 @@ class TestCli:
             (PROBLEM.replace("= 0.022018", "= nan"), None, "target_d_beta2_l_ps2"),
             (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "0.5"),
              "group index"),
+            # once printed achieved_delay_ns nan and exited 0
+            (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "inf"),
+             "group index must exceed 1"),
+            # once overflowed the determinant with RuntimeWarnings
+            (PROBLEM.replace("LEAF, SMF", "DSF, SMF"), CATALOG.replace("1.47", "1e308"),
+             "ill-conditioned design system"),
         ],
         ids=["problem", "problem-delay-inf", "problem-short-inf", "problem-target-nan",
-             "catalog"],
+             "catalog", "catalog-group-index-inf", "catalog-group-index-1e308"],
     )
     def test_design_input_validation_exit_code(self, tmp_path, capsys, problem, catalog, key):
-        # physical validation exits 3 for every input file kind, as for experiment files
+        # physical validation exits 3 for every input file kind, as for
+        # experiment files, and warns nothing on the way
         argv = ["design", "--problem", str(_write(tmp_path, "problem.ini", problem))]
         if catalog:
             argv += ["--catalog", str(_write(tmp_path, "fibers.ini", catalog))]
-        assert main(argv) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert key in captured.err
@@ -891,6 +938,19 @@ class TestRunGrid:
         assert f"--phase {float(phase)} must be finite" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_phase_without_export_refused(self, monkeypatch, capsys):
+        # --phase sets only an export's phase; without one it was ignored
+        def no_stream(*args):
+            raise AssertionError("a stream ran")
+
+        monkeypatch.setattr(fransonsim.montecarlo, "_simulate_segments", no_stream)
+        argv = ["montecarlo", "--preset", "fig4a", "--gates", "64000", "--batches", "2",
+                "--phase", "1.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--phase" in captured.err
+        assert captured.out == ""
 
     def test_export_runs_at_the_arms_phase(self, tmp_path):
         # the arms' phase_rad sets an export's phase unless --phase is given

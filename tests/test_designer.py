@@ -1,5 +1,7 @@
 """Fiber-length design: the delay/dispersion 2x2 system and its edge cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,23 @@ class TestErrors:
         )
         with pytest.raises(ConfigurationError):
             solve_lengths(prob)
+
+    @pytest.mark.parametrize("long_fiber", [True, False], ids=["long", "short"])
+    def test_overflowing_group_index_is_ill_conditioned(self, long_fiber):
+        # group index x beta2 past the float range once overflowed the
+        # determinant with RuntimeWarnings
+        huge = FiberSpec("huge", -4.0, group_index=1e308)
+        prob = DesignProblem(
+            target_d_beta2_l_ps2=0.0,
+            delta_t_ns=4.77,
+            short_fiber=SMF if long_fiber else huge,
+            long_fibers=(huge, SMF) if long_fiber else (LEAF, SMF),
+            short_length_mm=1900.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="ill-conditioned design system"):
+                solve_lengths(prob)
 
     def test_infeasible_carries_unconstrained_solution(self):
         prob = nonlocal_problem(target=1.0)  # far beyond any positive-length reach

@@ -153,6 +153,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FiberSpec("x", -22.5, group_index=0.99)
 
+    @pytest.mark.parametrize("group_index", [np.inf, np.nan])
+    def test_group_index_must_be_finite(self, group_index):
+        with pytest.raises(ConfigurationError, match="group index must exceed 1 and be finite"):
+            FiberSpec("x", -22.5, group_index=group_index)
+
     def test_nonfinite_beta_rejected(self):
         with pytest.raises(ConfigurationError):
             FiberSpec("x", float("nan"))

@@ -247,7 +247,10 @@ def analytic_configs(draw):
     )
     shape = draw(st.sampled_from([None, "flattop", GAUSSIAN]))
     if shape is not None:
-        spectrum = apply_bandpass(spectrum, draw(st.floats(0.1, 2.0)), shape)
+        # a Gaussian filter must span a grid step, or apply_bandpass refuses it
+        step_nm = (spectrum.omega[1] - spectrum.omega[0]) / width_nm_to_radps(1.0, 1560.0)
+        lo = 0.1 if shape == "flattop" else max(0.1, step_nm * (1 + 1e-9))
+        spectrum = apply_bandpass(spectrum, draw(st.floats(lo, max(lo, 2.0))), shape)
     d_signal = draw(st.floats(-0.1, 0.1))
     d_sum = draw(
         st.one_of(st.just(0.0), st.floats(-0.05, 0.05), st.floats(-5.0, 5.0))

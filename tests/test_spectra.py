@@ -1,6 +1,7 @@
 """Spectral density construction, normalization, filtering, tabulated input."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,18 @@ class TestBandpass:
         for width in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 apply_bandpass(s, width, FLATTOP)
+
+    def test_gaussian_finer_than_the_grid_refused(self):
+        # at 1e-200 nm sigma^2 underflowed to 0, with two RuntimeWarnings
+        s = make_spectrum(SINC2, 1.6)
+        step = s.omega[1] - s.omega[0]
+        resolved = step / width_nm_to_radps(1.0, 1560.0)  # one grid step, in nm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for width in (1e-200, resolved / 2):
+                with pytest.raises(ConfigurationError, match="narrower than the spectrum grid"):
+                    apply_bandpass(s, width, GAUSSIAN)
+            assert apply_bandpass(s, 2 * resolved, GAUSSIAN).is_normalized()
 
     def test_bad_shape(self):
         s = make_spectrum(SINC2, 1.6)
